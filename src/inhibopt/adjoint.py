@@ -6,10 +6,12 @@ The costate p solves, backwards from p(T) = C_f,
     d/dt p = alpha * p / (1 - sigma*u) - div(A grad p) - 1   (space-dependent)
 
 with the jump p(tau_i) = v_i * p(tau_i^+) + c_i * (1 - v_i) at each realized
-pulse time.  The averaged sweep uses the same per-step exponential update as
-the forward solver; the space-dependent sweep reuses the forward
-Crank-Nicolson operator in reversed time with source +1, which keeps the
-discrete duality between forward sensitivities and adjoint gradients tight.
+pulse time.  Both solvers are the one backward sweep of
+:meth:`inhibopt.core.Propagator.backward` with the decisions fixed to a given
+strategy: the exponential step, or the forward Crank-Nicolson operator in
+reversed time, each with source +1, which keeps the discrete duality between
+forward sensitivities and adjoint gradients tight.  :func:`_propagator` is
+the one place that tells the two problem types apart.
 
 Gradient identities implemented here:
 
@@ -26,7 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaged import AveragedTrajectory, Jump, _step_coefficients
+from .averaged import AveragedPropagator, AveragedTrajectory
+from .core import (  # noqa: F401  (AdjointJump is re-exported)
+    AdjointJump,
+    AdjointTrajectory,
+    Propagator,
+    _as_direction_array,
+    _cost,
+    _midpoint,
+    _per_point,
+    _rows,
+    _space_integral,
+)
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -35,47 +48,16 @@ from .model import (
     ProblemError,
     PulseStrategy,
 )
-from .pde import FieldTrajectory, _cn_advance, _step_operator
+from .pde import FieldPropagator, FieldTrajectory
 
 SIGMA_U_GUARD = 1e-9
 
 
-@dataclass(frozen=True)
-class AdjointJump:
-    """Costate jump record: p(tau^+) (incoming backward) and p(tau) (outgoing)."""
-
-    time: float
-    node_index: int
-    candidate_index: int
-    p_plus: float | np.ndarray
-    p_minus: float | np.ndarray
-    applied: float | np.ndarray
-
-
-@dataclass
-class AdjointTrajectory:
-    """Costate per node; stored values are left limits p(t), jumps carry p(t^+)."""
-
-    times: np.ndarray
-    values: np.ndarray
-    jumps: list[AdjointJump]
-
-    def plus_values(self) -> np.ndarray:
-        """Node values with p(tau^+) substituted at pulse nodes (right limits)."""
-        out = self.values.copy()
-        for j in self.jumps:
-            out[j.node_index] = j.p_plus
-        return out
-
-
-def _source_weights(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """Per-step integral of the unit source against the decay: (1 - e^-r*dt)/r."""
-    safe = np.where(rate > 0.0, rate, 1.0)
-    return np.where(rate > 0.0, -np.expm1(-rate * dt) / safe, dt)
-
-
-def _pulse_data(costs: CostSpec, strategy: PulseStrategy, k: int):
-    return costs.pulse_unit[k], strategy.values[k]
+def _propagator(problem: AveragedProblem | PdeProblem, u: ContinuousControl | None) -> Propagator:
+    """The model's propagator for one chemical control."""
+    if isinstance(problem, AveragedProblem):
+        return AveragedPropagator(problem, u)
+    return FieldPropagator(problem, u)
 
 
 def solve_adjoint_averaged(
@@ -86,35 +68,7 @@ def solve_adjoint_averaged(
     forward: AveragedTrajectory,
 ) -> AdjointTrajectory:
     """Backward costate sweep on the realized pulse set of a forward run."""
-    tg = problem.time_grid
-    if u is None:
-        u = ContinuousControl.constant(tg, 0.0)
-    _, rate, decay = _step_coefficients(problem, u)
-    src = _source_weights(rate, tg.dt)
-    realized = {j.node_index: j for j in forward.jumps}
-
-    n_nodes = len(tg.times)
-    values = np.empty(n_nodes)
-    jumps: list[AdjointJump] = []
-    p = float(costs.final)
-    for n in range(n_nodes - 1, -1, -1):
-        if n < n_nodes - 1:
-            p = decay[n] * p + src[n]
-        j = realized.get(n)
-        if j is not None:
-            c_k, v_k = _pulse_data(costs, strategy, j.candidate_index)
-            if n == n_nodes - 1:
-                # pulse exactly at T: the final cost uses the left limit, so
-                # the post-pulse state never enters J and p(tau^+) = 0
-                p_plus = 0.0
-                p = float(costs.final) + float(c_k) * (1.0 - float(v_k))
-            else:
-                p_plus = p
-                p = float(v_k) * p_plus + float(c_k) * (1.0 - float(v_k))
-            jumps.append(AdjointJump(j.time, n, j.candidate_index, p_plus, p, float(v_k)))
-        values[n] = p
-    jumps.reverse()
-    return AdjointTrajectory(tg.times.copy(), values, jumps)
+    return AveragedPropagator(problem, u).adjoint(strategy, costs, forward)
 
 
 def solve_adjoint_pde(
@@ -125,35 +79,7 @@ def solve_adjoint_pde(
     forward: FieldTrajectory,
 ) -> AdjointTrajectory:
     """Backward Crank-Nicolson costate sweep (same operator as the forward solver)."""
-    tg = problem.time_grid
-    dims = problem.grid.dims
-    u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
-    realized = {j.node_index: j for j in forward.jumps}
-    ones = np.ones(dims)
-
-    n_nodes = len(tg.times)
-    values = np.empty((n_nodes, *dims))
-    jumps: list[AdjointJump] = []
-    p = np.broadcast_to(costs.final, dims).astype(float).copy()
-    for n in range(n_nodes - 1, -1, -1):
-        if n < n_nodes - 1:
-            op = _step_operator(problem, u_samples[n], tg.mid_times[n])
-            p = _cn_advance(p, op, ones, tg.dt[n])
-        j = realized.get(n)
-        if j is not None:
-            c_k, v_k = _pulse_data(costs, strategy, j.candidate_index)
-            c_k = np.broadcast_to(c_k, dims)
-            v_k = np.broadcast_to(v_k, dims)
-            if n == n_nodes - 1:
-                p_plus = np.zeros(dims)
-                p = np.broadcast_to(costs.final, dims) + c_k * (1.0 - v_k)
-            else:
-                p_plus = p
-                p = v_k * p_plus + c_k * (1.0 - v_k)
-            jumps.append(AdjointJump(j.time, n, j.candidate_index, p_plus.copy(), p.copy(), v_k.copy()))
-        values[n] = p
-    jumps.reverse()
-    return AdjointTrajectory(tg.times.copy(), values, jumps)
+    return FieldPropagator(problem, u).adjoint(strategy, costs, forward)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +100,6 @@ class GradientReport:
     continuous_gradient: np.ndarray | None
     directional_value: float | None
     space_weight: float  # ds^3 for fields, 1 for the averaged model
-
-
-def _as_direction_array(direction) -> np.ndarray:
-    if isinstance(direction, PulseStrategy):
-        return direction.values
-    if isinstance(direction, ContinuousControl):
-        return direction.samples
-    return np.asarray(direction, dtype=float)
 
 
 def gradient_pulse(
@@ -212,11 +130,6 @@ def gradient_pulse(
     return GradientReport(indices, coeffs, None, directional, space_weight)
 
 
-def _midpoint_state(values_plus: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-step midpoint of a left-continuous node array (post value starts the span)."""
-    return (values_plus[:-1] + values[1:]) / 2.0
-
-
 def gradient_continuous(
     problem: AveragedProblem | PdeProblem,
     forward: AveragedTrajectory | FieldTrajectory,
@@ -231,42 +144,16 @@ def gradient_continuous(
     u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
     if np.any(sigma * u_samples > 1.0 - SIGMA_U_GUARD):
         raise ProblemError("sigma*u too close to 1 (division guard)")
-
-    if isinstance(problem, AveragedProblem):
-        alpha_mid = np.broadcast_to(
-            np.asarray(problem.alpha(tg.mid_times), dtype=float), tg.mid_times.shape
-        )
-        theta_mid = _midpoint_state(forward.post_values(), forward.values)
-        space_weight = 1.0
-    else:
-        if not forward.complete:
-            raise ProblemError("continuous gradient needs a fully stored trajectory")
-        seasonal = problem.pressure.seasonal(tg.mid_times)
-        amp = problem.pressure.amplitude_field.values
-        alpha_mid = seasonal[:, None, None, None] * amp[None]
-        theta_mid = _midpoint_state(forward.post_fields(), forward.fields)
-        space_weight = problem.grid.cell_volume
-    p_mid = _midpoint_state(adjoint.plus_values(), adjoint.values)
-
-    denom = (1.0 - sigma * u_samples) ** 2
-    if alpha_mid.ndim > 1 and denom.ndim == 1:
-        denom = denom[:, None, None, None]
-    cu = costs.continuous_unit
-    if alpha_mid.ndim > 1 and cu.ndim == 1:
-        cu = cu[:, None, None, None]
-    ubar = cu - sigma * alpha_mid * p_mid * theta_mid / denom
+    prop = _propagator(problem, u)
+    rate = prop.chemical_rate(forward, _midpoint(adjoint.plus_values(), adjoint.values))
+    ubar = (_per_point(costs.continuous_unit, rate.ndim)
+            - rate / _per_point((1.0 - sigma * u_samples) ** 2, rate.ndim))
 
     directional = None
     if direction is not None:
-        d = _as_direction_array(direction)
-        if ubar.ndim == 1:
-            directional = float(np.sum(ubar * d * tg.dt))
-        else:
-            d = d[:, None, None, None] if d.ndim == 1 else d
-            directional = float(
-                np.sum(np.sum(ubar * d, axis=(1, 2, 3)) * space_weight * tg.dt)
-            )
-    return GradientReport([], [], ubar, directional, space_weight)
+        d = _per_point(_as_direction_array(direction), ubar.ndim)
+        directional = float(np.sum(_space_integral(ubar * d, prop.space_weight) * tg.dt))
+    return GradientReport([], [], ubar, directional, prop.space_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -286,58 +173,12 @@ def sensitivity_continuous(
     state rate with source -sigma*alpha*d(t)*theta/(1-sigma*u)^2 where d is
     the perturbation direction.
     """
-    tg = problem.time_grid
-    sigma = problem.chem.sigma
-    d = _as_direction_array(direction)
-    u_samples = u_base.samples if u_base is not None else np.zeros(tg.n_steps)
-    realized = {j.node_index: j for j in forward.jumps}
-
-    if isinstance(problem, AveragedProblem):
-        u_ctrl = u_base if u_base is not None else ContinuousControl.constant(tg, 0.0)
-        attr, rate, decay = _step_coefficients(problem, u_ctrl)
-        src = _source_weights(rate, tg.dt)
-        alpha_mid = np.broadcast_to(
-            np.asarray(problem.alpha(tg.mid_times), dtype=float), tg.mid_times.shape
-        )
-        theta_mid = _midpoint_state(forward.post_values(), forward.values)
-        forcing = -sigma * alpha_mid * d * theta_mid / attr**2
-        n_nodes = len(tg.times)
-        z_values = np.empty(n_nodes)
-        jumps: list[Jump] = []
-        z = 0.0
-        for n in range(n_nodes):
-            z_values[n] = z
-            j = realized.get(n)
-            if j is not None:
-                z_post = j.applied * z
-                jumps.append(Jump(j.time, n, j.candidate_index, z, z_post, j.applied))
-                z = z_post
-            if n < tg.n_steps:
-                z = z * decay[n] + forcing[n] * src[n]
-        return AveragedTrajectory(tg.times.copy(), z_values, jumps)
-
-    if not forward.complete:
-        raise ProblemError("sensitivity needs a fully stored trajectory")
-    dims = problem.grid.dims
-    theta_mid = _midpoint_state(forward.post_fields(), forward.fields)
-    n_nodes = len(tg.times)
-    z_fields = np.empty((n_nodes, *dims))
-    jumps = []
-    z = np.zeros(dims)
-    for n in range(n_nodes):
-        z_fields[n] = z
-        j = realized.get(n)
-        if j is not None:
-            z_post = j.applied * z
-            jumps.append(Jump(j.time, n, j.candidate_index, z.copy(), np.asarray(z_post).copy(), j.applied))
-            z = z_post
-        if n < tg.n_steps:
-            op = _step_operator(problem, u_samples[n], tg.mid_times[n])
-            alpha_f = problem.pressure.field_at(tg.mid_times[n])
-            attr = 1.0 - sigma * np.broadcast_to(u_samples[n], dims)
-            forcing = -sigma * alpha_f * np.broadcast_to(d[n], dims) * theta_mid[n] / attr**2
-            z = _cn_advance(z, op, forcing, tg.dt[n])
-    return FieldTrajectory(problem.grid, tg.times.copy(), np.arange(n_nodes), z_fields, jumps, 1)
+    prop = _propagator(problem, u_base)
+    ndim = 1 + len(prop.shape)
+    d = _per_point(_as_direction_array(direction), ndim)
+    attr = 1.0 - prop.sigma * _per_point(prop.u_samples, ndim)
+    forcing = -prop.chemical_rate(forward, d) / attr**2
+    return prop.linear(forward, lambda j, z: j.applied * z, forcing)
 
 
 def sensitivity_pulse_pde(
@@ -348,43 +189,13 @@ def sensitivity_pulse_pde(
     forward: FieldTrajectory,
 ) -> FieldTrajectory:
     """Space-dependent analogue of the pulse sensitivity (verification oracle)."""
-    tg = problem.time_grid
-    dims = problem.grid.dims
-    if not forward.complete:
-        raise ProblemError("sensitivity needs a fully stored trajectory")
-    d = _as_direction_array(direction)
-    u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
-    realized = {j.node_index: j for j in forward.jumps}
-
-    n_nodes = len(tg.times)
-    z_fields = np.empty((n_nodes, *dims))
-    jumps: list[Jump] = []
-    z = np.zeros(dims)
-    zeros = np.zeros(dims)
-    for n in range(n_nodes):
-        z_fields[n] = z
-        j = realized.get(n)
-        if j is not None:
-            z_post = np.broadcast_to(d[j.candidate_index], dims) * j.pre + j.applied * z
-            jumps.append(Jump(j.time, n, j.candidate_index, z.copy(), z_post.copy(), j.applied))
-            z = z_post
-        if n < tg.n_steps:
-            op = _step_operator(problem, u_samples[n], tg.mid_times[n])
-            z = _cn_advance(z, op, zeros, tg.dt[n])
-    return FieldTrajectory(problem.grid, tg.times.copy(), np.arange(n_nodes), z_fields, jumps, 1)
+    d = _rows(_as_direction_array(direction))
+    return FieldPropagator(problem, u).linear(
+        forward, lambda j, z: d[j.candidate_index] * j.pre + j.applied * z)
 
 
 # ---------------------------------------------------------------------------
 # variational assembly of directional cost derivatives
-
-
-def _running_integral(times: np.ndarray, left: np.ndarray, right: np.ndarray) -> float:
-    dt = np.diff(times)
-    if left.ndim == 1:
-        return float(np.sum(dt * (left[:-1] + right[1:]) / 2.0))
-    a = np.sum(left, axis=tuple(range(1, left.ndim)))
-    b = np.sum(right, axis=tuple(range(1, right.ndim)))
-    return float(np.sum(dt * (a[:-1] + b[1:]) / 2.0))
 
 
 def variational_pulse_value(
@@ -398,25 +209,13 @@ def variational_pulse_value(
     """Directional dJ from the pulse sensitivity z (independent of the adjoint).
 
     J_v = C_f z(T) + integral(z) + sum_i c_i [ (1-v_i) z(tau_i) - d_i theta(tau_i) ].
+    The first three terms are the cost functional evaluated on z.
     """
     d = _as_direction_array(direction)
-    if isinstance(z_traj, AveragedTrajectory):
-        z_vals, z_post = z_traj.values, z_traj.post_values()
-        z_final = z_vals[-1]
-    else:
-        z_vals, z_post = z_traj.fields, z_traj.post_fields()
-        z_final = z_vals[-1]
-    running = _running_integral(z_traj.times, z_post, z_vals) * space_weight
-    final = float(np.sum(costs.final * z_final)) * space_weight
-    pulse = 0.0
-    z_pre = {j.node_index: j.pre for j in z_traj.jumps}
-    for j in forward.jumps:
-        k = j.candidate_index
-        term = costs.pulse_unit[k] * (
-            (1.0 - v_base.values[k]) * z_pre[j.node_index] - d[k] * j.pre
-        )
-        pulse += float(np.sum(term)) * space_weight
-    return final + running + pulse
+    z_cost = _cost(z_traj, v_base, None, costs, space_weight, np.diff(z_traj.times))
+    state_term = sum(float(np.sum(costs.pulse_unit[j.candidate_index] * d[j.candidate_index]
+                                  * j.pre)) * space_weight for j in forward.jumps)
+    return z_cost.total - state_term
 
 
 def variational_continuous_value(
@@ -430,29 +229,8 @@ def variational_continuous_value(
 ) -> float:
     """Directional dJ from the chemical sensitivity z (independent of the adjoint).
 
-    J_u = integral(z + C*d) + sum_i c_i (1-v_i) z(tau_i) + C_f z(T).
+    J_u = integral(z + C*d) + sum_i c_i (1-v_i) z(tau_i) + C_f z(T): the cost
+    functional evaluated on z with control d.
     """
-    d = _as_direction_array(direction)
-    if isinstance(z_traj, AveragedTrajectory):
-        z_vals, z_post = z_traj.values, z_traj.post_values()
-    else:
-        z_vals, z_post = z_traj.fields, z_traj.post_fields()
-    running = _running_integral(z_traj.times, z_post, z_vals) * space_weight
-    unit = costs.continuous_unit
-    if unit.ndim == 1 and d.ndim > 1:
-        unit = unit[:, None, None, None]
-    cu = unit * d
-    if cu.ndim == 1 and not isinstance(z_traj, AveragedTrajectory):
-        control = float(np.sum(cu * time_grid.dt)) * z_vals[0].size * space_weight
-    elif cu.ndim == 1:
-        control = float(np.sum(cu * time_grid.dt))
-    else:
-        control = float(np.sum(np.sum(cu, axis=(1, 2, 3)) * time_grid.dt)) * space_weight
-    final = float(np.sum(costs.final * z_vals[-1])) * space_weight
-    pulse = 0.0
-    z_pre = {j.node_index: j.pre for j in z_traj.jumps}
-    for j in forward.jumps:
-        k = j.candidate_index
-        term = costs.pulse_unit[k] * (1.0 - v_base.values[k]) * z_pre[j.node_index]
-        pulse += float(np.sum(term)) * space_weight
-    return running + control + pulse + final
+    d = ContinuousControl(_as_direction_array(direction))
+    return _cost(z_traj, v_base, d, costs, space_weight, time_grid.dt).total

@@ -16,6 +16,10 @@ frozen coefficients: it is exact for (step-aligned) piecewise-constant
 alpha and u, second-order for smooth alpha, and maps [0,1] into [0,1]
 unconditionally since the update is a convex combination.
 
+:class:`AveragedPropagator` holds per-step attractor, decay and source weight
+w = (1 - e^{-rate*dt})/rate as Python lists (linear step ``decay*x + w*source``);
+the functions here are thin wrappers over the shared loops of :mod:`inhibopt.core`.
+
 Pulse thresholding: a candidate time t_k becomes a realized pulse time iff
 Theta(t_k) >= sigma_star (pre-jump value, ties trigger).  Stored trajectory
 values are left limits; post-jump values live in the jump records.
@@ -28,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import Jump, Propagator, _as_direction_array, _cost, _rows
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -39,18 +44,6 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Jump:
-    """One realized pulse: state pre/post values and the applied v."""
-
-    time: float
-    node_index: int
-    candidate_index: int
-    pre: float | np.ndarray
-    post: float | np.ndarray
-    applied: float | np.ndarray
-
-
 @dataclass
 class AveragedTrajectory:
     """Scalar state per integration node, left-continuous at pulses."""
@@ -58,6 +51,8 @@ class AveragedTrajectory:
     times: np.ndarray
     values: np.ndarray
     jumps: list[Jump]
+
+    complete = True  # every node is stored
 
     def post_values(self) -> np.ndarray:
         """Node values with post-jump values substituted at pulse nodes."""
@@ -67,18 +62,61 @@ class AveragedTrajectory:
         return y
 
 
-def _step_coefficients(problem: AveragedProblem, u: ContinuousControl):
-    """Per-step frozen rate/attractor/decay arrays for the exponential update."""
-    tg = problem.time_grid
-    alpha_mid = np.asarray(problem.alpha(tg.mid_times), dtype=float)
-    alpha_mid = np.broadcast_to(alpha_mid, tg.mid_times.shape)
-    bad = ~np.isfinite(alpha_mid)
+def _exponential_coefficients(alpha: Callable, mids: np.ndarray, u_samples, sigma: float,
+                              dt: np.ndarray):
+    """Per-step alpha, attractor, rate and decay, alpha and u frozen at the step midpoints."""
+    a = np.broadcast_to(np.asarray(alpha(mids), dtype=float), mids.shape)
+    bad = ~np.isfinite(a)
     if bad.any():
-        raise QuadratureError(float(tg.mid_times[np.argmax(bad)]))
-    attr = 1.0 - problem.chem.sigma * u.samples
-    rate = alpha_mid / attr
-    decay = np.exp(-rate * tg.dt)
-    return attr, rate, decay
+        raise QuadratureError(float(mids[np.argmax(bad)]))
+    attr = 1.0 - sigma * u_samples
+    rate = a / attr
+    return a, attr, rate, np.exp(-rate * dt)
+
+
+def _source_weights(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """Per-step integral of the unit source against the decay: (1 - e^-r*dt)/r."""
+    safe = np.where(rate > 0.0, rate, 1.0)
+    return np.where(rate > 0.0, -np.expm1(-rate * dt) / safe, dt)
+
+
+class AveragedPropagator(Propagator):
+    """Exact exponential steps of the scalar model for one chemical control."""
+
+    shape = ()
+    space_weight = 1.0
+    zero = 0.0
+
+    def __init__(self, problem: AveragedProblem, u: ContinuousControl | None = None):
+        tg = problem.time_grid
+        if u is None:
+            u = ContinuousControl.constant(tg, 0.0)
+        self._alpha_mid, attr, rate, decay = _exponential_coefficients(
+            problem.alpha, tg.mid_times, u.samples, problem.chem.sigma, tg.dt)
+        self.time_grid, self.sigma, self.u_samples = tg, problem.chem.sigma, u.samples
+        self.initial = float(problem.theta0)
+        self.threshold = problem.chem.sigma_star
+        self.attr, self.decay = attr.tolist(), decay.tolist()
+        self.w = _source_weights(rate, tg.dt).tolist()
+
+    def state(self, a) -> float:
+        return float(a)
+
+    def step(self, x: float, n: int, source: float) -> float:
+        return self.decay[n] * x + self.w[n] * source
+
+    def advance(self, x: float, n: int) -> float:
+        # attr + (x - attr)*decay: the closed form of step(x, n, alpha_mid[n])
+        return self.attr[n] + (x - self.attr[n]) * self.decay[n]
+
+    def gate(self, x: float) -> bool:
+        return x >= self.threshold
+
+    def alpha_mid(self) -> np.ndarray:
+        return self._alpha_mid
+
+    def trajectory(self, rows, states, jumps, store_every) -> AveragedTrajectory:
+        return AveragedTrajectory(self.time_grid.times.copy(), states, jumps)
 
 
 def semiflow_step(
@@ -101,15 +139,11 @@ def semiflow_step(
     n = max(1, int(np.ceil((t_to - t_from) / step - 1e-12)))
     edges = t_from + (t_to - t_from) * np.arange(n + 1) / n
     mids = (edges[:-1] + edges[1:]) / 2.0
-    a = np.broadcast_to(np.asarray(alpha(mids), dtype=float), mids.shape)
-    bad = ~np.isfinite(a)
-    if bad.any():
-        raise QuadratureError(float(mids[np.argmax(bad)]))
-    attr = 1.0 - sigma * np.broadcast_to(np.asarray(u(mids), dtype=float), mids.shape)
-    decay = np.exp(-(a / attr) * np.diff(edges))
+    u_samples = np.broadcast_to(np.asarray(u(mids), dtype=float), mids.shape)
+    _, attr, _, decay = _exponential_coefficients(alpha, mids, u_samples, sigma, np.diff(edges))
     theta = float(theta_start)
-    for k in range(n):
-        theta = attr[k] + (theta - attr[k]) * decay[k]
+    for a, d in zip(attr.tolist(), decay.tolist()):
+        theta = a + (theta - a) * d
     return theta
 
 
@@ -124,31 +158,7 @@ def simulate_averaged(
     strategy must carry one value per candidate time; only realized
     candidates consume theirs.
     """
-    tg = problem.time_grid
-    if u is None:
-        u = ContinuousControl.constant(tg, 0.0)
-    if v is None:
-        v = PulseStrategy.no_intervention(tg)
-    if len(v) != tg.n_candidates:
-        raise ProblemError(
-            f"strategy has {len(v)} values for {tg.n_candidates} candidate pulse times"
-        )
-    attr, _, decay = _step_coefficients(problem, u)
-
-    values = np.empty(len(tg.times))
-    jumps: list[Jump] = []
-    pulse_at = {node: k for k, node in enumerate(tg.candidate_indices)}
-    theta = float(problem.theta0)
-    for n in range(len(tg.times)):
-        values[n] = theta
-        k = pulse_at.get(n)
-        if k is not None and theta >= problem.chem.sigma_star:
-            post = float(v.values[k]) * theta
-            jumps.append(Jump(tg.times[n], n, k, theta, post, float(v.values[k])))
-            theta = post
-        if n < tg.n_steps:
-            theta = attr[n] + (theta - attr[n]) * decay[n]
-    return AveragedTrajectory(tg.times.copy(), values, jumps)
+    return AveragedPropagator(problem, u).forward(v)
 
 
 def cost_averaged(
@@ -164,26 +174,7 @@ def cost_averaged(
     Pulse: sum of c_i*(1-v_i)*Theta(tau_i) over realized pulses with pre-jump
     values.  Final: C_f*Theta(T) (left limit).
     """
-    if costs.pulse_unit.shape[0] != len(v):
-        raise ProblemError(
-            f"{costs.pulse_unit.shape[0]} pulse unit costs for a strategy of length {len(v)}"
-        )
-    if traj.jumps and max(j.candidate_index for j in traj.jumps) >= len(v):
-        raise ProblemError("trajectory jumps refer to candidates beyond the strategy length")
-    dt = np.diff(traj.times)
-    left = traj.post_values()[:-1]
-    right = traj.values[1:]
-    running_state = float(np.sum(dt * (left + right) / 2.0))
-
-    running_control = 0.0
-    if u is not None and u.samples.size:
-        running_control = float(np.sum(costs.continuous_unit * u.samples * dt))
-
-    pulse = 0.0
-    for j in traj.jumps:
-        pulse += float(costs.pulse_unit[j.candidate_index]) * (1.0 - j.applied) * j.pre
-    final = float(costs.final) * traj.values[-1]
-    return CostBreakdown.assemble(running_state, running_control, pulse, final)
+    return _cost(traj, v, u, costs, 1.0, np.diff(traj.times))
 
 
 def sensitivity_pulse_averaged(
@@ -200,25 +191,8 @@ def sensitivity_pulse_averaged(
     Verification oracle for the adjoint pulse gradient; the discrete z is the
     exact derivative of the discrete forward map.
     """
-    tg = problem.time_grid
-    if u is None:
-        u = ContinuousControl.constant(tg, 0.0)
-    d = direction.values if isinstance(direction, PulseStrategy) else np.asarray(direction, float)
+    prop = AveragedPropagator(problem, u)
     if forward is None:
-        forward = simulate_averaged(problem, u, base)
-    _, _, decay = _step_coefficients(problem, u)
-
-    z_values = np.empty(len(tg.times))
-    jumps: list[Jump] = []
-    realized = {j.node_index: j for j in forward.jumps}
-    z = 0.0
-    for n in range(len(tg.times)):
-        z_values[n] = z
-        j = realized.get(n)
-        if j is not None:
-            z_post = float(d[j.candidate_index]) * j.pre + j.applied * z
-            jumps.append(Jump(j.time, n, j.candidate_index, z, z_post, j.applied))
-            z = z_post
-        if n < tg.n_steps:
-            z = z * decay[n]
-    return AveragedTrajectory(tg.times.copy(), z_values, jumps)
+        forward = prop.forward(base)
+    d = _rows(_as_direction_array(direction))
+    return prop.linear(forward, lambda j, z: d[j.candidate_index] * j.pre + j.applied * z)

@@ -11,24 +11,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import io as iomod
-from .adjoint import gradient_continuous, gradient_pulse
-from .averaged import simulate_averaged
+from .adjoint import _propagator, gradient_continuous, gradient_pulse
+from .averaged import cost_averaged, simulate_averaged
 from .model import ContinuousControl, ProblemError, PulseStrategy, SolverError, validate
-from .optimize import (
-    brute_force_pulse,
-    fixed_point_pulse,
-    optimal_pulse,
-    projected_gradient_mixed,
-    _cost,
-    _simulate,
-)
-from .pde import simulate_pde
+from .optimize import brute_force_pulse, fixed_point_pulse, projected_gradient_mixed
+from .pde import cost_pde, simulate_pde
 from .presets import PRESETS
 
 USAGE_EXIT = 64
@@ -90,19 +82,17 @@ def _check_valid(bundle: iomod.Bundle) -> list[str]:
 
 
 def _write_common(out: Path, bundle: iomod.Bundle, task: str, extra: dict | None = None) -> None:
-    extras = {"task": task}
-    extras.update(extra or {})
-    iomod.write_manifest(out / "manifest", bundle.config, extras)
+    iomod.write_manifest(out / "manifest", bundle.config, {"task": task, **(extra or {})})
 
 
 def _task_simulate(bundle: iomod.Bundle, out: Path, store_every: int) -> None:
     if bundle.kind == "averaged":
         traj = simulate_averaged(bundle.problem, bundle.u, bundle.strategy)
-        cost = _cost(bundle.problem, traj, bundle.strategy, bundle.u, bundle.costs)
+        cost = cost_averaged(traj, bundle.strategy, bundle.u, bundle.costs)
         iomod.write_averaged_trajectory(out / "trajectory.csv", traj)
     else:
         traj = simulate_pde(bundle.problem, bundle.u, bundle.strategy, store_every=store_every)
-        cost = _cost(bundle.problem, traj, bundle.strategy, bundle.u, bundle.costs)
+        cost = cost_pde(traj, bundle.strategy, bundle.u, bundle.costs, bundle.problem)
         iomod.write_pde_summary(out / "summary.csv", traj)
         iomod.write_field_snapshots(out / "fields.csv", traj)
     iomod.write_cost(out / "cost.csv", cost)
@@ -123,10 +113,7 @@ def _export_result(bundle: iomod.Bundle, out: Path, result) -> None:
 
 
 def _task_optimize_pulse(bundle: iomod.Bundle, out: Path) -> None:
-    if bundle.problem.chem.sigma_star > 0:
-        result = fixed_point_pulse(bundle.problem, bundle.u, bundle.costs)
-    else:
-        result = optimal_pulse(bundle.problem, bundle.u, bundle.costs)
+    result = fixed_point_pulse(bundle.problem, bundle.u, bundle.costs)  # optimal_pulse at sigma_star = 0
     _export_result(bundle, out, result)
     _write_common(out, bundle, "optimize-pulse", {
         "iterations": result.iterations,
@@ -191,27 +178,25 @@ def _task_gradient_check(bundle: iomod.Bundle, out: Path | None) -> float:
     rng = np.random.default_rng(bundle.seed)
     eps = 1e-5
 
-    shape = (tg.n_candidates,) if bundle.kind == "averaged" else (tg.n_candidates, *problem.grid.dims)
-    v_base = PulseStrategy(0.2 + 0.6 * rng.random(shape))
-    u_shape = (tg.n_steps,) if bundle.kind == "averaged" else (tg.n_steps, *problem.grid.dims)
-    u_base = ContinuousControl(np.full(u_shape, 0.5))
+    dims = _propagator(problem, None).shape
+    v_base = PulseStrategy(0.2 + 0.6 * rng.random((tg.n_candidates, *dims)))
+    u_base = ContinuousControl(np.full((tg.n_steps, *dims), 0.5))
 
-    forward = _simulate(problem, u_base, v_base)
-    from .optimize import _adjoint
-
-    adj = _adjoint(problem, u_base, v_base, costs, forward)
-    space_w = 1.0 if bundle.kind == "averaged" else problem.grid.cell_volume
+    prop = _propagator(problem, u_base)
+    forward = prop.forward(v_base)
+    adj = prop.adjoint(v_base, costs, forward)
 
     def j_of(u, v):
-        return _cost(problem, _simulate(problem, u, v), v, u, costs).total
+        p = _propagator(problem, u)
+        return p.cost(p.forward(v), v, u, costs).total
 
-    d_v = rng.random(shape) - 0.5
-    adjoint_v = gradient_pulse(forward, adj, costs, direction=d_v, space_weight=space_w).directional_value
+    d_v = rng.random(v_base.values.shape) - 0.5
+    adjoint_v = gradient_pulse(forward, adj, costs, direction=d_v, space_weight=prop.space_weight).directional_value
     fd_v = (j_of(u_base, PulseStrategy(np.clip(v_base.values + eps * d_v, 0, 1)))
             - j_of(u_base, PulseStrategy(np.clip(v_base.values - eps * d_v, 0, 1)))) / (2 * eps)
     err_v = abs(adjoint_v - fd_v) / max(abs(fd_v), 1e-14)
 
-    d_u = rng.random(u_shape) - 0.5
+    d_u = rng.random(u_base.samples.shape) - 0.5
     adjoint_u = gradient_continuous(problem, forward, adj, u_base, costs, direction=d_u).directional_value
     fd_u = (j_of(ContinuousControl(np.clip(u_base.samples + eps * d_u, 0, 1)), v_base)
             - j_of(ContinuousControl(np.clip(u_base.samples - eps * d_u, 0, 1)), v_base)) / (2 * eps)
@@ -257,9 +242,7 @@ def _run_preset(name: str, out: Path, seed: int | None) -> int:
             raise ProblemError(f"unknown preset task {run.task}")
         return 0
 
-    with ThreadPoolExecutor(max_workers=min(4, len(preset.runs))) as pool:
-        codes = list(pool.map(run_member, preset.runs))
-    return max(codes)
+    return max([run_member(run) for run in preset.runs])
 
 
 def run_cli(argv) -> int:

@@ -81,17 +81,24 @@ def write_field_csv(path, field: ScalarField) -> None:
 # trajectory / result exports
 
 
+def _write_rows(fh, prefix: str, values) -> None:
+    """``prefix,value`` for a scalar; ``prefix,i,j,k,value`` per grid point for a field."""
+    if np.ndim(values) == 0:
+        fh.write(f"{prefix},{_fmt(values)}\n")
+        return
+    for (i, j, k), val in np.ndenumerate(values):
+        fh.write(f"{prefix},{i},{j},{k},{_fmt(val)}\n")
+
+
 def _jump_rows(traj) -> dict[int, object]:
     return {j.node_index: j for j in traj.jumps}
 
 
 def write_averaged_trajectory(path, traj: AveragedTrajectory) -> None:
     jumps = _jump_rows(traj)
-    node_of_row = getattr(traj, "node_indices", None)
     with open(path, "w", newline="") as fh:
         fh.write("t,theta,is_pulse,v_applied\n")
-        for row, (t, val) in enumerate(zip(traj.times, traj.values)):
-            node = int(node_of_row[row]) if node_of_row is not None else row
+        for node, (t, val) in enumerate(zip(traj.times, traj.values)):
             j = jumps.get(node)
             v_str = _fmt(np.mean(j.applied)) if j is not None else ""
             fh.write(f"{_fmt(t)},{_fmt(val)},{int(j is not None)},{v_str}\n")
@@ -112,63 +119,35 @@ def write_pde_summary(path, traj: FieldTrajectory) -> None:
 def write_field_snapshots(path, traj: FieldTrajectory) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,i,j,k,theta\n")
-        for row, t in enumerate(traj.times):
-            ts = _fmt(t)
-            for (i, j, k), val in np.ndenumerate(traj.fields[row]):
-                fh.write(f"{ts},{i},{j},{k},{_fmt(val)}\n")
+        for t, field in zip(traj.times, traj.fields):
+            _write_rows(fh, _fmt(t), field)
 
 
 def write_adjoint(path, adj: AdjointTrajectory) -> None:
     with open(path, "w", newline="") as fh:
-        if adj.values.ndim == 1:
-            fh.write("t,p\n")
-            for t, p in zip(adj.times, adj.values):
-                fh.write(f"{_fmt(t)},{_fmt(p)}\n")
-        else:
-            fh.write("t,i,j,k,p\n")
-            for row, t in enumerate(adj.times):
-                ts = _fmt(t)
-                for (i, j, k), val in np.ndenumerate(adj.values[row]):
-                    fh.write(f"{ts},{i},{j},{k},{_fmt(val)}\n")
+        fh.write("t,p\n" if adj.values.ndim == 1 else "t,i,j,k,p\n")
+        for t, p in zip(adj.times, adj.values):
+            _write_rows(fh, _fmt(t), p)
 
 
 def write_strategy(path, time_grid: TimeGrid, strategy: PulseStrategy) -> None:
     with open(path, "w", newline="") as fh:
-        if strategy.values.ndim == 1:
-            fh.write("tau_i,v_i\n")
-            for tau, v in zip(time_grid.candidate_pulse_times, strategy.values):
-                fh.write(f"{_fmt(tau)},{_fmt(v)}\n")
-        else:
-            fh.write("tau_i,i,j,k,v\n")
-            for tau, vfield in zip(time_grid.candidate_pulse_times, strategy.values):
-                ts = _fmt(tau)
-                for (i, j, k), val in np.ndenumerate(vfield):
-                    fh.write(f"{ts},{i},{j},{k},{_fmt(val)}\n")
+        fh.write("tau_i,v_i\n" if strategy.values.ndim == 1 else "tau_i,i,j,k,v\n")
+        for tau, v in zip(time_grid.candidate_pulse_times, strategy.values):
+            _write_rows(fh, _fmt(tau), v)
 
 
 def write_certificate(path, certificate) -> None:
-    scalar = all(np.ndim(c.p_plus) == 0 for c in certificate)
+    shape = np.shape(certificate[0].p_plus) if certificate else ()
+    points = ["".join(f",{i}" for i in idx) for idx in np.ndindex(shape)]  # [""] for scalars
     with open(path, "w", newline="") as fh:
-        if scalar:
-            fh.write("tau_i,p_plus,c_i,v_i,margin\n")
-            for c in certificate:
-                fh.write(
-                    f"{_fmt(c.time)},{_fmt(c.p_plus)},{_fmt(c.unit_cost)},"
-                    f"{_fmt(np.mean(c.applied))},{_fmt(c.margin)}\n"
-                )
-        else:
-            fh.write("tau_i,i,j,k,p_plus,c_i,v_i,margin\n")
-            for c in certificate:
-                ts = _fmt(c.time)
-                p_plus = np.asarray(c.p_plus)
-                cost = np.broadcast_to(c.unit_cost, p_plus.shape)
-                applied = np.broadcast_to(c.applied, p_plus.shape)
-                margin = np.broadcast_to(c.margin, p_plus.shape)
-                for (i, j, k), val in np.ndenumerate(p_plus):
-                    fh.write(
-                        f"{ts},{i},{j},{k},{_fmt(val)},{_fmt(cost[i, j, k])},"
-                        f"{_fmt(applied[i, j, k])},{_fmt(margin[i, j, k])}\n"
-                    )
+        fh.write("tau_i,p_plus,c_i,v_i,margin\n" if shape == () else "tau_i,i,j,k,p_plus,c_i,v_i,margin\n")
+        for c in certificate:
+            ts = _fmt(c.time)
+            columns = [np.broadcast_to(a, shape).ravel().tolist()
+                       for a in (c.p_plus, c.unit_cost, c.applied, c.margin)]
+            for point, *values in zip(points, *columns):
+                fh.write(f"{ts}{point}," + ",".join(map(repr, values)) + "\n")
 
 
 def write_cost(path, cost: CostBreakdown) -> None:

@@ -13,6 +13,11 @@ stabilize (fixed_point_pulse).  brute_force_pulse enumerates all vertex
 strategies of the averaged model as an exact oracle.  The mixed problem is
 handled by projected gradient on the chemical control with the pulse
 strategy recomputed by the sweep after every control update.
+
+Every optimizer builds one propagator per (problem, u) with
+:func:`inhibopt.adjoint._propagator` and runs the shared loops of
+:mod:`inhibopt.core` on it: the sweep is the costate sweep with the
+bang-bang rule as its decision.
 """
 
 from __future__ import annotations
@@ -22,16 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjoint import (
-    AdjointJump,
-    AdjointTrajectory,
-    _midpoint_state,
-    _source_weights,
-    gradient_continuous,
-    solve_adjoint_averaged,
-    solve_adjoint_pde,
-)
-from .averaged import _step_coefficients, cost_averaged, simulate_averaged
+from .adjoint import _propagator, gradient_continuous
+from .averaged import AveragedPropagator
+from .core import AdjointTrajectory, _midpoint, _per_point, _rows, _space_integral
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -42,7 +40,6 @@ from .model import (
     PulseStrategy,
     SolverError,
 )
-from .pde import _cn_advance, _step_operator, cost_pde, simulate_pde
 
 TIE_TOL = 1e-12
 BRUTE_FORCE_CAP = 20
@@ -103,99 +100,41 @@ class StrategyResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _simulate(problem, u, v):
-    if isinstance(problem, AveragedProblem):
-        return simulate_averaged(problem, u, v)
-    return simulate_pde(problem, u, v)
-
-
-def _cost(problem, traj, v, u, costs):
-    if isinstance(problem, AveragedProblem):
-        return cost_averaged(traj, v, u, costs)
-    return cost_pde(traj, v, u, costs, problem)
-
-
-def _adjoint(problem, u, v, costs, forward):
-    if isinstance(problem, AveragedProblem):
-        return solve_adjoint_averaged(problem, u, v, costs, forward)
-    return solve_adjoint_pde(problem, u, v, costs, forward)
-
-
 # ---------------------------------------------------------------------------
 # backward bang-bang sweep
 
 
-def _sweep(problem, u, costs, realized_candidates=None):
+def _sweep(prop, costs, realized_candidates=None):
     """Backward costate sweep deciding v at each (realized) candidate.
 
-    Returns (strategy values, AdjointTrajectory).  ``realized_candidates``
-    restricts the jump set (used by the threshold fixed point); None means
-    every candidate pulses, which is the sigma_star = 0 situation.
+    v_i = 0 where p(tau_i^+) > c_i + TIE_TOL, else 1: the adjoint sweep with
+    the bang-bang rule as its decision.  Returns (strategy values,
+    AdjointTrajectory).  ``realized_candidates`` restricts the jump set (used
+    by the threshold fixed point); None means every candidate pulses, which
+    is the sigma_star = 0 situation.
     """
-    tg = problem.time_grid
-    averaged = isinstance(problem, AveragedProblem)
-    if averaged:
-        u_ctrl = u if u is not None else ContinuousControl.constant(tg, 0.0)
-        _, rate, decay = _step_coefficients(problem, u_ctrl)
-        src = _source_weights(rate, tg.dt)
-        dims: tuple[int, ...] = ()
-        p = float(costs.final)
-    else:
-        u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
-        dims = problem.grid.dims
-        ones = np.ones(dims)
-        p = np.broadcast_to(costs.final, dims).astype(float).copy()
-
-    if realized_candidates is None:
-        realized_candidates = set(range(tg.n_candidates))
-    pulse_at = {node: k for k, node in enumerate(tg.candidate_indices) if k in realized_candidates}
-
-    n_nodes = len(tg.times)
-    values = np.empty((n_nodes, *dims))
-    jumps: list[AdjointJump] = []
-    v_out = np.ones((tg.n_candidates, *dims))
-    for n in range(n_nodes - 1, -1, -1):
-        if n < n_nodes - 1:
-            if averaged:
-                p = decay[n] * p + src[n]
-            else:
-                op = _step_operator(problem, u_samples[n], tg.mid_times[n])
-                p = _cn_advance(p, op, ones, tg.dt[n])
-        k = pulse_at.get(n)
-        if k is not None:
-            c_k = costs.pulse_unit[k]
-            if n == n_nodes - 1:
-                # candidate exactly at T: intervening there cannot pay off
-                p_plus = 0.0 if averaged else np.zeros(dims)
-                v_k = 1.0 if averaged else np.ones(dims)
-                p = (float(costs.final) if averaged else np.broadcast_to(costs.final, dims)) * 1.0
-            elif averaged:
-                p_plus = p
-                v_k = 0.0 if p_plus > c_k + TIE_TOL else 1.0
-                p = float(c_k) if v_k == 0.0 else p_plus
-            else:
-                p_plus = p
-                intervene = p_plus > np.broadcast_to(c_k, dims) + TIE_TOL
-                v_k = np.where(intervene, 0.0, 1.0)
-                p = np.where(intervene, np.broadcast_to(c_k, dims), p_plus)
-            v_out[k] = v_k
-            jumps.append(AdjointJump(tg.times[n], n, k, p_plus, p if averaged else p.copy(), v_k))
-        values[n] = p
-    jumps.reverse()
-    return v_out, AdjointTrajectory(tg.times.copy(), values, jumps)
+    c = _rows(costs.pulse_unit)
+    return prop.backward(costs, realized_candidates,
+                         lambda k, p_plus: 1.0 - (p_plus > c[k] + TIE_TOL))
 
 
 def _certificate(forward, adjoint, costs) -> list[PulseCertificate]:
-    theta_pre = {j.node_index: j.pre for j in forward.jumps}
-    certs = []
-    for aj in adjoint.jumps:
-        if aj.node_index not in theta_pre:
-            continue
-        c_k = costs.pulse_unit[aj.candidate_index]
-        certs.append(
-            PulseCertificate(aj.time, aj.candidate_index, aj.p_plus, c_k, aj.applied, aj.p_plus - c_k)
-        )
-    return certs
+    realized = {j.node_index for j in forward.jumps}
+    c = costs.pulse_unit
+    return [PulseCertificate(aj.time, aj.candidate_index, aj.p_plus, c[aj.candidate_index],
+                             aj.applied, aj.p_plus - c[aj.candidate_index])
+            for aj in adjoint.jumps if aj.node_index in realized]
+
+
+def _result(prop, strategy, u, costs, forward=None, adjoint=None, **extra) -> StrategyResult:
+    """Forward run, cost, costate and certificate of a decided strategy."""
+    if forward is None:
+        forward = prop.forward(strategy)
+    if adjoint is None:
+        adjoint = prop.adjoint(strategy, costs, forward)
+    cost = prop.cost(forward, strategy, u, costs)
+    certificate = _certificate(forward, adjoint, costs)
+    return StrategyResult(strategy, u, cost, certificate, forward, adjoint, **extra)
 
 
 def optimal_pulse(
@@ -210,18 +149,16 @@ def optimal_pulse(
     """
     if problem.chem.sigma_star > 0:
         raise ProblemError("optimal_pulse requires sigma_star = 0; use fixed_point_pulse")
-    v_values, adjoint = _sweep(problem, u, costs)
-    strategy = PulseStrategy(v_values)
-    forward = _simulate(problem, u, strategy)
-    cost = _cost(problem, forward, strategy, u, costs)
-    return StrategyResult(strategy, u, cost, _certificate(forward, adjoint, costs), forward, adjoint)
+    prop = _propagator(problem, u)
+    v_values, adjoint = _sweep(prop, costs)
+    return _result(prop, PulseStrategy(v_values), u, costs, adjoint=adjoint)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive oracle (averaged model)
 
 
-def _segment_aggregates(problem: AveragedProblem, u: ContinuousControl | None):
+def _segment_aggregates(prop: AveragedPropagator):
     """Affine per-segment maps between consecutive candidate nodes.
 
     Over a pulse-free segment the step recursion and its running trapezoid
@@ -229,9 +166,8 @@ def _segment_aggregates(problem: AveragedProblem, u: ContinuousControl | None):
         end value   = offset + slope * x
         integral    = int_offset + int_slope * x
     """
-    tg = problem.time_grid
-    u_ctrl = u if u is not None else ContinuousControl.constant(tg, 0.0)
-    attr, _, decay = _step_coefficients(problem, u_ctrl)
+    tg = prop.time_grid
+    attr, decay, dt = prop.attr, prop.decay, tg.dt.tolist()
     boundaries = [0, *tg.candidate_indices, len(tg.times) - 1]
     segments = []
     for a, b in zip(boundaries[:-1], boundaries[1:]):
@@ -240,8 +176,8 @@ def _segment_aggregates(problem: AveragedProblem, u: ContinuousControl | None):
         for n in range(a, b):
             off_next = attr[n] * (1.0 - decay[n]) + decay[n] * off
             slp_next = decay[n] * slp
-            i_off += tg.dt[n] * (off + off_next) / 2.0
-            i_slp += tg.dt[n] * (slp + slp_next) / 2.0
+            i_off += dt[n] * (off + off_next) / 2.0
+            i_slp += dt[n] * (slp + slp_next) / 2.0
             off, slp = off_next, slp_next
         segments.append((off, slp, i_off, i_slp))
     return segments
@@ -287,41 +223,32 @@ def brute_force_pulse(
         raise ProblemError(f"max_pulses capped at {BRUTE_FORCE_CAP} (2^m enumeration)")
     if m > max_pulses:
         raise ProblemError(f"{m} candidate pulses exceed max_pulses={max_pulses}")
-    segments = _segment_aggregates(problem, u)
+    prop = AveragedPropagator(problem, u)
+    segments = _segment_aggregates(prop)
     tg = problem.time_grid
     control_cost = 0.0
     if u is not None:
         control_cost = float(np.sum(costs.continuous_unit * u.samples * tg.dt))
     final_cost = float(costs.final)
-    sigma_star = problem.chem.sigma_star
+
+    def evaluate(v):
+        return _evaluate_vertex(problem.theta0, segments, v, costs, problem.chem.sigma_star,
+                                control_cost, final_cost)
 
     best_v: tuple[float, ...] | None = None
     best_cost = np.inf
     for bits in itertools.product((0.0, 1.0), repeat=m):
-        c = _evaluate_vertex(problem.theta0, segments, bits, costs, sigma_star, control_cost, final_cost)
+        c = evaluate(bits)
         if c < best_cost:
             best_cost, best_v = c, bits
 
     interior_best = None
     if interior_samples > 0:
         rng = np.random.default_rng(seed)
-        interior_best = np.inf
-        for _ in range(interior_samples):
-            vi = rng.random(m)
-            c = _evaluate_vertex(problem.theta0, segments, vi, costs, sigma_star, control_cost, final_cost)
-            interior_best = min(interior_best, c)
+        interior_best = min(evaluate(rng.random(m)) for _ in range(interior_samples))
 
-    strategy = PulseStrategy(np.array(best_v))
-    forward = simulate_averaged(problem, u, strategy)
-    cost = cost_averaged(forward, strategy, u, costs)
-    adjoint = solve_adjoint_averaged(problem, u, strategy, costs, forward)
-    return StrategyResult(
-        strategy,
-        u,
-        cost,
-        _certificate(forward, adjoint, costs),
-        forward,
-        adjoint,
+    return _result(
+        prop, PulseStrategy(np.array(best_v)), u, costs,
         iterations=2**m,
         diagnostics={"interior_best": interior_best, "enumeration_best": best_cost},
     )
@@ -345,22 +272,18 @@ def fixed_point_pulse(
     """
     if problem.chem.sigma_star == 0:
         return optimal_pulse(problem, u, costs)
-    tg = problem.time_grid
-    v_values = np.ones((tg.n_candidates,) if isinstance(problem, AveragedProblem) else
-                       (tg.n_candidates, *problem.grid.dims))
-    seen: dict = {}
-    history: list[frozenset] = []
-    strategy = PulseStrategy(v_values)
-    forward = _simulate(problem, u, strategy)
+    prop = _propagator(problem, u)
+    seen: set = set()
+    strategy = PulseStrategy(np.ones((problem.time_grid.n_candidates, *prop.shape)))
+    forward = prop.forward(strategy)
     iterations = 0
     converged = False
-    adjoint = None
     while iterations < max_iterations:
         iterations += 1
         realized = frozenset(j.candidate_index for j in forward.jumps)
-        new_v, adjoint = _sweep(problem, u, costs, realized_candidates=realized)
+        new_v, _ = _sweep(prop, costs, realized_candidates=realized)
         new_strategy = PulseStrategy(new_v)
-        new_forward = _simulate(problem, u, new_strategy)
+        new_forward = prop.forward(new_strategy)
         new_realized = frozenset(j.candidate_index for j in new_forward.jumps)
         state = (new_realized, new_v.tobytes())
         if new_realized == realized and np.array_equal(new_v, strategy.values):
@@ -368,67 +291,31 @@ def fixed_point_pulse(
             converged = True
             break
         if state in seen:
-            raise PulseCycleError(history[seen[state]], realized)
-        seen[state] = len(history)
-        history.append(new_realized)
+            raise PulseCycleError(new_realized, realized)
+        seen.add(state)
         strategy, forward = new_strategy, new_forward
-    cost = _cost(problem, forward, strategy, u, costs)
-    # adjoint consistent with the final realized set
-    adjoint = _adjoint(problem, u, strategy, costs, forward)
-    return StrategyResult(
-        strategy,
-        u,
-        cost,
-        _certificate(forward, adjoint, costs),
-        forward,
-        adjoint,
-        iterations=iterations,
-        converged=converged,
-    )
+    # the costate is recomputed on the final realized set
+    return _result(prop, strategy, u, costs, forward=forward,
+                   iterations=iterations, converged=converged)
 
 
 # ---------------------------------------------------------------------------
 # mixed strategy by projected gradient
 
 
-def _control_norm(problem, du: np.ndarray) -> float:
-    dt = problem.time_grid.dt
-    if du.ndim == 1:
-        return float(np.sqrt(np.sum(du**2 * dt)))
-    w = problem.grid.cell_volume
-    return float(np.sqrt(np.sum(np.sum(du**2, axis=tuple(range(1, du.ndim))) * w * dt)))
+def _control_norm(prop, du: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(_space_integral(du**2, prop.space_weight) * prop.time_grid.dt)))
 
 
-def _continuous_certificate(problem, forward, adjoint, u, costs) -> ContinuousCertificate:
+def _continuous_certificate(prop, forward, adjoint, u, costs) -> ContinuousCertificate:
     """Per-step comparison of C against sigma*alpha*p*theta/(1-sigma)."""
-    tg = problem.time_grid
-    sigma = problem.chem.sigma
-    if isinstance(problem, AveragedProblem):
-        alpha_mid = np.broadcast_to(np.asarray(problem.alpha(tg.mid_times), float), tg.mid_times.shape)
-        theta_mid = _midpoint_state(forward.post_values(), forward.values)
-        p_mid = _midpoint_state(adjoint.plus_values(), adjoint.values)
-        cu = costs.continuous_unit
-        u_s = u.samples
-    else:
-        seasonal = problem.pressure.seasonal(tg.mid_times)
-        amp = problem.pressure.amplitude_field.values
-        alpha_mid = seasonal[:, None, None, None] * amp[None]
-        theta_mid = _midpoint_state(forward.post_fields(), forward.fields)
-        p_mid = _midpoint_state(adjoint.plus_values(), adjoint.values)
-        cu = costs.continuous_unit
-        if cu.ndim == 1:
-            cu = np.broadcast_to(cu[:, None, None, None], alpha_mid.shape)
-        u_s = u.samples
-        if u_s.ndim == 1:
-            u_s = np.broadcast_to(u_s[:, None, None, None], alpha_mid.shape)
-    switch = sigma * alpha_mid * p_mid * theta_mid / (1.0 - sigma)
-    cu = np.broadcast_to(cu, switch.shape)
-    u_s = np.broadcast_to(u_s, switch.shape)
+    p_mid = _midpoint(adjoint.plus_values(), adjoint.values)
+    switch = prop.chemical_rate(forward, p_mid) / (1.0 - prop.sigma)
+    cu = np.broadcast_to(_per_point(costs.continuous_unit, switch.ndim), switch.shape)
+    u_s = np.broadcast_to(_per_point(u.samples, switch.ndim), switch.shape)
     margin = np.abs(cu - switch)
-    at_zero = u_s <= 1e-12
-    at_one = u_s >= 1.0 - 1e-12
-    consistent = np.where(cu > switch, at_zero, at_one)
-    return ContinuousCertificate(tg.mid_times.copy(), cu, switch, u_s, margin, consistent)
+    consistent = np.where(cu > switch, u_s <= 1e-12, u_s >= 1.0 - 1e-12)
+    return ContinuousCertificate(prop.time_grid.mid_times.copy(), cu, switch, u_s, margin, consistent)
 
 
 def projected_gradient_mixed(
@@ -454,16 +341,12 @@ def projected_gradient_mixed(
     if not problem.chem.sigma > 0:
         raise ProblemError("projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)")
     tg = problem.time_grid
-
-    def eval_control(u_ctrl):
-        res = optimal_pulse(problem, u_ctrl, costs)
-        return res
-
     u = u0 if u0 is not None else ContinuousControl.constant(tg, 0.0)
-    if isinstance(problem, PdeProblem) and u.samples.ndim == 1:
-        full = np.broadcast_to(u.samples[:, None, None, None], (tg.n_steps, *problem.grid.dims))
-        u = ContinuousControl(full.copy())
-    current = eval_control(u)
+    prop = _propagator(problem, u)  # only its u-independent parts are used below
+    full_shape = (tg.n_steps, *prop.shape)
+    if u.samples.shape != full_shape:
+        u = ContinuousControl(np.broadcast_to(_per_point(u.samples, len(full_shape)), full_shape))
+    current = optimal_pulse(problem, u, costs)
     j_history = [current.cost.total]
     iterations = 0
     converged = False
@@ -479,7 +362,7 @@ def projected_gradient_mixed(
             if np.array_equal(u_new.samples, u.samples):
                 stationary = True  # projection fixed point: no admissible descent
                 break
-            trial = eval_control(u_new)
+            trial = optimal_pulse(problem, u_new, costs)
             if trial.cost.total < j_history[-1]:
                 accepted = (u_new, trial)
                 break
@@ -490,7 +373,7 @@ def projected_gradient_mixed(
                 failure = "line search found no decrease"
             break
         u_new, trial = accepted
-        du = _control_norm(problem, u_new.samples - u.samples)
+        du = _control_norm(prop, u_new.samples - u.samples)
         decrease = j_history[-1] - trial.cost.total
         u, current = u_new, trial
         j_history.append(current.cost.total)
@@ -498,7 +381,7 @@ def projected_gradient_mixed(
             converged = True
             break
 
-    cont_cert = _continuous_certificate(problem, current.forward, current.adjoint, u, costs)
+    cont_cert = _continuous_certificate(prop, current.forward, current.adjoint, u, costs)
     diag = {"cost_history": j_history}
     if failure:
         diag["failure"] = failure
@@ -530,14 +413,15 @@ def certificate_check(
 
     For every realized pulse with coefficient g_i = (p(tau_i^+) - c_i) *
     theta(tau_i): v_i = 0 requires g_i >= -tol (raising v would not help),
-    v_i = 1 requires g_i <= tol, interior v_i requires |g_i| <= tol.  When a
-    continuous control is attached, its boundary samples are checked against
-    the sign of the steepest-ascent density.
+    v_i = 1 requires g_i <= tol, interior v_i requires |g_i| <= tol.  When the
+    chemical control was optimized (``continuous_certificate`` is set), its
+    boundary samples are checked against the sign of the steepest-ascent
+    density; a control that was only given is not judged.
     """
     violations: list[str] = []
-    theta_pre = {j.node_index: j.pre for j in result.forward.jumps}
+    theta_pre = {j.candidate_index: j.pre for j in result.forward.jumps}
     for cert in result.certificate:
-        g = np.asarray((cert.p_plus - cert.unit_cost) * theta_pre[_node_of(result, cert)])
+        g = np.asarray((cert.p_plus - cert.unit_cost) * theta_pre[cert.candidate_index])
         v = np.asarray(cert.applied)
         bad_low = (v <= 1e-12) & (g < -tol)
         bad_high = (v >= 1.0 - 1e-12) & (g > tol)
@@ -547,22 +431,13 @@ def certificate_check(
             violations.append(
                 f"pulse at t={cert.time:.6f}: {n_bad} point(s) violate the sign condition"
             )
-    if result.control is not None and result.adjoint is not None:
+    if result.continuous_certificate is not None:
         report = gradient_continuous(
             problem, result.forward, result.adjoint, result.control, costs
         )
         ubar = report.continuous_gradient
-        u_s = result.control.samples
-        if ubar.ndim > 1 and u_s.ndim == 1:
-            u_s = np.broadcast_to(u_s[:, None, None, None], ubar.shape)
+        u_s = _per_point(result.control.samples, ubar.ndim)
         bad = np.count_nonzero(((u_s <= 1e-12) & (ubar < -tol)) | ((u_s >= 1 - 1e-12) & (ubar > tol)))
         if bad:
             violations.append(f"chemical control: {bad} boundary sample(s) with ascent direction")
     return violations
-
-
-def _node_of(result: StrategyResult, cert: PulseCertificate) -> int:
-    for j in result.forward.jumps:
-        if j.candidate_index == cert.candidate_index:
-            return j.node_index
-    raise ProblemError("certificate entry without a matching forward jump")

@@ -19,16 +19,21 @@ step's stored sample.  Pulses are exact pointwise multiplications applied at
 realized candidate times; realization is gated by the grid-quadrature L2
 threshold ||theta|| >= sigma_star * |Omega|.
 
+:class:`FieldPropagator` builds the step operator and takes one CN step per
+call; the forward run, costate sweep (the same operator with source +1),
+sensitivities and cost are the shared loops of :mod:`inhibopt.core`.
+
 All reductions are single-threaded numpy sums, so results are deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaged import AveragedTrajectory, Jump
+from .averaged import AveragedTrajectory
+from .core import Jump, Propagator, _cost, _rows
 from .model import (
     ContinuousControl,
     CostBreakdown,
@@ -153,7 +158,7 @@ class FieldTrajectory:
 
     ``node_indices`` maps stored rows to global integration nodes; with
     ``store_every`` > 1 the stored rows are every m-th node plus all pulse
-    nodes and the final node.
+    nodes and the final node.  ``values``/``post_values`` alias the fields.
     """
 
     grid: object
@@ -167,6 +172,10 @@ class FieldTrajectory:
     def complete(self) -> bool:
         return self.store_every == 1
 
+    @property
+    def values(self) -> np.ndarray:
+        return self.fields
+
     def post_fields(self) -> np.ndarray:
         """Stored fields with post-jump values substituted at pulse rows."""
         out = self.fields.copy()
@@ -175,11 +184,45 @@ class FieldTrajectory:
             out[row_of[j.node_index]] = j.post
         return out
 
+    post_values = post_fields
 
-def _uniform_u_samples(problem: PdeProblem, u: ContinuousControl | None) -> np.ndarray:
-    if u is None:
-        return np.zeros(problem.time_grid.n_steps)
-    return u.samples
+
+class FieldPropagator(Propagator):
+    """Crank-Nicolson steps of the space-dependent model for one chemical control."""
+
+    def __init__(self, problem: PdeProblem, u: ContinuousControl | None = None):
+        tg = problem.time_grid
+        self.problem, self.time_grid, self.sigma = problem, tg, problem.chem.sigma
+        self.shape, self.space_weight = problem.grid.dims, problem.grid.cell_volume
+        self.u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
+        self._u = _rows(self.u_samples)
+        self.threshold = problem.chem.sigma_star * problem.grid.volume
+        self.initial = problem.initial.values.copy()
+        self.zero = np.zeros(self.shape)
+
+    def state(self, a) -> np.ndarray:
+        return np.broadcast_to(a, self.shape).astype(float)
+
+    def step(self, x: np.ndarray, n: int, source) -> np.ndarray:
+        tg = self.time_grid
+        op = _step_operator(self.problem, self._u[n], tg.mid_times[n])
+        return _cn_advance(x, op, source, tg.dt[n])
+
+    def advance(self, x: np.ndarray, n: int) -> np.ndarray:
+        return self.step(x, n, self.problem.pressure.field_at(self.time_grid.mid_times[n]))
+
+    def gate(self, x: np.ndarray) -> bool:
+        """Grid-quadrature L2 threshold ||theta|| >= sigma_star * |Omega|."""
+        return float(np.sqrt(np.sum(x**2) * self.space_weight)) >= self.threshold
+
+    def alpha_mid(self) -> np.ndarray:
+        pressure = self.problem.pressure
+        seasonal = pressure.seasonal(self.time_grid.mid_times)
+        return seasonal[:, None, None, None] * pressure.amplitude_field.values[None]
+
+    def trajectory(self, rows, states, jumps, store_every) -> FieldTrajectory:
+        times = self.time_grid.times[rows]
+        return FieldTrajectory(self.problem.grid, times, rows, states, jumps, store_every)
 
 
 def simulate_pde(
@@ -189,44 +232,7 @@ def simulate_pde(
     store_every: int = 1,
 ) -> FieldTrajectory:
     """Step the field with cn_step, applying threshold-gated multiplicative pulses."""
-    tg = problem.time_grid
-    grid = problem.grid
-    if v is None:
-        v = PulseStrategy.no_intervention(tg)
-    if len(v) != tg.n_candidates:
-        raise ProblemError(
-            f"strategy has {len(v)} values for {tg.n_candidates} candidate pulse times"
-        )
-    if store_every < 1:
-        raise ProblemError("store_every must be >= 1")
-    u_samples = _uniform_u_samples(problem, u)
-    pulse_at = {node: k for k, node in enumerate(tg.candidate_indices)}
-    threshold = problem.chem.sigma_star * grid.volume
-
-    stored_rows: list[int] = []
-    fields: list[np.ndarray] = []
-    jumps: list[Jump] = []
-    theta = problem.initial.values.copy()
-    n_nodes = len(tg.times)
-    for n in range(n_nodes):
-        keep = (n % store_every == 0) or (n == n_nodes - 1) or (n in pulse_at)
-        if keep:
-            stored_rows.append(n)
-            fields.append(theta.copy())
-        k = pulse_at.get(n)
-        if k is not None:
-            l2 = float(np.sqrt(np.sum(theta**2) * grid.cell_volume))
-            if l2 >= threshold:
-                applied = v.values[k]
-                post = applied * theta
-                jumps.append(Jump(tg.times[n], n, k, theta.copy(), post.copy(), applied))
-                theta = post
-        if n < tg.n_steps:
-            op = _step_operator(problem, u_samples[n], tg.mid_times[n])
-            source = problem.pressure.field_at(tg.mid_times[n])
-            theta = _cn_advance(theta, op, source, tg.dt[n])
-    idx = np.array(stored_rows)
-    return FieldTrajectory(grid, tg.times[idx].copy(), idx, np.stack(fields), jumps, store_every)
+    return FieldPropagator(problem, u).forward(v, store_every)
 
 
 def cost_pde(
@@ -237,50 +243,12 @@ def cost_pde(
     problem: PdeProblem,
 ) -> CostBreakdown:
     """Cost functional with space integrals by grid quadrature sum(.) * ds^3."""
-    grid = problem.grid
-    w = grid.cell_volume
-    if costs.pulse_unit.shape[0] != len(v):
-        raise ProblemError(
-            f"{costs.pulse_unit.shape[0]} pulse unit costs for a strategy of length {len(v)}"
-        )
-    space_left = np.sum(traj.post_fields(), axis=(1, 2, 3)) * w
-    space_right = np.sum(traj.fields, axis=(1, 2, 3)) * w
-    dt = np.diff(traj.times)
-    running_state = float(np.sum(dt * (space_left[:-1] + space_right[1:]) / 2.0))
-
-    running_control = 0.0
-    if u is not None and u.samples.size:
-        unit = costs.continuous_unit
-        if unit.ndim == 1 and u.samples.ndim > 1:
-            unit = unit[:, None, None, None]
-        cu = unit * u.samples
-        if cu.ndim == 1:  # uniform in space
-            running_control = float(np.sum(cu * problem.time_grid.dt) * grid.npoints * w)
-        else:
-            running_control = float(
-                np.sum(np.sum(cu, axis=(1, 2, 3)) * w * problem.time_grid.dt)
-            )
-
-    pulse = 0.0
-    for j in traj.jumps:
-        c_i = costs.pulse_unit[j.candidate_index]
-        pulse += float(np.sum(c_i * (1.0 - j.applied) * j.pre) * w)
-    final = float(np.sum(costs.final * traj.fields[-1]) * w)
-    return CostBreakdown.assemble(running_state, running_control, pulse, final)
+    return _cost(traj, v, u, costs, problem.grid.cell_volume, problem.time_grid.dt)
 
 
 def spatial_average(traj: FieldTrajectory) -> AveragedTrajectory:
     """Per-time grid mean of the field trajectory; jump records averaged likewise."""
     values = traj.fields.mean(axis=(1, 2, 3))
-    jumps = [
-        Jump(
-            j.time,
-            j.node_index,
-            j.candidate_index,
-            float(np.mean(j.pre)),
-            float(np.mean(j.post)),
-            float(np.mean(j.applied)),
-        )
-        for j in traj.jumps
-    ]
+    jumps = [replace(j, pre=float(np.mean(j.pre)), post=float(np.mean(j.post)),
+                     applied=float(np.mean(j.applied))) for j in traj.jumps]
     return AveragedTrajectory(traj.times.copy(), values, jumps)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,38 @@ def test_endpoint_candidates_handled_consistently():
     assert ib.certificate_check(res, prob, costs) == []
     bf = ib.brute_force_pulse(prob, None, costs, max_pulses=5)
     assert abs(res.cost.total - bf.cost.total) <= 1e-10
+
+
+def _sweep_problem(model):
+    if model == "averaged":
+        prob = reference_averaged()
+        return prob, ib.ContinuousControl.constant(prob.time_grid, 0.5), ib.solve_adjoint_averaged
+    if model == "averaged-endpoints":
+        # candidates at t = 0 and exactly at T exercise the sweep's end cases
+        tg = ib.TimeGrid(1.0, 1e-3, (0.0, 0.25, 0.5, 0.75, 1.0))
+        prob = ib.AveragedProblem(tg, reference_alpha(), ib.ChemicalParams(0.3, 0.0), 0.4)
+        return prob, None, ib.solve_adjoint_averaged
+    grid = ib.SpaceGrid.from_cells(10, 10, 3)
+    prob = reference_pde(initial=ib.build_initial_condition(grid, 0.4, 0.2))
+    return prob, None, ib.solve_adjoint_pde
+
+
+@pytest.mark.parametrize("model", ["averaged", "averaged-endpoints", "pde"])
+def test_sweep_is_the_adjoint_with_its_decisions_fixed(model):
+    # the bang-bang sweep and the costate solver are one backward sweep with
+    # different decision rules, so they agree bit for bit on the sweep's strategy
+    prob, u, solve = _sweep_problem(model)
+    costs = ib.CostSpec.constant(prob.time_grid, 0.55, final=0.2)
+    res = ib.optimal_pulse(prob, u, costs)
+    assert 0.0 in res.strategy.values and 1.0 in res.strategy.values
+    adj = solve(prob, u, res.strategy, costs, res.forward)
+    assert np.array_equal(res.adjoint.times, adj.times)
+    assert np.array_equal(res.adjoint.values, adj.values)
+    assert len(res.adjoint.jumps) == len(adj.jumps) == len(res.forward.jumps)
+    for a, b in zip(res.adjoint.jumps, adj.jumps):
+        assert (a.time, a.node_index, a.candidate_index) == (b.time, b.node_index, b.candidate_index)
+        for name in ("p_plus", "p_minus", "applied"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class TestBruteForce:
@@ -247,6 +281,25 @@ class TestCertificateCheck:
         costs = ib.CostSpec.constant(prob.time_grid, 0.4)
         res = ib.optimal_pulse(prob, None, costs)
         assert ib.certificate_check(res, prob, costs) == []
+
+    def test_given_control_is_not_judged(self):
+        # u = 0 is an input of optimal_pulse, not an optimized control, so only
+        # the pulse conditions apply even though dJ/du < 0 at u = 0 when C = 0
+        prob = reference_averaged()
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5)
+        res = ib.optimal_pulse(prob, ib.ContinuousControl.constant(prob.time_grid, 0.0), costs)
+        assert res.continuous_certificate is None
+        assert ib.certificate_check(res, prob, costs) == []
+
+    def test_optimized_control_is_judged(self):
+        prob = reference_averaged()
+        costs = ib.CostSpec.constant(prob.time_grid, 0.4, continuous_unit=10.0)
+        res = ib.projected_gradient_mixed(prob, costs)
+        assert ib.certificate_check(res, prob, costs) == []
+        # full dose at a prohibitive unit cost: every sample has an ascent direction
+        wasteful = dataclasses.replace(res, control=ib.ContinuousControl.constant(prob.time_grid, 1.0))
+        messages = ib.certificate_check(wasteful, prob, costs)
+        assert any(m.startswith("chemical control") for m in messages)
 
     def test_flipped_decision_is_flagged(self):
         prob = reference_averaged()
