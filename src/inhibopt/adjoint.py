@@ -28,17 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averaged import AveragedPropagator, AveragedTrajectory
-from .core import (  # noqa: F401  (AdjointJump is re-exported)
+from .averaged import AveragedPropagator
+from .core import (  # noqa: F401  (AdjointJump and AdjointTrajectory are re-exported)
     AdjointJump,
     AdjointTrajectory,
     Propagator,
+    Trajectory,
     _as_direction_array,
     _cost,
-    _midpoint,
     _per_point,
     _rows,
     _space_integral,
+    _span_midpoints,
 )
 from .model import (
     AveragedProblem,
@@ -48,7 +49,7 @@ from .model import (
     ProblemError,
     PulseStrategy,
 )
-from .pde import FieldPropagator, FieldTrajectory
+from .pde import FieldPropagator
 
 SIGMA_U_GUARD = 1e-9
 
@@ -65,8 +66,8 @@ def solve_adjoint_averaged(
     u: ContinuousControl | None,
     strategy: PulseStrategy,
     costs: CostSpec,
-    forward: AveragedTrajectory,
-) -> AdjointTrajectory:
+    forward: Trajectory,
+) -> Trajectory:
     """Backward costate sweep on the realized pulse set of a forward run."""
     return AveragedPropagator(problem, u).adjoint(strategy, costs, forward)
 
@@ -76,8 +77,8 @@ def solve_adjoint_pde(
     u: ContinuousControl | None,
     strategy: PulseStrategy,
     costs: CostSpec,
-    forward: FieldTrajectory,
-) -> AdjointTrajectory:
+    forward: Trajectory,
+) -> Trajectory:
     """Backward Crank-Nicolson costate sweep (same operator as the forward solver)."""
     return FieldPropagator(problem, u).adjoint(strategy, costs, forward)
 
@@ -103,8 +104,8 @@ class GradientReport:
 
 
 def gradient_pulse(
-    forward: AveragedTrajectory | FieldTrajectory,
-    adjoint: AdjointTrajectory,
+    forward: Trajectory,
+    adjoint: Trajectory,
     costs: CostSpec,
     direction=None,
     space_weight: float = 1.0,
@@ -132,8 +133,8 @@ def gradient_pulse(
 
 def gradient_continuous(
     problem: AveragedProblem | PdeProblem,
-    forward: AveragedTrajectory | FieldTrajectory,
-    adjoint: AdjointTrajectory,
+    forward: Trajectory,
+    adjoint: Trajectory,
     u: ContinuousControl | None,
     costs: CostSpec,
     direction=None,
@@ -145,7 +146,7 @@ def gradient_continuous(
     if np.any(sigma * u_samples > 1.0 - SIGMA_U_GUARD):
         raise ProblemError("sigma*u too close to 1 (division guard)")
     prop = _propagator(problem, u)
-    rate = prop.chemical_rate(forward, _midpoint(adjoint.plus_values(), adjoint.values))
+    rate = prop.chemical_rate(forward, _span_midpoints(adjoint))
     ubar = (_per_point(costs.continuous_unit, rate.ndim)
             - rate / _per_point((1.0 - sigma * u_samples) ** 2, rate.ndim))
 
@@ -165,7 +166,7 @@ def sensitivity_continuous(
     u_base: ContinuousControl | None,
     v_base: PulseStrategy,
     direction: ContinuousControl | np.ndarray,
-    forward: AveragedTrajectory | FieldTrajectory,
+    forward: Trajectory,
 ):
     """State derivative z in the direction of a chemical-control perturbation.
 
@@ -186,8 +187,8 @@ def sensitivity_pulse_pde(
     u: ContinuousControl | None,
     v_base: PulseStrategy,
     direction: PulseStrategy | np.ndarray,
-    forward: FieldTrajectory,
-) -> FieldTrajectory:
+    forward: Trajectory,
+) -> Trajectory:
     """Space-dependent analogue of the pulse sensitivity (verification oracle)."""
     d = _rows(_as_direction_array(direction))
     return FieldPropagator(problem, u).linear(

@@ -27,12 +27,12 @@ values are left limits; post-jump values live in the jump records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import Jump, Propagator, _as_direction_array, _cost, _rows
+from .core import AveragedTrajectory, Jump  # noqa: F401  (re-exported)
+from .core import Propagator, _as_direction_array, _cost, _rows
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -42,24 +42,6 @@ from .model import (
     PulseStrategy,
     QuadratureError,
 )
-
-
-@dataclass
-class AveragedTrajectory:
-    """Scalar state per integration node, left-continuous at pulses."""
-
-    times: np.ndarray
-    values: np.ndarray
-    jumps: list[Jump]
-
-    complete = True  # every node is stored
-
-    def post_values(self) -> np.ndarray:
-        """Node values with post-jump values substituted at pulse nodes."""
-        y = self.values.copy()
-        for j in self.jumps:
-            y[j.node_index] = j.post
-        return y
 
 
 def _exponential_coefficients(alpha: Callable, mids: np.ndarray, u_samples, sigma: float,
@@ -115,9 +97,6 @@ class AveragedPropagator(Propagator):
     def alpha_mid(self) -> np.ndarray:
         return self._alpha_mid
 
-    def trajectory(self, rows, states, jumps, store_every) -> AveragedTrajectory:
-        return AveragedTrajectory(self.time_grid.times.copy(), states, jumps)
-
 
 def semiflow_step(
     theta_start: float,
@@ -169,11 +148,13 @@ def cost_averaged(
 ) -> CostBreakdown:
     """Evaluate the cost functional on a simulated trajectory.
 
-    Running state: trapezoid on the stored grid split at jumps (post-jump
+    Running state: trapezoid on the integration grid split at jumps (post-jump
     value starts each span).  Running control: exact per-step C*u*dt.
     Pulse: sum of c_i*(1-v_i)*Theta(tau_i) over realized pulses with pre-jump
     values.  Final: C_f*Theta(T) (left limit).
     """
+    if not traj.complete:
+        raise ProblemError("cost_averaged needs every node stored (its steps are the stored spans)")
     return _cost(traj, v, u, costs, 1.0, np.diff(traj.times))
 
 

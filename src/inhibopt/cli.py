@@ -48,7 +48,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override for random fields")
         p.add_argument("--store-every", type=int, default=1, dest="store_every",
-                       help="keep every m-th field snapshot")
+                       help="keep and write every m-th field snapshot; the cost is unchanged")
         return p
 
     add("simulate-averaged", "forward run of the spatially averaged model")
@@ -96,7 +96,7 @@ def _task_simulate(bundle: iomod.Bundle, out: Path, store_every: int) -> None:
         iomod.write_pde_summary(out / "summary.csv", traj)
         iomod.write_field_snapshots(out / "fields.csv", traj)
     iomod.write_cost(out / "cost.csv", cost)
-    _write_common(out, bundle, "simulate", {"store_every": store_every})
+    _write_common(out, bundle, "simulate", {"store_every": traj.store_every})
 
 
 def _export_result(bundle: iomod.Bundle, out: Path, result) -> None:
@@ -138,6 +138,7 @@ def _task_optimize_mixed(bundle: iomod.Bundle, out: Path) -> None:
         "converged": result.converged,
         "total_cost": result.cost.total,
         "certificate_agreement": cert.agreement_fraction(),
+        "stop_reason": result.diagnostics["stop_reason"],
     })
 
 

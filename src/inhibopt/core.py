@@ -47,21 +47,46 @@ class AdjointJump:
     p_minus: float | np.ndarray
     applied: float | np.ndarray
 
+    @property
+    def post(self) -> float | np.ndarray:
+        """The right limit p(tau^+), as ``Jump.post`` is the state's."""
+        return self.p_plus
+
 
 @dataclass
-class AdjointTrajectory:
-    """Costate per node; stored values are left limits p(t), jumps carry p(t^+)."""
+class Trajectory:
+    """State, tangent or costate per stored node (left limits), with every jump recorded.
+
+    One record for both models and every run.  ``node_indices`` maps stored
+    rows to integration nodes: with ``store_every`` > 1, every m-th node plus
+    all pulse nodes and the final node.  ``skipped_sums`` holds the grid sum
+    of each node not stored, in node order, so the cost is that of the whole
+    run.  ``grid`` is the field's space grid (None for the averaged model).
+    """
 
     times: np.ndarray
     values: np.ndarray
-    jumps: list[AdjointJump]
+    jumps: list
+    node_indices: np.ndarray | None = None
+    store_every: int = 1
+    grid: object = None
+    skipped_sums: np.ndarray | tuple = ()
 
-    def plus_values(self) -> np.ndarray:
-        """Node values with p(tau^+) substituted at pulse nodes (right limits)."""
-        out = self.values.copy()
-        for j in self.jumps:
-            out[j.node_index] = j.p_plus
-        return out
+    def __post_init__(self):
+        if self.node_indices is None:
+            self.node_indices = np.arange(len(self.times))
+
+    @property
+    def complete(self) -> bool:
+        return self.store_every == 1
+
+    @property
+    def fields(self) -> np.ndarray:
+        return self.values
+
+
+# the public names of the record for each model and for the costate
+AveragedTrajectory = FieldTrajectory = AdjointTrajectory = Trajectory
 
 
 def _rows(a: np.ndarray) -> list:
@@ -79,9 +104,28 @@ def _space_integral(rows: np.ndarray, space_weight: float) -> np.ndarray:
     return np.sum(rows, axis=tuple(range(1, rows.ndim))) * space_weight
 
 
-def _midpoint(values_plus: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Per-step midpoint of a left-continuous node array (post value starts the span)."""
-    return (values_plus[:-1] + values[1:]) / 2.0
+def _node_integrals(traj: Trajectory, space_weight: float) -> np.ndarray:
+    """Space integral of the left limit at every integration node, stored or not."""
+    stored = _space_integral(traj.values, space_weight)
+    if traj.complete:
+        return stored
+    out = np.empty(traj.node_indices[-1] + 1)
+    out[traj.node_indices] = stored
+    out[np.delete(np.arange(out.size), traj.node_indices)] = (
+        np.asarray(traj.skipped_sums) * space_weight)
+    return out
+
+
+def _span_midpoints(traj: Trajectory) -> np.ndarray:
+    """Per-step midpoints of a complete record; a jump's right limit starts its span."""
+    if not traj.complete:
+        raise ProblemError("the midpoint algebra needs a fully stored trajectory")
+    mid = (traj.values[:-1] + traj.values[1:]) / 2.0
+    inner = [j for j in traj.jumps if j.node_index < len(mid)]  # a jump at T starts no span
+    if inner:
+        nodes = np.array([j.node_index for j in inner])
+        mid[nodes] = (np.array([j.post for j in inner]) + traj.values[nodes + 1]) / 2.0
+    return mid
 
 
 def _as_direction_array(direction) -> np.ndarray:
@@ -94,17 +138,21 @@ def _as_direction_array(direction) -> np.ndarray:
 
 def _cost(traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec,
           space_weight: float, dt: np.ndarray) -> CostBreakdown:
-    """Cost functional on a stored trajectory (state or tangent), as documented in
-    :func:`inhibopt.averaged.cost_averaged`; space integrals use ``space_weight``."""
+    """Cost functional of a run (state or tangent), as documented in
+    :func:`inhibopt.averaged.cost_averaged`; space integrals use ``space_weight``
+    and ``dt`` is the full step grid, so storage never changes the value."""
     if costs.pulse_unit.shape[0] != len(v):
         raise ProblemError(
             f"{costs.pulse_unit.shape[0]} pulse unit costs for a strategy of length {len(v)}"
         )
     if traj.jumps and max(j.candidate_index for j in traj.jumps) >= len(v):
         raise ProblemError("trajectory jumps refer to candidates beyond the strategy length")
-    left = _space_integral(traj.post_values(), space_weight)
-    right = _space_integral(traj.values, space_weight)
-    running_state = float(np.sum(np.diff(traj.times) * (left[:-1] + right[1:]) / 2.0))
+    right = _node_integrals(traj, space_weight)
+    left = right.copy()  # post-jump integrals start the spans
+    if traj.jumps:
+        posts = _space_integral(np.array([j.post for j in traj.jumps]), space_weight)
+        left[[j.node_index for j in traj.jumps]] = posts
+    running_state = float(np.sum(dt * (left[:-1] + right[1:]) / 2.0))
 
     running_control = 0.0
     if u is not None and u.samples.size:
@@ -129,14 +177,17 @@ class Propagator:
 
     Subclasses set ``time_grid``, ``sigma``, ``shape``, ``space_weight``,
     ``u_samples``, ``initial`` and ``zero`` and implement ``state``, ``step``,
-    ``advance``, ``gate``, ``alpha_mid`` and ``trajectory``.
+    ``advance``, ``gate`` and ``alpha_mid``; field propagators also set ``grid``.
     """
+
+    grid = None
 
     def forward(self, v: PulseStrategy | None = None, store_every: int = 1):
         """State run with threshold-gated pulses; stores every ``store_every``-th node.
 
-        Pulse nodes and the final node are always stored.  Stored values are
-        left limits; post-jump values live in the jump records.
+        Pulse nodes and the final node are always stored, and the grid sum of
+        every other node is kept for the cost.  Stored values are left limits;
+        post-jump values live in the jump records.
         """
         tg = self.time_grid
         if v is None:
@@ -172,11 +223,14 @@ class Propagator:
         rows = [n for n in range(last + 1) if n % store_every == 0 or n == last or n in pulse_at]
         states = np.empty((len(rows), *self.shape))
         jumps: list[Jump] = []
+        skipped = []  # stays empty when every node is stored
         r = 0
         for n in range(last + 1):
             if rows[r] == n:
                 states[r] = x
                 r += 1
+            else:
+                skipped.append(np.sum(x))
             k = pulse_at.get(n)
             if k is not None:
                 realized = jump(k, x)
@@ -186,14 +240,16 @@ class Propagator:
                     x = post
             if n < last:
                 x = advance(x, n)
-        return self.trajectory(np.array(rows), states, jumps, store_every)
+        rows = np.array(rows)
+        return Trajectory(tg.times[rows], states, jumps, rows, store_every, self.grid,
+                          np.array(skipped))
 
     def backward(self, costs: CostSpec, realized, decide):
         """Costate sweep from p(T) = C_f with source +1 under the forward step operator.
 
         At each realized candidate k (all if ``realized`` is None) v_k =
         ``decide(k, p_plus)`` and p(tau_k) = v_k*p(tau_k^+) + c_k*(1-v_k).
-        Returns (per-candidate v, 1 where unrealized; AdjointTrajectory).
+        Returns (per-candidate v, 1 where unrealized; the costate Trajectory).
         """
         tg = self.time_grid
         last = tg.n_steps
@@ -219,9 +275,9 @@ class Propagator:
                 jumps.append(AdjointJump(tg.times[n], n, k, p_plus, p, v))
             values[n] = p
         jumps.reverse()
-        return v_out, AdjointTrajectory(tg.times.copy(), values, jumps)
+        return v_out, Trajectory(tg.times.copy(), values, jumps)
 
-    def adjoint(self, strategy: PulseStrategy, costs: CostSpec, forward) -> AdjointTrajectory:
+    def adjoint(self, strategy: PulseStrategy, costs: CostSpec, forward) -> Trajectory:
         """Costate sweep with the decisions fixed to ``strategy`` on forward's realized pulses."""
         v = _rows(strategy.values)
         realized = [j.candidate_index for j in forward.jumps]
@@ -232,7 +288,4 @@ class Propagator:
 
     def chemical_rate(self, forward, factor: np.ndarray) -> np.ndarray:
         """sigma * alpha * factor * theta at every step midpoint, shaped (n_steps, *shape)."""
-        if not forward.complete:
-            raise ProblemError("the midpoint algebra needs a fully stored forward trajectory")
-        theta_mid = _midpoint(forward.post_values(), forward.values)
-        return self.sigma * self.alpha_mid() * factor * theta_mid
+        return self.sigma * self.alpha_mid() * factor * _span_midpoints(forward)

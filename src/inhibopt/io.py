@@ -21,8 +21,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .adjoint import AdjointTrajectory
-from .averaged import AveragedTrajectory
+from .core import Trajectory
 from .model import (
     AveragedProblem,
     ChemicalParams,
@@ -41,7 +40,6 @@ from .model import (
     build_random_amplitude,
     seasonal_profile,
 )
-from .pde import FieldTrajectory
 
 DEFAULT_AMPLITUDE = 0.5 * float(np.log(10.0))
 DEFAULT_PEAK_TIME = 0.75
@@ -94,7 +92,7 @@ def _jump_rows(traj) -> dict[int, object]:
     return {j.node_index: j for j in traj.jumps}
 
 
-def write_averaged_trajectory(path, traj: AveragedTrajectory) -> None:
+def write_averaged_trajectory(path, traj: Trajectory) -> None:
     jumps = _jump_rows(traj)
     with open(path, "w", newline="") as fh:
         fh.write("t,theta,is_pulse,v_applied\n")
@@ -104,7 +102,7 @@ def write_averaged_trajectory(path, traj: AveragedTrajectory) -> None:
             fh.write(f"{_fmt(t)},{_fmt(val)},{int(j is not None)},{v_str}\n")
 
 
-def write_pde_summary(path, traj: FieldTrajectory) -> None:
+def write_pde_summary(path, traj: Trajectory) -> None:
     jumps = _jump_rows(traj)
     w = traj.grid.cell_volume
     with open(path, "w", newline="") as fh:
@@ -116,14 +114,14 @@ def write_pde_summary(path, traj: FieldTrajectory) -> None:
             fh.write(f"{_fmt(t)},{_fmt(f.mean())},{_fmt(l2)},{int(node in jumps)}\n")
 
 
-def write_field_snapshots(path, traj: FieldTrajectory) -> None:
+def write_field_snapshots(path, traj: Trajectory) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,i,j,k,theta\n")
         for t, field in zip(traj.times, traj.fields):
             _write_rows(fh, _fmt(t), field)
 
 
-def write_adjoint(path, adj: AdjointTrajectory) -> None:
+def write_adjoint(path, adj: Trajectory) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,p\n" if adj.values.ndim == 1 else "t,i,j,k,p\n")
         for t, p in zip(adj.times, adj.values):

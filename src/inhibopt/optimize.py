@@ -29,7 +29,7 @@ import numpy as np
 
 from .adjoint import _propagator, gradient_continuous
 from .averaged import AveragedPropagator
-from .core import AdjointTrajectory, _midpoint, _per_point, _rows, _space_integral
+from .core import Trajectory, _per_point, _rows, _space_integral, _span_midpoints
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -93,7 +93,7 @@ class StrategyResult:
     cost: CostBreakdown
     certificate: list[PulseCertificate]
     forward: object
-    adjoint: AdjointTrajectory | None
+    adjoint: Trajectory | None
     iterations: int = 1
     converged: bool = True
     continuous_certificate: ContinuousCertificate | None = None
@@ -109,7 +109,7 @@ def _sweep(prop, costs, realized_candidates=None):
 
     v_i = 0 where p(tau_i^+) > c_i + TIE_TOL, else 1: the adjoint sweep with
     the bang-bang rule as its decision.  Returns (strategy values,
-    AdjointTrajectory).  ``realized_candidates`` restricts the jump set (used
+    costate Trajectory).  ``realized_candidates`` restricts the jump set (used
     by the threshold fixed point); None means every candidate pulses, which
     is the sigma_star = 0 situation.
     """
@@ -309,8 +309,7 @@ def _control_norm(prop, du: np.ndarray) -> float:
 
 def _continuous_certificate(prop, forward, adjoint, u, costs) -> ContinuousCertificate:
     """Per-step comparison of C against sigma*alpha*p*theta/(1-sigma)."""
-    p_mid = _midpoint(adjoint.plus_values(), adjoint.values)
-    switch = prop.chemical_rate(forward, p_mid) / (1.0 - prop.sigma)
+    switch = prop.chemical_rate(forward, _span_midpoints(adjoint)) / (1.0 - prop.sigma)
     cu = np.broadcast_to(_per_point(costs.continuous_unit, switch.ndim), switch.shape)
     u_s = np.broadcast_to(_per_point(u.samples, switch.ndim), switch.shape)
     margin = np.abs(cu - switch)
@@ -335,8 +334,10 @@ def projected_gradient_mixed(
     (from gamma0, reset every iteration) until the total cost decreases, the
     pulse strategy being recomputed by the backward sweep after every control
     update.  Stops when the control update norm <= tol_control or the cost
-    decrease <= tol_cost.  The certificate records, per time sample, whether
-    the final iterate matches the chemical bang-bang switching condition.
+    decrease <= tol_cost.  ``diagnostics["stop_reason"]`` names the stop:
+    stationary, step tolerance, cost tolerance, line search failed or
+    iteration cap.  The certificate records, per time sample, whether the
+    final iterate matches the chemical bang-bang switching condition.
     """
     if not problem.chem.sigma > 0:
         raise ProblemError("projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)")
@@ -350,7 +351,7 @@ def projected_gradient_mixed(
     j_history = [current.cost.total]
     iterations = 0
     converged = False
-    failure = None
+    stop_reason = "iteration cap"
     while iterations < max_iterations:
         iterations += 1
         report = gradient_continuous(problem, current.forward, current.adjoint, u, costs)
@@ -369,8 +370,7 @@ def projected_gradient_mixed(
             gamma *= shrink
         if accepted is None:
             converged = stationary
-            if not stationary:
-                failure = "line search found no decrease"
+            stop_reason = "stationary" if stationary else "line search failed"
             break
         u_new, trial = accepted
         du = _control_norm(prop, u_new.samples - u.samples)
@@ -379,12 +379,11 @@ def projected_gradient_mixed(
         j_history.append(current.cost.total)
         if du <= tol_control or decrease <= tol_cost:
             converged = True
+            stop_reason = "step tolerance" if du <= tol_control else "cost tolerance"
             break
 
     cont_cert = _continuous_certificate(prop, current.forward, current.adjoint, u, costs)
-    diag = {"cost_history": j_history}
-    if failure:
-        diag["failure"] = failure
+    diag = {"cost_history": j_history, "stop_reason": stop_reason}
     return StrategyResult(
         current.strategy,
         u,

@@ -32,8 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .averaged import AveragedTrajectory
-from .core import Jump, Propagator, _cost, _rows
+from .core import FieldTrajectory, Propagator, Trajectory, _cost, _rows  # noqa: F401
 from .model import (
     ContinuousControl,
     CostBreakdown,
@@ -152,48 +151,14 @@ def cn_step(
     return ScalarField(theta.grid, _cn_advance(theta.values, op, source, h))
 
 
-@dataclass
-class FieldTrajectory:
-    """Field per stored node (left limits), with every jump always recorded.
-
-    ``node_indices`` maps stored rows to global integration nodes; with
-    ``store_every`` > 1 the stored rows are every m-th node plus all pulse
-    nodes and the final node.  ``values``/``post_values`` alias the fields.
-    """
-
-    grid: object
-    times: np.ndarray
-    node_indices: np.ndarray
-    fields: np.ndarray  # (n_stored, d1, d2, d3)
-    jumps: list[Jump]
-    store_every: int = 1
-
-    @property
-    def complete(self) -> bool:
-        return self.store_every == 1
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.fields
-
-    def post_fields(self) -> np.ndarray:
-        """Stored fields with post-jump values substituted at pulse rows."""
-        out = self.fields.copy()
-        row_of = {int(n): r for r, n in enumerate(self.node_indices)}
-        for j in self.jumps:
-            out[row_of[j.node_index]] = j.post
-        return out
-
-    post_values = post_fields
-
-
 class FieldPropagator(Propagator):
     """Crank-Nicolson steps of the space-dependent model for one chemical control."""
 
     def __init__(self, problem: PdeProblem, u: ContinuousControl | None = None):
         tg = problem.time_grid
         self.problem, self.time_grid, self.sigma = problem, tg, problem.chem.sigma
-        self.shape, self.space_weight = problem.grid.dims, problem.grid.cell_volume
+        self.grid, self.shape = problem.grid, problem.grid.dims
+        self.space_weight = problem.grid.cell_volume
         self.u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
         self._u = _rows(self.u_samples)
         self.threshold = problem.chem.sigma_star * problem.grid.volume
@@ -220,10 +185,6 @@ class FieldPropagator(Propagator):
         seasonal = pressure.seasonal(self.time_grid.mid_times)
         return seasonal[:, None, None, None] * pressure.amplitude_field.values[None]
 
-    def trajectory(self, rows, states, jumps, store_every) -> FieldTrajectory:
-        times = self.time_grid.times[rows]
-        return FieldTrajectory(self.problem.grid, times, rows, states, jumps, store_every)
-
 
 def simulate_pde(
     problem: PdeProblem,
@@ -242,13 +203,18 @@ def cost_pde(
     costs: CostSpec,
     problem: PdeProblem,
 ) -> CostBreakdown:
-    """Cost functional with space integrals by grid quadrature sum(.) * ds^3."""
+    """Cost functional with space integrals by grid quadrature sum(.) * ds^3.
+
+    The value is that of the whole run: nodes the trajectory did not store
+    enter through their recorded grid sums, so ``store_every`` never changes it.
+    """
     return _cost(traj, v, u, costs, problem.grid.cell_volume, problem.time_grid.dt)
 
 
-def spatial_average(traj: FieldTrajectory) -> AveragedTrajectory:
-    """Per-time grid mean of the field trajectory; jump records averaged likewise."""
+def spatial_average(traj: Trajectory) -> Trajectory:
+    """Per-time grid mean of a field trajectory, its jump records and its unstored sums."""
     values = traj.fields.mean(axis=(1, 2, 3))
     jumps = [replace(j, pre=float(np.mean(j.pre)), post=float(np.mean(j.post)),
                      applied=float(np.mean(j.applied))) for j in traj.jumps]
-    return AveragedTrajectory(traj.times.copy(), values, jumps)
+    return replace(traj, times=traj.times.copy(), values=values, jumps=jumps, grid=None,
+                   skipped_sums=np.asarray(traj.skipped_sums) / traj.values[0].size)

@@ -57,6 +57,21 @@ class TestSimulateCommands:
         assert list(frows[0]) == ["t", "i", "j", "k", "theta"]
         assert len(frows) % 18 == 0  # 3*3*2 points per stored time
 
+    def test_manifest_records_the_stored_spacing(self, tmp_path):
+        # the averaged model stores every node, whatever --store-every asks
+        cfg = write_config(tmp_path / "avg.yaml", AVERAGED_CFG)
+        out = tmp_path / "avg"
+        assert run_cli(["simulate-averaged", "--config", str(cfg), "--out", str(out),
+                        "--store-every", "50"]) == 0
+        n_nodes = len(iomod.resolve_bundle(AVERAGED_CFG).problem.time_grid.times)
+        assert len(read_rows(out / "trajectory.csv")) == n_nodes
+        assert iomod.config_from_manifest(out / "manifest")[1]["store_every"] == 1
+        cfg = write_config(tmp_path / "pde.yaml", PDE_CFG)
+        out = tmp_path / "pde"
+        assert run_cli(["simulate-pde", "--config", str(cfg), "--out", str(out),
+                        "--store-every", "10"]) == 0
+        assert iomod.config_from_manifest(out / "manifest")[1]["store_every"] == 10
+
     def test_kind_mismatch_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml", AVERAGED_CFG)
         assert run_cli(["simulate-pde", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
@@ -83,6 +98,9 @@ class TestOptimizeCommands:
         assert run_cli(["optimize-mixed", "--config", str(cfgp), "--out", str(out)]) == 0
         assert (out / "control.csv").exists()
         assert (out / "control_certificate.csv").exists()
+        _, extras = iomod.config_from_manifest(out / "manifest")
+        assert extras["stop_reason"] in ("stationary", "step tolerance", "cost tolerance",
+                                         "line search failed", "iteration cap")
 
     def test_brute_force_small_instance(self, tmp_path):
         cfg = dict(AVERAGED_CFG)

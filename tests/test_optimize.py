@@ -5,6 +5,8 @@ import pytest
 
 import inhibopt as ib
 from conftest import reference_alpha, reference_averaged, reference_pde
+from inhibopt import io as iomod
+from inhibopt.presets import PRESETS
 
 
 def intervention_set(strategy):
@@ -265,6 +267,18 @@ class TestProjectedGradientMixed:
         res = ib.projected_gradient_mixed(prob, costs)
         assert res.converged and res.iterations <= 200
         assert res.continuous_certificate.agreement_fraction() >= 0.99
+
+    def test_mixed_preset_stops_stationary(self):
+        bundle = iomod.resolve_bundle(PRESETS["mixed"].runs[0].config)
+        res = ib.projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
+        assert res.diagnostics["stop_reason"] == "stationary"
+
+    def test_capped_run_names_the_cap(self):
+        prob = reference_averaged()
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
+        res = ib.projected_gradient_mixed(prob, costs, max_iterations=2)
+        assert res.diagnostics["stop_reason"] == "iteration cap"
+        assert res.iterations == 2 and not res.converged
 
     def test_space_dependent_problem(self):
         prob = reference_pde(cells=(2, 2, 1), t_end=0.2)

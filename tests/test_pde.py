@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import inhibopt as ib
 from conftest import rel_err, reference_pde
+from inhibopt import io as iomod
+from inhibopt.presets import PRESETS
 
 
 def random_diffusion(grid, rng, scale=1.0):
@@ -154,7 +158,32 @@ class TestSimulatePde:
             assert traj.fields.min() >= -1e-6 and traj.fields.max() <= 1 + 1e-6
 
 
+@pytest.fixture(scope="module")
+def fig5():
+    """The fig5 preset problem with its optimal pulse strategy."""
+    bundle = iomod.resolve_bundle(PRESETS["fig5"].runs[0].config)
+    return bundle, ib.optimal_pulse(bundle.problem, bundle.u, bundle.costs)
+
+
 class TestCostPde:
+    def test_cost_does_not_depend_on_storage(self, fig5):
+        bundle, res = fig5
+        for k in (1, 7, 50, 10**9):
+            traj = ib.simulate_pde(bundle.problem, bundle.u, res.strategy, store_every=k)
+            cost = ib.cost_pde(traj, res.strategy, bundle.u, bundle.costs, bundle.problem)
+            assert cost == res.cost, k
+
+    def test_cost_copies_no_history(self, fig5):
+        bundle, res = fig5
+        traj = res.forward
+        tracemalloc.start()
+        try:
+            ib.cost_pde(traj, res.strategy, bundle.u, bundle.costs, bundle.problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.fields.nbytes / 4
+
     def test_zero_field_zero_cost(self):
         prob = reference_pde(cells=(2, 2, 1), t_end=0.2, initial=0.0,
                          amplitude=ib.ScalarField.uniform(ib.SpaceGrid.from_cells(2, 2, 1), 0.0))
