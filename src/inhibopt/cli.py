@@ -119,6 +119,7 @@ def _task_optimize_pulse(bundle: iomod.Bundle, out: Path) -> None:
         "iterations": result.iterations,
         "converged": result.converged,
         "total_cost": result.cost.total,
+        **{f"cg_{k}": v for k, v in result.diagnostics.get("cg", {}).items()},
     })
 
 

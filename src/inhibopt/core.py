@@ -177,10 +177,15 @@ class Propagator:
 
     Subclasses set ``time_grid``, ``sigma``, ``shape``, ``space_weight``,
     ``u_samples``, ``initial`` and ``zero`` and implement ``state``, ``step``,
-    ``advance``, ``gate`` and ``alpha_mid``; field propagators also set ``grid``.
+    ``advance``, ``gate`` and ``alpha_mid``; field propagators also set ``grid``
+    and report their solver counters through ``diagnostics``.
     """
 
     grid = None
+
+    def diagnostics(self) -> dict:
+        """Deterministic counters of the work done so far (none for the averaged model)."""
+        return {}
 
     def forward(self, v: PulseStrategy | None = None, store_every: int = 1):
         """State run with threshold-gated pulses; stores every ``store_every``-th node.
@@ -220,13 +225,21 @@ class Propagator:
     def _run(self, x, advance, pulse_at: dict, jump, store_every: int = 1):
         tg = self.time_grid
         last = tg.n_steps
-        rows = [n for n in range(last + 1) if n % store_every == 0 or n == last or n in pulse_at]
+        keep = None  # every node is stored
+        if store_every == 1:
+            rows = np.arange(last + 1)
+        else:
+            stored = np.arange(last + 1) % store_every == 0
+            stored[list(pulse_at)] = True
+            stored[last] = True
+            rows = np.flatnonzero(stored)
+            keep = stored.tolist()
         states = np.empty((len(rows), *self.shape))
         jumps: list[Jump] = []
         skipped = []  # stays empty when every node is stored
         r = 0
         for n in range(last + 1):
-            if rows[r] == n:
+            if keep is None or keep[n]:
                 states[r] = x
                 r += 1
             else:
@@ -240,7 +253,6 @@ class Propagator:
                     x = post
             if n < last:
                 x = advance(x, n)
-        rows = np.array(rows)
         return Trajectory(tg.times[rows], states, jumps, rows, store_every, self.grid,
                           np.array(skipped))
 

@@ -127,14 +127,17 @@ def _certificate(forward, adjoint, costs) -> list[PulseCertificate]:
 
 
 def _result(prop, strategy, u, costs, forward=None, adjoint=None, **extra) -> StrategyResult:
-    """Forward run, cost, costate and certificate of a decided strategy."""
+    """Forward run, cost, costate and certificate of a decided strategy, with the
+    propagator's counters (``diagnostics["cg"]`` for fields) over the whole optimization."""
     if forward is None:
         forward = prop.forward(strategy)
     if adjoint is None:
         adjoint = prop.adjoint(strategy, costs, forward)
     cost = prop.cost(forward, strategy, u, costs)
     certificate = _certificate(forward, adjoint, costs)
-    return StrategyResult(strategy, u, cost, certificate, forward, adjoint, **extra)
+    result = StrategyResult(strategy, u, cost, certificate, forward, adjoint, **extra)
+    result.diagnostics.update(prop.diagnostics())
+    return result
 
 
 def optimal_pulse(

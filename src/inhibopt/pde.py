@@ -23,12 +23,21 @@ threshold ||theta|| >= sigma_star * |Omega|.
 call; the forward run, costate sweep (the same operator with source +1),
 sensitivities and cost are the shared loops of :mod:`inhibopt.core`.
 
-All reductions are single-threaded numpy sums, so results are deterministic.
+A stencil built once per (diffusion, spacing) keeps the face coefficients
+contiguous and holds every flux and CG work array, so stencil applies and CG
+iterations allocate nothing; a step allocates only its pressure and rate
+fields and the state it returns.  CG starts from theta, so its first residual
+b - (I - h/2 M) theta = h*source + h*M theta reuses the M theta of the
+right-hand side: a CN step costs one stencil apply plus one per CG iteration.
+Every reduction (CG inner products, norms, grid sums) runs in numpy's own
+loops and never in BLAS, so results do not depend on the BLAS thread count
+and reruns are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -49,21 +58,53 @@ CG_RTOL = 1e-10
 CG_ITER_FACTOR = 10
 
 
-def _div(diffusion: DiffusionField, phi: np.ndarray, spacing: float) -> np.ndarray:
-    """Face-weighted divergence stencil; grid sum is exactly zero."""
-    out = np.zeros_like(phi)
-    f1, f2, f3 = diffusion.interior_faces()
-    flux = f1 * np.diff(phi, axis=0)
-    out[:-1] += flux
-    out[1:] -= flux
-    flux = f2 * np.diff(phi, axis=1)
-    out[:, :-1] += flux
-    out[:, 1:] -= flux
-    flux = f3 * np.diff(phi, axis=2)
-    out[:, :, :-1] += flux
-    out[:, :, 1:] -= flux
-    out /= spacing**2
-    return out
+class _Stencil:
+    """Face-weighted divergence of one (diffusion, spacing), with the work arrays of the CN step.
+
+    Each axis is one shift of the flattened field, by d2*d3, d3 or 1 points.
+    Its face coefficients are kept contiguous in that layout, zero where the
+    shift wraps into the next row (a "crossing"), so every flux and update
+    is one contiguous numpy call.  The flux, the CN right-hand side and the
+    CG vectors live in arrays allocated once here.
+    """
+
+    def __init__(self, diffusion: DiffusionField, spacing: float):
+        shape = diffusion.grid.dims
+        size = math.prod(shape)
+        self.scale = spacing**2
+        flux = np.empty(shape)  # one axis at a time
+        self.axes = []
+        for axis, faces in enumerate(diffusion.interior_faces()):
+            offset = math.prod(shape[axis + 1:])
+            padded = np.zeros(shape)
+            padded[(slice(None),) * axis + (slice(0, shape[axis] - 1),)] = faces
+            crossings = flux[(slice(None),) * axis + (-1,)]
+            self.axes.append((offset, padded.ravel()[:size - offset].copy(),
+                              flux.reshape(-1)[:size - offset], crossings))
+        # CN right-hand side; residual; CG direction and its image; a product that
+        # every apply overwrites (rate*phi), so no caller keeps it across one
+        self.rhs, self.residual, self.direction, self.image, self.tmp = (
+            np.empty(shape) for _ in range(5))
+
+    def divergence(self, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """div(A grad phi) into the C-contiguous ``out``; grid sum is exactly zero.
+
+        Each point adds and subtracts its fluxes in the order of the
+        seven-point formula.  A crossing's flux is +0.0, which leaves the
+        running value (never -0.0: it starts at +0.0) as it is.
+        """
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        phi_flat, out_flat = phi.reshape(-1), out.reshape(-1)
+        out.fill(0.0)
+        for offset, faces, flux, crossings in self.axes:
+            np.subtract(phi_flat[offset:], phi_flat[:-offset], out=flux)
+            flux *= faces
+            crossings[...] = 0.0  # a non-finite phi would leave 0 * inf there
+            out_flat[:-offset] += flux
+            out_flat[offset:] -= flux
+        out /= self.scale
+        return out
 
 
 def apply_divergence(diffusion: DiffusionField, phi: ScalarField) -> ScalarField:
@@ -72,7 +113,8 @@ def apply_divergence(diffusion: DiffusionField, phi: ScalarField) -> ScalarField
         raise ProblemError(
             f"diffusion grid {diffusion.grid.dims} does not match field grid {phi.grid.dims}"
         )
-    return ScalarField(phi.grid, _div(diffusion, phi.values, phi.grid.spacing))
+    stencil = _Stencil(diffusion, phi.grid.spacing)
+    return ScalarField(phi.grid, stencil.divergence(phi.values, np.empty(phi.grid.dims)))
 
 
 @dataclass(frozen=True)
@@ -82,38 +124,89 @@ class DiscreteOperator:
     diffusion: DiffusionField
     rate: np.ndarray  # alpha^(.5) / (1 - sigma * u^(.5)), one value per point
     spacing: float
+    stencil: _Stencil | None = field(default=None, repr=False, compare=False)
 
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        return -self.rate * phi + _div(self.diffusion, phi, self.spacing)
+    def __post_init__(self):
+        if self.stencil is None:
+            object.__setattr__(self, "stencil", _Stencil(self.diffusion, self.spacing))
+
+    def apply(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """M phi, into ``out`` when given (it must not be ``phi``)."""
+        if out is None:
+            out = np.empty(phi.shape)
+        stencil = self.stencil
+        stencil.divergence(phi, out)
+        out -= np.multiply(self.rate, phi, out=stencil.tmp)
+        return out
 
 
-def _cg(op: DiscreteOperator, half_h: float, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """Solve (I - half_h*M) x = b by matrix-free conjugate gradient."""
+@dataclass
+class CGCounters:
+    """What the CG solves of one propagator did: deterministic, so reruns report the same."""
 
-    def apply_system(x: np.ndarray) -> np.ndarray:
-        return x - half_h * op.apply(x)
+    solves: int = 0
+    iterations: int = 0
+    max_iterations: int = 0
+    worst_residual: float = 0.0  # largest final ||r|| / ||b||
 
-    bnorm = float(np.sqrt(np.vdot(b, b).real))
+    def record(self, iterations: int, residual: float) -> None:
+        self.solves += 1
+        self.iterations += iterations
+        self.max_iterations = max(self.max_iterations, iterations)
+        self.worst_residual = max(self.worst_residual, residual)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product in numpy's own loop: never BLAS, so no thread count changes it."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+
+
+def _cg(op: DiscreteOperator, half_h: float, b: np.ndarray, x0: np.ndarray,
+        r0: np.ndarray | None = None, counters: CGCounters | None = None) -> np.ndarray:
+    """Solve (I - half_h*M) x = b by matrix-free conjugate gradient from x0.
+
+    ``r0``, if given, is the first residual b - (I - half_h*M) x0 and is
+    overwritten.  The solution is a fresh array; every other vector is a work
+    array of the operator's stencil.
+    """
+    work = op.stencil
+
+    def apply_system(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        op.apply(x, out=out)
+        out *= half_h
+        return np.subtract(x, out, out=out)
+
+    def solved(x: np.ndarray, iterations: int, rs: float) -> np.ndarray:
+        if counters is not None:
+            counters.record(iterations, math.sqrt(rs) / bnorm)
+        return x
+
+    bnorm = math.sqrt(_dot(b, b))
     if bnorm == 0.0:
+        if counters is not None:
+            counters.record(0, 0.0)
         return np.zeros_like(b)
     maxiter = CG_ITER_FACTOR * b.size
     x = x0.copy()
-    r = b - apply_system(x)
-    d = r.copy()
-    rs = float(np.vdot(r, r).real)
-    for _ in range(maxiter):
-        if np.sqrt(rs) <= CG_RTOL * bnorm:
-            return x
-        ad = apply_system(d)
-        alpha = rs / float(np.vdot(d, ad).real)
-        x += alpha * d
-        r -= alpha * ad
-        rs_new = float(np.vdot(r, r).real)
-        d = r + (rs_new / rs) * d
+    r, d, ad, tmp = r0, work.direction, work.image, work.tmp
+    if r is None:
+        r = np.subtract(b, apply_system(x, work.residual), out=work.residual)
+    np.copyto(d, r)
+    rs = _dot(r, r)
+    for iteration in range(maxiter):
+        if math.sqrt(rs) <= CG_RTOL * bnorm:
+            return solved(x, iteration, rs)
+        apply_system(d, ad)
+        alpha = rs / _dot(d, ad)
+        x += np.multiply(d, alpha, out=tmp)
+        r -= np.multiply(ad, alpha, out=tmp)
+        rs_new = _dot(r, r)
+        d *= rs_new / rs
+        d += r
         rs = rs_new
-    if np.sqrt(rs) <= CG_RTOL * bnorm:
-        return x
-    raise LinearSolverError(float(np.sqrt(rs)) / bnorm, maxiter)
+    if math.sqrt(rs) <= CG_RTOL * bnorm:
+        return solved(x, maxiter, rs)
+    raise LinearSolverError(math.sqrt(rs) / bnorm, maxiter)
 
 
 def _cn_advance(
@@ -121,16 +214,28 @@ def _cn_advance(
     op: DiscreteOperator,
     source: np.ndarray | float,
     h: float,
+    counters: CGCounters | None = None,
 ) -> np.ndarray:
-    """One Crank-Nicolson step: solve (I - h/2 M) x = h*source + (I + h/2 M) theta."""
-    rhs = h * source + theta + (h / 2.0) * op.apply(theta)
-    return _cg(op, h / 2.0, rhs, theta)
+    """One Crank-Nicolson step: solve (I - h/2 M) x = h*source + (I + h/2 M) theta.
+
+    CG starts from x0 = theta, whose residual h*source + h*M theta reuses the
+    right-hand side's M theta: one stencil apply fewer than applying the system.
+    """
+    work = op.stencil
+    m_theta = op.apply(theta, out=work.residual)
+    rhs = np.multiply(source, h, out=work.rhs)
+    rhs += theta
+    rhs += np.multiply(m_theta, h / 2.0, out=work.tmp)
+    m_theta *= h
+    m_theta += np.multiply(source, h, out=work.tmp)
+    return _cg(op, h / 2.0, rhs, theta, m_theta, counters)
 
 
-def _step_operator(problem: PdeProblem, u_sample: np.ndarray | float, t_mid: float) -> DiscreteOperator:
-    rate = problem.pressure.field_at(t_mid) / (1.0 - problem.chem.sigma * u_sample)
-    rate = np.broadcast_to(rate, problem.grid.dims)
-    return DiscreteOperator(problem.diffusion, rate, problem.grid.spacing)
+def _step_operator(problem: PdeProblem, u_sample: np.ndarray | float, alpha: np.ndarray,
+                   stencil: _Stencil | None = None) -> DiscreteOperator:
+    """M at a step whose midpoint pressure is ``alpha`` and chemical sample ``u_sample``."""
+    rate = np.broadcast_to(alpha / (1.0 - problem.chem.sigma * u_sample), problem.grid.dims)
+    return DiscreteOperator(problem.diffusion, rate, problem.grid.spacing, stencil)
 
 
 def cn_step(
@@ -146,13 +251,18 @@ def cn_step(
     if theta.grid.dims != problem.grid.dims:
         raise ProblemError("field grid does not match problem grid")
     u_val = u_sample.values if isinstance(u_sample, ScalarField) else u_sample
-    op = _step_operator(problem, u_val, t + h / 2.0)
-    source = problem.pressure.field_at(t + h / 2.0)
-    return ScalarField(theta.grid, _cn_advance(theta.values, op, source, h))
+    alpha = problem.pressure.field_at(t + h / 2.0)
+    op = _step_operator(problem, u_val, alpha)
+    return ScalarField(theta.grid, _cn_advance(theta.values, op, alpha, h))
 
 
 class FieldPropagator(Propagator):
-    """Crank-Nicolson steps of the space-dependent model for one chemical control."""
+    """Crank-Nicolson steps of the space-dependent model for one chemical control.
+
+    One stencil, with its work arrays, serves every step, so one propagator
+    must not step from two threads at once; ``cg`` counts the CG solves of
+    all its steps.
+    """
 
     def __init__(self, problem: PdeProblem, u: ContinuousControl | None = None):
         tg = problem.time_grid
@@ -164,17 +274,26 @@ class FieldPropagator(Propagator):
         self.threshold = problem.chem.sigma_star * problem.grid.volume
         self.initial = problem.initial.values.copy()
         self.zero = np.zeros(self.shape)
+        self.stencil = _Stencil(problem.diffusion, problem.grid.spacing)
+        self.cg = CGCounters()
 
     def state(self, a) -> np.ndarray:
         return np.broadcast_to(a, self.shape).astype(float)
 
+    def _advance(self, x: np.ndarray, n: int, alpha: np.ndarray, source) -> np.ndarray:
+        op = _step_operator(self.problem, self._u[n], alpha, self.stencil)
+        return _cn_advance(x, op, source, self.time_grid.dt[n], self.cg)
+
     def step(self, x: np.ndarray, n: int, source) -> np.ndarray:
-        tg = self.time_grid
-        op = _step_operator(self.problem, self._u[n], tg.mid_times[n])
-        return _cn_advance(x, op, source, tg.dt[n])
+        return self._advance(x, n, self.problem.pressure.field_at(self.time_grid.mid_times[n]),
+                             source)
 
     def advance(self, x: np.ndarray, n: int) -> np.ndarray:
-        return self.step(x, n, self.problem.pressure.field_at(self.time_grid.mid_times[n]))
+        alpha = self.problem.pressure.field_at(self.time_grid.mid_times[n])
+        return self._advance(x, n, alpha, alpha)
+
+    def diagnostics(self) -> dict:
+        return {"cg": asdict(self.cg)}
 
     def gate(self, x: np.ndarray) -> bool:
         """Grid-quadrature L2 threshold ||theta|| >= sigma_star * |Omega|."""

@@ -90,6 +90,21 @@ class TestOptimizeCommands:
         adj = read_rows(out / "adjoint.csv")
         assert list(adj[0]) == ["t", "p"]
 
+    def test_optimize_pulse_manifest_records_cg_counters(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.yaml", PDE_CFG)
+        out = tmp_path / "run"
+        assert run_cli(["optimize-pulse", "--config", str(cfg), "--out", str(out)]) == 0
+        _, extras = iomod.config_from_manifest(out / "manifest")
+        n_steps = iomod.resolve_bundle(iomod.normalize_config(PDE_CFG)).problem.time_grid.n_steps
+        assert extras["cg_solves"] == 2 * n_steps  # the sweep and the forward run
+        assert extras["cg_iterations"] >= extras["cg_max_iterations"] >= 1
+        assert 0.0 <= extras["cg_worst_residual"] <= 1e-10
+        averaged = tmp_path / "averaged"
+        cfg = write_config(tmp_path / "avg.yaml", AVERAGED_CFG)
+        assert run_cli(["optimize-pulse", "--config", str(cfg), "--out", str(averaged)]) == 0
+        _, extras = iomod.config_from_manifest(averaged / "manifest")
+        assert not any(k.startswith("cg_") for k in extras)
+
     def test_optimize_mixed_outputs(self, tmp_path):
         cfg = dict(AVERAGED_CFG)
         cfg["cost"] = {"pulse_unit": 0.4, "continuous_unit": 0.1}

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 import inhibopt as ib
 from conftest import rel_err, reference_pde
 from inhibopt import io as iomod
+from inhibopt import pde as pde_mod
 from inhibopt.presets import PRESETS
 
 
@@ -93,6 +98,94 @@ class TestCnStep:
             ib.cn_step(ib.ScalarField.uniform(prob.grid, 0.4), 0.0, -1e-3, prob)
 
 
+def _dense_cn_step(problem, theta, t, h, u):
+    """One CN step with M assembled column by column from apply_divergence, solved densely."""
+    grid = problem.grid
+    columns = [ib.apply_divergence(problem.diffusion, ib.ScalarField(grid, e.reshape(grid.dims)))
+               .values.ravel() for e in np.eye(grid.npoints)]
+    alpha = problem.pressure.field_at(t + h / 2.0).ravel()
+    m = np.column_stack(columns) - np.diag(alpha / (1.0 - problem.chem.sigma * u.ravel()))
+    eye = np.eye(grid.npoints)
+    rhs = h * alpha + (eye + h / 2.0 * m) @ theta.ravel()
+    return np.linalg.solve(eye - h / 2.0 * m, rhs).reshape(grid.dims)
+
+
+class TestDenseOracle:
+    """cn_step and the propagator's reused workspace against a dense solve of the CN system."""
+
+    @pytest.fixture
+    def setup(self, rng):
+        grid = ib.SpaceGrid.from_cells(3, 3, 2, spacing=0.7)  # 48 points
+        problem = ib.PdeProblem(
+            ib.TimeGrid(0.03, 0.01, (0.01, 0.02)), grid,
+            ib.InhibitionPressure(ib.build_random_amplitude(grid, 1.5, seed=11), 0.75, 0.2),
+            random_diffusion(grid, rng, scale=2.0), ib.ChemicalParams(0.3, 0.0),
+            ib.ScalarField(grid, rng.random(grid.dims)),
+        )
+        return problem, rng.uniform(0.0, 0.9, (problem.time_grid.n_steps, *grid.dims))
+
+    def test_cn_step_matches_dense_solve(self, setup):
+        problem, u = setup
+        theta = problem.initial
+        for t in (0.3, 0.7):
+            want = _dense_cn_step(problem, theta.values, t, 0.01, u[0])
+            got = ib.cn_step(theta, t, 0.01, problem, u_sample=ib.ScalarField(problem.grid, u[0]))
+            assert np.max(np.abs(got.values - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_consecutive_steps_match_dense_solves(self, setup):
+        problem, u = setup
+        tg = problem.time_grid
+        traj = ib.simulate_pde(problem, ib.ContinuousControl(u))
+        theta = problem.initial.values
+        for n in range(tg.n_steps):
+            theta = _dense_cn_step(problem, theta, tg.times[n], tg.dt[n], u[n])
+            got = traj.fields[n + 1]
+            assert np.max(np.abs(got - theta)) <= 1e-9 * np.max(np.abs(theta)), n
+        # the records keep the states the steps returned: no step may hand out a work array
+        assert [j.node_index for j in traj.jumps] == [1, 2]
+        for j in traj.jumps:
+            assert np.array_equal(j.pre, traj.fields[j.node_index])
+
+
+_THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+import inhibopt as ib
+grid = ib.SpaceGrid.from_cells(30, 30, 12)
+rng = np.random.default_rng(7)
+faces = [np.zeros(s) for s in ((32, 31, 13), (31, 32, 13), (31, 31, 14))]
+for axis, a in enumerate(faces):
+    inner = (slice(None),) * axis + (slice(1, -1),)
+    a[inner] = rng.random(a[inner].shape)
+problem = ib.PdeProblem(
+    ib.TimeGrid(0.004, 1e-3, ()), grid,
+    ib.InhibitionPressure(ib.build_random_amplitude(grid, 1.0, seed=3), 0.75, 0.2),
+    ib.DiffusionField(grid, *faces), ib.ChemicalParams(0.3, 0.0),
+    ib.ScalarField(grid, rng.random(grid.dims)),
+)
+sys.stdout.write(hashlib.sha256(ib.simulate_pde(problem).fields.tobytes()).hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_blas_thread_count():
+    """A 12,493-point run gives the same bytes with 1 and 2 OpenBLAS threads.
+
+    BLAS splits long inner products over its threads, which changes their
+    rounding; the solver's reductions must not go through it.  On a
+    single-core machine OpenBLAS caps its thread count at 1, so both runs
+    are alike and the test passes trivially there.
+    """
+    src = str(Path(ib.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, check=True,
+                             capture_output=True, text=True)
+        digests.append(run.stdout)
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
 class TestSimulatePde:
     def test_noop_pulses(self):
         prob = reference_pde(cells=(2, 2, 1), t_end=0.2)
@@ -139,6 +232,15 @@ class TestSimulatePde:
         assert len(prob.time_grid.times) - 1 in nodes
         for j in traj.jumps:
             assert j.node_index in nodes
+
+    def test_stored_nodes_are_the_multiples_the_pulses_and_the_end(self):
+        prob = reference_pde(cells=(2, 2, 1), t_end=0.2)
+        tg = prob.time_grid
+        want = sorted({*range(0, tg.n_steps + 1, 7), *tg.candidate_indices, tg.n_steps})
+        traj = ib.simulate_pde(prob, store_every=7)
+        assert traj.node_indices.tolist() == want
+        assert np.array_equal(traj.times, tg.times[want])
+        assert ib.simulate_pde(prob).node_indices.tolist() == list(range(tg.n_steps + 1))
 
     def test_invariance_small_sweep(self, rng):
         for _ in range(5):
@@ -275,6 +377,29 @@ class TestConvergenceOrder:
         e1 = np.abs(terminal(4e-3) - ref).max()
         e2 = np.abs(terminal(2e-3) - ref).max()
         assert 3.5 <= e1 / e2 <= 4.5
+
+
+class TestCgCounters:
+    def test_counters_of_an_optimal_pulse(self, fig5):
+        bundle, res = fig5
+        cg = res.diagnostics["cg"]
+        # the bang-bang sweep and the forward run, one CG solve per step each
+        assert cg["solves"] == 2 * bundle.problem.time_grid.n_steps
+        assert cg["iterations"] >= cg["solves"]
+        assert 1 <= cg["max_iterations"] <= cg["iterations"]
+        assert 0.0 < cg["worst_residual"] <= pde_mod.CG_RTOL
+
+    def test_counters_are_deterministic(self):
+        prob = reference_pde(cells=(3, 2, 1), t_end=0.2, sigma_star=0.01)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5)
+        first = ib.fixed_point_pulse(prob, None, costs).diagnostics["cg"]
+        assert first == ib.fixed_point_pulse(prob, None, costs).diagnostics["cg"]
+        assert first["worst_residual"] <= pde_mod.CG_RTOL
+
+    def test_averaged_results_have_no_cg_counters(self):
+        prob = reference_pde(cells=(2, 2, 1), t_end=0.2).averaged()
+        res = ib.optimal_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.5))
+        assert "cg" not in res.diagnostics
 
 
 def test_cg_iteration_budget_failure_reports_residual(monkeypatch, rng):
