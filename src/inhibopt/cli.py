@@ -119,6 +119,7 @@ def _task_optimize_pulse(bundle: iomod.Bundle, out: Path) -> None:
         "iterations": result.iterations,
         "converged": result.converged,
         "total_cost": result.cost.total,
+        "realized_pulses": len(result.forward.jumps),
         **{f"cg_{k}": v for k, v in result.diagnostics.get("cg", {}).items()},
     })
 
@@ -127,19 +128,15 @@ def _task_optimize_mixed(bundle: iomod.Bundle, out: Path) -> None:
     result = projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
     _export_result(bundle, out, result)
     iomod.write_control(out / "control.csv", bundle.problem.time_grid, result.control)
-    cert = result.continuous_certificate
-    with open(out / "control_certificate.csv", "w") as fh:
-        fh.write("t,unit_cost,switch_level,u,margin,consistent\n")
-        flat = lambda a: a if a.ndim == 1 else a.mean(axis=tuple(range(1, a.ndim)))  # noqa: E731
-        for row in zip(flat(cert.mid_times), flat(cert.unit_cost), flat(cert.switch_level),
-                       flat(cert.control), flat(cert.margin), flat(cert.consistent.astype(float))):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    iomod.write_control_certificate(out / "control_certificate.csv", result.continuous_certificate)
     _write_common(out, bundle, "optimize-mixed", {
         "iterations": result.iterations,
         "converged": result.converged,
         "total_cost": result.cost.total,
-        "certificate_agreement": cert.agreement_fraction(),
+        "realized_pulses": len(result.forward.jumps),
+        "certificate_agreement": result.continuous_certificate.agreement_fraction(),
         "stop_reason": result.diagnostics["stop_reason"],
+        "line_search_halvings": result.diagnostics["line_search_halvings"],
     })
 
 
@@ -209,10 +206,10 @@ def _task_gradient_check(bundle: iomod.Bundle, out: Path | None) -> float:
     print(f"max relative adjoint-vs-fd error: {max(err_v, err_u):.3e} "
           f"(tolerance {GRADIENT_CHECK_TOL:.0e})")
     if out is not None:
-        with open(out / "gradient_check.csv", "w") as fh:
-            fh.write("quantity,adjoint,finite_difference,relative_error\n")
-            fh.write(f"pulse,{float(adjoint_v)!r},{float(fd_v)!r},{float(err_v)!r}\n")
-            fh.write(f"chemical,{float(adjoint_u)!r},{float(fd_u)!r},{float(err_u)!r}\n")
+        iomod.write_gradient_check(out / "gradient_check.csv", {
+            "pulse": (adjoint_v, fd_v, err_v),
+            "chemical": (adjoint_u, fd_u, err_u),
+        })
         _write_common(out, bundle, "gradient-check",
                       {"max_relative_error": max(err_v, err_u)})
     return max(err_v, err_u)

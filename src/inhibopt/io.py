@@ -14,7 +14,9 @@ manifest alone suffices to re-run an experiment.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -71,21 +73,48 @@ def read_field_csv(path, grid: SpaceGrid) -> ScalarField:
 def write_field_csv(path, field: ScalarField) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("i,j,k,value\n")
-        for (i, j, k), val in np.ndenumerate(field.values):
-            fh.write(f"{i},{j},{k},{_fmt(val)}\n")
+        _write_points(fh, [""], field.values[np.newaxis])
 
 
 # ---------------------------------------------------------------------------
 # trajectory / result exports
 
 
-def _write_rows(fh, prefix: str, values) -> None:
-    """``prefix,value`` for a scalar; ``prefix,i,j,k,value`` per grid point for a field."""
-    if np.ndim(values) == 0:
-        fh.write(f"{prefix},{_fmt(values)}\n")
-        return
-    for (i, j, k), val in np.ndenumerate(values):
-        fh.write(f"{prefix},{i},{j},{k},{_fmt(val)}\n")
+_LINES_PER_WRITE = 512
+
+
+def _key(t) -> str:
+    return _fmt(t) + ","
+
+
+def _write_points(fh, keys: list[str], table: np.ndarray, columns: int = 1) -> None:
+    """Write one line per grid point of each row of ``table``: key, ``i,j,k,``, values.
+
+    ``table`` has shape ``(rows, *shape)``, or ``(rows, *shape, columns)``
+    when ``columns > 1``.  ``keys`` holds one string per row that carries its
+    own trailing comma (an empty key starts the line at the point index); a
+    scalar row is the ``shape == ()`` case, with no index.  Each block of
+    rows is formatted by one ``%``-template, ``%r`` on Python floats being
+    the shortest round-trip format.  A block is one row, or as many rows of a
+    scalar or small grid as fit in ``_LINES_PER_WRITE`` lines, so the writer
+    never holds a history-sized copy.
+    """
+    shape = table.shape[1:table.ndim - (columns > 1)]
+    values = ",".join(["%r"] * columns)
+    row_template = "".join(
+        "%s" + "".join(f"{i}," for i in idx) + values + "\n" for idx in np.ndindex(shape)
+    )
+    points = math.prod(shape)
+    block = max(1, _LINES_PER_WRITE // points)
+    step = columns + 1
+    for r0 in range(0, len(table), block):
+        chunk = table[r0:r0 + block]
+        flat = chunk.reshape(-1).tolist()
+        args = [None] * (len(flat) // columns * step)
+        args[::step] = list(chain.from_iterable(repeat(k, points) for k in keys[r0:r0 + block]))
+        for c in range(columns):
+            args[c + 1::step] = flat[c::columns]
+        fh.write(row_template * len(chunk) % tuple(args))
 
 
 def _jump_rows(traj) -> dict[int, object]:
@@ -117,35 +146,52 @@ def write_pde_summary(path, traj: Trajectory) -> None:
 def write_field_snapshots(path, traj: Trajectory) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,i,j,k,theta\n")
-        for t, field in zip(traj.times, traj.fields):
-            _write_rows(fh, _fmt(t), field)
+        _write_points(fh, [_key(t) for t in traj.times], traj.fields)
 
 
 def write_adjoint(path, adj: Trajectory) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,p\n" if adj.values.ndim == 1 else "t,i,j,k,p\n")
-        for t, p in zip(adj.times, adj.values):
-            _write_rows(fh, _fmt(t), p)
+        _write_points(fh, [_key(t) for t in adj.times], adj.values)
 
 
 def write_strategy(path, time_grid: TimeGrid, strategy: PulseStrategy) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("tau_i,v_i\n" if strategy.values.ndim == 1 else "tau_i,i,j,k,v\n")
-        for tau, v in zip(time_grid.candidate_pulse_times, strategy.values):
-            _write_rows(fh, _fmt(tau), v)
+        _write_points(fh, [_key(t) for t in time_grid.candidate_pulse_times], strategy.values)
 
 
 def write_certificate(path, certificate) -> None:
     shape = np.shape(certificate[0].p_plus) if certificate else ()
-    points = ["".join(f",{i}" for i in idx) for idx in np.ndindex(shape)]  # [""] for scalars
     with open(path, "w", newline="") as fh:
         fh.write("tau_i,p_plus,c_i,v_i,margin\n" if shape == () else "tau_i,i,j,k,p_plus,c_i,v_i,margin\n")
-        for c in certificate:
-            ts = _fmt(c.time)
-            columns = [np.broadcast_to(a, shape).ravel().tolist()
-                       for a in (c.p_plus, c.unit_cost, c.applied, c.margin)]
-            for point, *values in zip(points, *columns):
-                fh.write(f"{ts}{point}," + ",".join(map(repr, values)) + "\n")
+        if not certificate:
+            return
+        table = np.stack([np.stack(np.broadcast_arrays(c.p_plus, c.unit_cost, c.applied, c.margin), axis=-1)
+                          for c in certificate])  # (m, *shape, 4)
+        _write_points(fh, [_key(c.time) for c in certificate], table, columns=4)
+
+
+def write_control_certificate(path, cert) -> None:
+    """Per-step chemical certificate; field entries are written as their grid means."""
+
+    def flat(a):
+        return a if a.ndim == 1 else a.mean(axis=tuple(range(1, a.ndim)))
+
+    columns = (cert.mid_times, cert.unit_cost, cert.switch_level, cert.control, cert.margin,
+               cert.consistent.astype(float))
+    with open(path, "w", newline="") as fh:
+        fh.write("t,unit_cost,switch_level,u,margin,consistent\n")
+        for row in zip(*(flat(a) for a in columns)):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def write_gradient_check(path, rows: dict) -> None:
+    """``rows`` maps a quantity name to its (adjoint, finite difference, relative error)."""
+    with open(path, "w", newline="") as fh:
+        fh.write("quantity,adjoint,finite_difference,relative_error\n")
+        for name, values in rows.items():
+            fh.write(name + "".join(f",{float(x)!r}" for x in values) + "\n")
 
 
 def write_cost(path, cost: CostBreakdown) -> None:

@@ -339,8 +339,10 @@ def projected_gradient_mixed(
     update.  Stops when the control update norm <= tol_control or the cost
     decrease <= tol_cost.  ``diagnostics["stop_reason"]`` names the stop:
     stationary, step tolerance, cost tolerance, line search failed or
-    iteration cap.  The certificate records, per time sample, whether the
-    final iterate matches the chemical bang-bang switching condition.
+    iteration cap; ``diagnostics["line_search_halvings"]`` counts the step
+    halvings over all iterations.  The certificate records, per time sample,
+    whether the final iterate matches the chemical bang-bang switching
+    condition.
     """
     if not problem.chem.sigma > 0:
         raise ProblemError("projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)")
@@ -353,6 +355,7 @@ def projected_gradient_mixed(
     current = optimal_pulse(problem, u, costs)
     j_history = [current.cost.total]
     iterations = 0
+    halvings = 0
     converged = False
     stop_reason = "iteration cap"
     while iterations < max_iterations:
@@ -371,6 +374,7 @@ def projected_gradient_mixed(
                 accepted = (u_new, trial)
                 break
             gamma *= shrink
+            halvings += 1
         if accepted is None:
             converged = stationary
             stop_reason = "stationary" if stationary else "line search failed"
@@ -386,7 +390,7 @@ def projected_gradient_mixed(
             break
 
     cont_cert = _continuous_certificate(prop, current.forward, current.adjoint, u, costs)
-    diag = {"cost_history": j_history, "stop_reason": stop_reason}
+    diag = {"cost_history": j_history, "stop_reason": stop_reason, "line_search_halvings": halvings}
     return StrategyResult(
         current.strategy,
         u,

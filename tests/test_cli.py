@@ -117,6 +117,27 @@ class TestOptimizeCommands:
         assert extras["stop_reason"] in ("stationary", "step tolerance", "cost tolerance",
                                          "line search failed", "iteration cap")
 
+    def test_manifests_record_realized_pulses_and_halvings(self, tmp_path):
+        gated = {**AVERAGED_CFG, "model": {**AVERAGED_CFG["model"], "sigma_star": 0.45}}
+        out = tmp_path / "pulse"
+        assert run_cli(["optimize-pulse", "--config", str(write_config(tmp_path / "p.yaml", gated)),
+                        "--out", str(out)]) == 0
+        _, extras = iomod.config_from_manifest(out / "manifest")
+        realized = sum(int(r["is_pulse"]) for r in read_rows(out / "trajectory.csv"))
+        assert extras["realized_pulses"] == realized == 5  # of 12 candidates, the rest below sigma*
+        assert "line_search_halvings" not in extras
+
+        mixed = {**AVERAGED_CFG, "cost": {"pulse_unit": 0.4, "continuous_unit": 0.1}}
+        out = tmp_path / "mixed"
+        assert run_cli(["optimize-mixed", "--config", str(write_config(tmp_path / "m.yaml", mixed)),
+                        "--out", str(out)]) == 0
+        _, extras = iomod.config_from_manifest(out / "manifest")
+        realized = sum(int(r["is_pulse"]) for r in read_rows(out / "trajectory.csv"))
+        assert extras["realized_pulses"] == realized == 12
+        bundle = iomod.resolve_bundle(mixed)
+        res = ib.projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
+        assert extras["line_search_halvings"] == res.diagnostics["line_search_halvings"]
+
     def test_brute_force_small_instance(self, tmp_path):
         cfg = dict(AVERAGED_CFG)
         cfg["model"] = {"kind": "averaged", "t_end": 8 / 52, "step": 1e-3}

@@ -1,0 +1,186 @@
+"""Per-point CSV writers against plain reference loops.
+
+Each reference below is the straightforward ``np.ndenumerate`` + ``repr``
+loop the writers must reproduce byte for byte; the writers themselves format
+a block of rows per call and must never hold a history-sized copy.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import inhibopt as ib
+from conftest import reference_averaged, reference_pde
+from inhibopt import io as iomod
+from inhibopt.core import Trajectory
+
+# signed zero, exponent switch points of repr, and the smallest subnormal
+SPECIAL = [-0.0, 1e-05, 1e16, 9.999999999999999e15, 5e-324]
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def _ref_rows(fh, prefix, values):
+    if np.ndim(values) == 0:
+        fh.write(f"{prefix},{_fmt(values)}\n")
+        return
+    for (i, j, k), val in np.ndenumerate(values):
+        fh.write(f"{prefix},{i},{j},{k},{_fmt(val)}\n")
+
+
+def ref_field_snapshots(path, traj):
+    with open(path, "w", newline="") as fh:
+        fh.write("t,i,j,k,theta\n")
+        for t, field in zip(traj.times, traj.fields):
+            _ref_rows(fh, _fmt(t), field)
+
+
+def ref_adjoint(path, adj):
+    with open(path, "w", newline="") as fh:
+        fh.write("t,p\n" if adj.values.ndim == 1 else "t,i,j,k,p\n")
+        for t, p in zip(adj.times, adj.values):
+            _ref_rows(fh, _fmt(t), p)
+
+
+def ref_strategy(path, time_grid, strategy):
+    with open(path, "w", newline="") as fh:
+        fh.write("tau_i,v_i\n" if strategy.values.ndim == 1 else "tau_i,i,j,k,v\n")
+        for tau, v in zip(time_grid.candidate_pulse_times, strategy.values):
+            _ref_rows(fh, _fmt(tau), v)
+
+
+def ref_certificate(path, certificate):
+    shape = np.shape(certificate[0].p_plus) if certificate else ()
+    with open(path, "w", newline="") as fh:
+        fh.write("tau_i,p_plus,c_i,v_i,margin\n" if shape == () else "tau_i,i,j,k,p_plus,c_i,v_i,margin\n")
+        for c in certificate:
+            cols = [np.broadcast_to(a, shape) for a in (c.p_plus, c.unit_cost, c.applied, c.margin)]
+            if shape == ():
+                fh.write(f"{_fmt(c.time)}," + ",".join(_fmt(a) for a in cols) + "\n")
+                continue
+            for (i, j, k), p in np.ndenumerate(cols[0]):
+                values = [p] + [a[i, j, k] for a in cols[1:]]
+                fh.write(f"{_fmt(c.time)},{i},{j},{k}," + ",".join(_fmt(a) for a in values) + "\n")
+
+
+def ref_field_csv(path, field):
+    with open(path, "w", newline="") as fh:
+        fh.write("i,j,k,value\n")
+        for (i, j, k), val in np.ndenumerate(field.values):
+            fh.write(f"{i},{j},{k},{_fmt(val)}\n")
+
+
+def ref_control_certificate(path, cert):
+    with open(path, "w", newline="") as fh:
+        fh.write("t,unit_cost,switch_level,u,margin,consistent\n")
+        flat = lambda a: a if a.ndim == 1 else a.mean(axis=tuple(range(1, a.ndim)))  # noqa: E731
+        for row in zip(flat(cert.mid_times), flat(cert.unit_cost), flat(cert.switch_level),
+                       flat(cert.control), flat(cert.margin), flat(cert.consistent.astype(float))):
+            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+
+
+def assert_same_bytes(tmp_path, writer, reference, *args):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    writer(got, *args)
+    reference(want, *args)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def with_specials(values: np.ndarray) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    flat = out.reshape(-1)
+    flat[: len(SPECIAL)] = SPECIAL
+    flat[-len(SPECIAL):] = [-x for x in SPECIAL]
+    return out
+
+
+@pytest.fixture(scope="module")
+def averaged_run():
+    prob = reference_averaged(t_end=0.25)
+    return prob, ib.optimal_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.4))
+
+
+@pytest.fixture(scope="module")
+def field_run():
+    prob = reference_pde(cells=(2, 2, 1), t_end=0.1, diffusion=0.5)
+    return prob, ib.optimal_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.4))
+
+
+@pytest.mark.parametrize("run", ["averaged_run", "field_run"])
+def test_result_writers_match_the_reference_loops(tmp_path, request, run):
+    prob, res = request.getfixturevalue(run)
+    assert res.certificate  # the certificate carries one row per realized pulse
+    assert_same_bytes(tmp_path, iomod.write_adjoint, ref_adjoint, res.adjoint)
+    assert_same_bytes(tmp_path, iomod.write_strategy, ref_strategy, prob.time_grid, res.strategy)
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, res.certificate)
+    if run == "field_run":
+        assert_same_bytes(tmp_path, iomod.write_field_snapshots, ref_field_snapshots, res.forward)
+
+
+def test_decimated_field_snapshots(tmp_path):
+    prob = reference_pde(cells=(2, 2, 1), t_end=0.1)
+    tg = prob.time_grid
+    v = ib.PulseStrategy(np.full((tg.n_candidates, *prob.grid.dims), 0.5))
+    traj = ib.simulate_pde(prob, None, v, store_every=7)
+    assert traj.store_every == 7 and len(traj.times) < len(tg.times)
+    assert_same_bytes(tmp_path, iomod.write_field_snapshots, ref_field_snapshots, traj)
+
+
+def test_special_values_and_per_point_strategy(tmp_path, rng):
+    prob = reference_pde(cells=(2, 2, 1), t_end=0.1)
+    tg, dims = prob.time_grid, prob.grid.dims
+    field_hist = with_specials(rng.standard_normal((7, *dims)) * 10.0 ** rng.integers(-9, 9, (7, *dims)))
+    traj = Trajectory(np.linspace(0.0, 0.1, 7), field_hist, [])
+    assert_same_bytes(tmp_path, iomod.write_adjoint, ref_adjoint, traj)
+    assert_same_bytes(tmp_path, iomod.write_field_snapshots, ref_field_snapshots, traj)
+    # more scalar rows than one write takes, ending in a partial block
+    scalar = Trajectory(np.linspace(0.0, 1.0, 1041), with_specials(rng.random(1041)), [])
+    assert_same_bytes(tmp_path, iomod.write_adjoint, ref_adjoint, scalar)
+
+    per_point = ib.PulseStrategy(with_specials(rng.random((tg.n_candidates, *dims))))
+    assert_same_bytes(tmp_path, iomod.write_strategy, ref_strategy, tg, per_point)
+    assert_same_bytes(tmp_path, iomod.write_strategy, ref_strategy, tg,
+                      ib.PulseStrategy(with_specials(rng.random(tg.n_candidates))))
+
+    field = ib.ScalarField(prob.grid, with_specials(rng.random(dims)))
+    assert_same_bytes(tmp_path, iomod.write_field_csv, ref_field_csv, field)
+    assert iomod.read_field_csv(tmp_path / "got.csv", prob.grid).values.tobytes() == field.values.tobytes()
+
+    certificate = [
+        ib.PulseCertificate(0.25, 0, with_specials(rng.random(dims)), 0.4, with_specials(rng.random(dims)),
+                            with_specials(rng.standard_normal(dims))),
+        ib.PulseCertificate(0.5, 1, rng.random(dims), np.full(dims, 1e16), np.ones(dims), rng.random(dims)),
+    ]
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, certificate)
+    scalar_cert = [ib.PulseCertificate(t, i, x, 0.4, 1.0, x - 0.4) for i, (t, x) in enumerate(zip(
+        [0.1, 0.2, 0.3, 0.4, 0.5], SPECIAL))]
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, scalar_cert)
+
+
+def test_empty_certificate_is_the_header(tmp_path):
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, [])
+    assert (tmp_path / "got.csv").read_text() == "tau_i,p_plus,c_i,v_i,margin\n"
+
+
+@pytest.mark.parametrize("kind", ["averaged", "pde"])
+def test_control_certificate_matches_the_reference_loop(tmp_path, kind):
+    prob = reference_averaged(t_end=0.25) if kind == "averaged" else reference_pde(cells=(2, 2, 1), t_end=0.1)
+    costs = ib.CostSpec.constant(prob.time_grid, 0.4, continuous_unit=0.05)
+    res = ib.projected_gradient_mixed(prob, costs, max_iterations=3)
+    assert_same_bytes(tmp_path, iomod.write_control_certificate, ref_control_certificate,
+                      res.continuous_certificate)
+
+
+def test_adjoint_writer_holds_no_history_copy(tmp_path, rng):
+    # a fig5-size costate: 1,041 nodes on the 11 x 11 x 4-point grid
+    adj = Trajectory(np.linspace(0.0, 1.0, 1041), rng.random((1041, 11, 11, 4)), [])
+    tracemalloc.start()
+    try:
+        iomod.write_adjoint(tmp_path / "adjoint.csv", adj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < adj.values.nbytes / 10

@@ -6,6 +6,7 @@ import pytest
 import inhibopt as ib
 from conftest import reference_alpha, reference_averaged, reference_pde
 from inhibopt import io as iomod
+from inhibopt import optimize
 from inhibopt.presets import PRESETS
 
 
@@ -279,6 +280,31 @@ class TestProjectedGradientMixed:
         res = ib.projected_gradient_mixed(prob, costs, max_iterations=2)
         assert res.diagnostics["stop_reason"] == "iteration cap"
         assert res.iterations == 2 and not res.converged
+
+    @pytest.mark.parametrize("rejected, max_halvings, stop", [
+        (2, 40, "iteration cap"),  # the third trial step is accepted
+        (None, 3, "line search failed"),  # every trial step is rejected
+    ])
+    def test_line_search_halvings_are_counted(self, monkeypatch, rejected, max_halvings, stop):
+        # no halving happens on the reference problems, so trial steps are
+        # made to look worse by reporting a raised cost for them
+        prob = reference_averaged(t_end=0.25)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.4, continuous_unit=0.005)
+        real = optimize.optimal_pulse
+        trials = []
+
+        def worse_trials(problem, u, costs):
+            res = real(problem, u, costs)
+            if u is not None and np.any(u.samples) and (rejected is None or len(trials) < rejected):
+                trials.append(u)
+                c = res.cost
+                res.cost = ib.CostBreakdown.assemble(c.running_state, c.running_control, c.pulse, c.final + 1.0)
+            return res
+
+        monkeypatch.setattr(optimize, "optimal_pulse", worse_trials)
+        res = ib.projected_gradient_mixed(prob, costs, max_halvings=max_halvings, max_iterations=1)
+        assert res.diagnostics["stop_reason"] == stop
+        assert res.diagnostics["line_search_halvings"] == len(trials) == (rejected or max_halvings + 1)
 
     def test_space_dependent_problem(self):
         prob = reference_pde(cells=(2, 2, 1), t_end=0.2)
