@@ -48,7 +48,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override for random fields")
         p.add_argument("--store-every", type=int, default=1, dest="store_every",
-                       help="keep and write every m-th field snapshot; the cost is unchanged")
+                       help="keep and write every m-th field node (simulate-pde, optimize-pulse); "
+                            "the cost is unchanged; optimize-mixed stores every node, as its "
+                            "chemical gradient needs")
         return p
 
     add("simulate-averaged", "forward run of the spatially averaged model")
@@ -112,14 +114,17 @@ def _export_result(bundle: iomod.Bundle, out: Path, result) -> None:
         iomod.write_adjoint(out / "adjoint.csv", result.adjoint)
 
 
-def _task_optimize_pulse(bundle: iomod.Bundle, out: Path) -> None:
-    result = fixed_point_pulse(bundle.problem, bundle.u, bundle.costs)  # optimal_pulse at sigma_star = 0
+def _task_optimize_pulse(bundle: iomod.Bundle, out: Path, store_every: int) -> None:
+    # optimal_pulse at sigma_star = 0; the averaged model stores every node
+    result = fixed_point_pulse(bundle.problem, bundle.u, bundle.costs,
+                               store_every=store_every if bundle.kind == "pde" else 1)
     _export_result(bundle, out, result)
     _write_common(out, bundle, "optimize-pulse", {
         "iterations": result.iterations,
         "converged": result.converged,
         "total_cost": result.cost.total,
         "realized_pulses": len(result.forward.jumps),
+        "store_every": result.forward.store_every,
         **{f"cg_{k}": v for k, v in result.diagnostics.get("cg", {}).items()},
     })
 
@@ -234,7 +239,7 @@ def _run_preset(name: str, out: Path, seed: int | None) -> int:
         elif run.task == "simulate":
             _task_simulate(bundle, member_out, store_every)
         elif run.task == "optimize-pulse":
-            _task_optimize_pulse(bundle, member_out)
+            _task_optimize_pulse(bundle, member_out, store_every)
         elif run.task == "optimize-mixed":
             _task_optimize_mixed(bundle, member_out)
         else:
@@ -280,7 +285,7 @@ def run_cli(argv) -> int:
                 return 1
             _task_simulate(bundle, out, args.store_every)
         elif args.command == "optimize-pulse":
-            _task_optimize_pulse(bundle, out)
+            _task_optimize_pulse(bundle, out, args.store_every)
         elif args.command == "optimize-mixed":
             _task_optimize_mixed(bundle, out)
         elif args.command == "brute-force":

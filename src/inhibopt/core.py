@@ -59,9 +59,10 @@ class Trajectory:
 
     One record for both models and every run.  ``node_indices`` maps stored
     rows to integration nodes: with ``store_every`` > 1, every m-th node plus
-    all pulse nodes and the final node.  ``skipped_sums`` holds the grid sum
-    of each node not stored, in node order, so the cost is that of the whole
-    run.  ``grid`` is the field's space grid (None for the averaged model).
+    every candidate node and the final node.  ``skipped_sums`` holds a state
+    run's grid sum of each node not stored, in node order, so the cost is
+    that of the whole run.  ``grid`` is the field's space grid (None for the
+    averaged model).
     """
 
     times: np.ndarray
@@ -128,6 +129,23 @@ def _span_midpoints(traj: Trajectory) -> np.ndarray:
     return mid
 
 
+def _stored_nodes(time_grid, store_every: int) -> tuple[np.ndarray, list | None]:
+    """Stored node indices of a run and a per-node keep flag (None: every node is stored).
+
+    Every ``store_every``-th node, every candidate node and the final node, so
+    a forward run and a costate sweep at the same spacing store the same nodes.
+    """
+    if store_every < 1:
+        raise ProblemError("store_every must be >= 1")
+    last = time_grid.n_steps
+    if store_every == 1:
+        return np.arange(last + 1), None
+    stored = np.arange(last + 1) % store_every == 0
+    stored[list(time_grid.candidate_indices)] = True
+    stored[last] = True
+    return np.flatnonzero(stored), stored.tolist()
+
+
 def _as_direction_array(direction) -> np.ndarray:
     if isinstance(direction, PulseStrategy):
         return direction.values
@@ -190,7 +208,7 @@ class Propagator:
     def forward(self, v: PulseStrategy | None = None, store_every: int = 1):
         """State run with threshold-gated pulses; stores every ``store_every``-th node.
 
-        Pulse nodes and the final node are always stored, and the grid sum of
+        Candidate nodes and the final node are always stored, and the grid sum of
         every other node is kept for the cost.  Stored values are left limits;
         post-jump values live in the jump records.
         """
@@ -201,8 +219,6 @@ class Propagator:
             raise ProblemError(
                 f"strategy has {len(v)} values for {tg.n_candidates} candidate pulse times"
             )
-        if store_every < 1:
-            raise ProblemError("store_every must be >= 1")
         values = _rows(v.values)
 
         def jump(k, x):
@@ -225,15 +241,7 @@ class Propagator:
     def _run(self, x, advance, pulse_at: dict, jump, store_every: int = 1):
         tg = self.time_grid
         last = tg.n_steps
-        keep = None  # every node is stored
-        if store_every == 1:
-            rows = np.arange(last + 1)
-        else:
-            stored = np.arange(last + 1) % store_every == 0
-            stored[list(pulse_at)] = True
-            stored[last] = True
-            rows = np.flatnonzero(stored)
-            keep = stored.tolist()
+        rows, keep = _stored_nodes(tg, store_every)
         states = np.empty((len(rows), *self.shape))
         jumps: list[Jump] = []
         skipped = []  # stays empty when every node is stored
@@ -256,21 +264,25 @@ class Propagator:
         return Trajectory(tg.times[rows], states, jumps, rows, store_every, self.grid,
                           np.array(skipped))
 
-    def backward(self, costs: CostSpec, realized, decide):
+    def backward(self, costs: CostSpec, realized, decide, store_every: int = 1):
         """Costate sweep from p(T) = C_f with source +1 under the forward step operator.
 
         At each realized candidate k (all if ``realized`` is None) v_k =
         ``decide(k, p_plus)`` and p(tau_k) = v_k*p(tau_k^+) + c_k*(1-v_k).
-        Returns (per-candidate v, 1 where unrealized; the costate Trajectory).
+        Only the nodes a forward run at ``store_every`` stores are kept: every
+        m-th node, every candidate node and the final node.  Returns the
+        costate Trajectory; each jump record's ``applied`` is the ``decide``
+        result itself, so a decision that views a live array is not copied.
         """
         tg = self.time_grid
         last = tg.n_steps
+        rows, keep = _stored_nodes(tg, store_every)
         if realized is None:
             realized = range(tg.n_candidates)
         pulse_at = {tg.candidate_indices[k]: k for k in realized}
         c = _rows(costs.pulse_unit)
-        values = np.empty((last + 1, *self.shape))
-        v_out = np.ones((tg.n_candidates, *self.shape))
+        values = np.empty((len(rows), *self.shape))
+        r = len(rows)
         jumps: list[AdjointJump] = []
         p = self.state(costs.final)
         for n in range(last, -1, -1):
@@ -283,17 +295,21 @@ class Propagator:
                 p_plus = self.zero if n == last else p
                 v = decide(k, p_plus)
                 p = (p if n == last else v * p_plus) + c[k] * (1.0 - v)
-                v_out[k] = v
                 jumps.append(AdjointJump(tg.times[n], n, k, p_plus, p, v))
-            values[n] = p
+            if keep is None:  # every node is stored: the averaged hot loop
+                values[n] = p
+            elif keep[n]:
+                r -= 1
+                values[r] = p
         jumps.reverse()
-        return v_out, Trajectory(tg.times.copy(), values, jumps)
+        return Trajectory(tg.times[rows], values, jumps, rows, store_every, self.grid)
 
-    def adjoint(self, strategy: PulseStrategy, costs: CostSpec, forward) -> Trajectory:
+    def adjoint(self, strategy: PulseStrategy, costs: CostSpec, forward,
+                store_every: int = 1) -> Trajectory:
         """Costate sweep with the decisions fixed to ``strategy`` on forward's realized pulses."""
         v = _rows(strategy.values)
         realized = [j.candidate_index for j in forward.jumps]
-        return self.backward(costs, realized, lambda k, p_plus: v[k])[1]
+        return self.backward(costs, realized, lambda k, p_plus: v[k], store_every)
 
     def cost(self, traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec):
         return _cost(traj, v, u, costs, self.space_weight, self.time_grid.dt)

@@ -125,7 +125,7 @@ def write_averaged_trajectory(path, traj: Trajectory) -> None:
     jumps = _jump_rows(traj)
     with open(path, "w", newline="") as fh:
         fh.write("t,theta,is_pulse,v_applied\n")
-        for node, (t, val) in enumerate(zip(traj.times, traj.values)):
+        for node, t, val in zip(traj.node_indices.tolist(), traj.times, traj.values):
             j = jumps.get(node)
             v_str = _fmt(np.mean(j.applied)) if j is not None else ""
             fh.write(f"{_fmt(t)},{_fmt(val)},{int(j is not None)},{v_str}\n")

@@ -104,18 +104,24 @@ class StrategyResult:
 # backward bang-bang sweep
 
 
-def _sweep(prop, costs, realized_candidates=None):
+def _sweep(prop, costs, realized_candidates=None, store_every=1):
     """Backward costate sweep deciding v at each (realized) candidate.
 
     v_i = 0 where p(tau_i^+) > c_i + TIE_TOL, else 1: the adjoint sweep with
     the bang-bang rule as its decision.  Returns (strategy values,
-    costate Trajectory).  ``realized_candidates`` restricts the jump set (used
-    by the threshold fixed point); None means every candidate pulses, which
-    is the sigma_star = 0 situation.
+    costate Trajectory storing the nodes of ``store_every``).
+    ``realized_candidates`` restricts the jump set (used by the threshold
+    fixed point); None means every candidate pulses, which is the
+    sigma_star = 0 situation.
     """
     c = _rows(costs.pulse_unit)
-    return prop.backward(costs, realized_candidates,
-                         lambda k, p_plus: 1.0 - (p_plus > c[k] + TIE_TOL))
+    v = np.ones((prop.time_grid.n_candidates, *prop.shape))  # 1 where unrealized
+
+    def decide(k, p_plus):
+        v[k] = d = 1.0 - (p_plus > c[k] + TIE_TOL)
+        return v[k] if prop.shape else d  # a field record views its row
+
+    return v, prop.backward(costs, realized_candidates, decide, store_every)
 
 
 def _certificate(forward, adjoint, costs) -> list[PulseCertificate]:
@@ -126,13 +132,15 @@ def _certificate(forward, adjoint, costs) -> list[PulseCertificate]:
             for aj in adjoint.jumps if aj.node_index in realized]
 
 
-def _result(prop, strategy, u, costs, forward=None, adjoint=None, **extra) -> StrategyResult:
+def _result(prop, strategy, u, costs, forward=None, adjoint=None, store_every=1,
+            **extra) -> StrategyResult:
     """Forward run, cost, costate and certificate of a decided strategy, with the
-    propagator's counters (``diagnostics["cg"]`` for fields) over the whole optimization."""
+    propagator's counters (``diagnostics["cg"]`` for fields) over the whole optimization.
+    Runs made here store the nodes of ``store_every``."""
     if forward is None:
-        forward = prop.forward(strategy)
+        forward = prop.forward(strategy, store_every)
     if adjoint is None:
-        adjoint = prop.adjoint(strategy, costs, forward)
+        adjoint = prop.adjoint(strategy, costs, forward, store_every)
     cost = prop.cost(forward, strategy, u, costs)
     certificate = _certificate(forward, adjoint, costs)
     result = StrategyResult(strategy, u, cost, certificate, forward, adjoint, **extra)
@@ -144,17 +152,23 @@ def optimal_pulse(
     problem: AveragedProblem | PdeProblem,
     u: ContinuousControl | None,
     costs: CostSpec,
+    store_every: int = 1,
 ) -> StrategyResult:
     """Constructive bang-bang pulse strategy via a single backward sweep.
 
     Only valid with sigma_star = 0 (every candidate time pulses); otherwise
-    use fixed_point_pulse.
+    use fixed_point_pulse.  The forward run and the costate keep every
+    ``store_every``-th node plus every candidate node and the final node, so
+    memory follows the spacing; the strategy, the cost and the certificate
+    are the same for every spacing.  The chemical gradient needs complete
+    records (the default).
     """
     if problem.chem.sigma_star > 0:
         raise ProblemError("optimal_pulse requires sigma_star = 0; use fixed_point_pulse")
     prop = _propagator(problem, u)
-    v_values, adjoint = _sweep(prop, costs)
-    return _result(prop, PulseStrategy(v_values), u, costs, adjoint=adjoint)
+    v_values, adjoint = _sweep(prop, costs, store_every=store_every)
+    return _result(prop, PulseStrategy(v_values), u, costs, adjoint=adjoint,
+                   store_every=store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -266,27 +280,31 @@ def fixed_point_pulse(
     u: ContinuousControl | None,
     costs: CostSpec,
     max_iterations: int = 50,
+    store_every: int = 1,
 ) -> StrategyResult:
     """Alternate forward realization / backward sweep until the pulse set is stable.
 
     With sigma_star = 0 this is exactly optimal_pulse.  Cycles between
     realized pulse sets raise PulseCycleError with both sets; hitting the
-    iteration cap returns the last iterate flagged as unconverged.
+    iteration cap returns the last iterate flagged as unconverged.  Every
+    forward run and sweep, the intermediate ones included, keeps only the
+    nodes of ``store_every`` (see optimal_pulse); the result is the same for
+    every spacing.
     """
     if problem.chem.sigma_star == 0:
-        return optimal_pulse(problem, u, costs)
+        return optimal_pulse(problem, u, costs, store_every)
     prop = _propagator(problem, u)
     seen: set = set()
     strategy = PulseStrategy(np.ones((problem.time_grid.n_candidates, *prop.shape)))
-    forward = prop.forward(strategy)
+    forward = prop.forward(strategy, store_every)
     iterations = 0
     converged = False
     while iterations < max_iterations:
         iterations += 1
         realized = frozenset(j.candidate_index for j in forward.jumps)
-        new_v, _ = _sweep(prop, costs, realized_candidates=realized)
+        new_v = _sweep(prop, costs, realized, store_every)[0]  # its costate is not needed
         new_strategy = PulseStrategy(new_v)
-        new_forward = prop.forward(new_strategy)
+        new_forward = prop.forward(new_strategy, store_every)
         new_realized = frozenset(j.candidate_index for j in new_forward.jumps)
         state = (new_realized, new_v.tobytes())
         if new_realized == realized and np.array_equal(new_v, strategy.values):
@@ -298,7 +316,7 @@ def fixed_point_pulse(
         seen.add(state)
         strategy, forward = new_strategy, new_forward
     # the costate is recomputed on the final realized set
-    return _result(prop, strategy, u, costs, forward=forward,
+    return _result(prop, strategy, u, costs, forward=forward, store_every=store_every,
                    iterations=iterations, converged=converged)
 
 

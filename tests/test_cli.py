@@ -71,6 +71,12 @@ class TestSimulateCommands:
         assert run_cli(["simulate-pde", "--config", str(cfg), "--out", str(out),
                         "--store-every", "10"]) == 0
         assert iomod.config_from_manifest(out / "manifest")[1]["store_every"] == 10
+        # optimize-pulse stores what it is asked on fields, every node on the averaged model
+        for name, want in (("pde", 10), ("avg", 1)):
+            out = tmp_path / f"optimize-{name}"
+            assert run_cli(["optimize-pulse", "--config", str(tmp_path / f"{name}.yaml"),
+                            "--out", str(out), "--store-every", "10"]) == 0
+            assert iomod.config_from_manifest(out / "manifest")[1]["store_every"] == want
 
     def test_kind_mismatch_is_validation_error(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml", AVERAGED_CFG)
@@ -89,6 +95,25 @@ class TestOptimizeCommands:
         assert list(cert[0]) == ["tau_i", "p_plus", "c_i", "v_i", "margin"]
         adj = read_rows(out / "adjoint.csv")
         assert list(adj[0]) == ["t", "p"]
+
+    def test_optimize_pulse_writes_the_stored_nodes(self, tmp_path):
+        for name, cfg in (("pde", PDE_CFG), ("avg", AVERAGED_CFG)):
+            path = write_config(tmp_path / f"{name}.yaml", cfg)
+            for m in ("1", "10"):
+                assert run_cli(["optimize-pulse", "--config", str(path),
+                                "--out", str(tmp_path / f"{name}-{m}"), "--store-every", m]) == 0
+        tg = iomod.resolve_bundle(iomod.normalize_config(PDE_CFG)).problem.time_grid
+        nodes = sorted({*range(0, tg.n_steps + 1, 10), *tg.candidate_indices, tg.n_steps})
+        full, thin = tmp_path / "pde-1", tmp_path / "pde-10"
+        for name in ("adjoint.csv", "summary.csv"):
+            lines = (thin / name).read_text().splitlines()
+            assert set(lines) <= set((full / name).read_text().splitlines())
+            assert sorted({float(line.split(",")[0]) for line in lines[1:]}) == tg.times[nodes].tolist()
+        for name in ("cost.csv", "strategy.csv", "certificate.csv"):
+            assert filecmp.cmp(full / name, thin / name, shallow=False)
+        n_nodes = len(iomod.resolve_bundle(iomod.normalize_config(AVERAGED_CFG)).problem.time_grid.times)
+        for name in ("trajectory.csv", "adjoint.csv"):
+            assert len(read_rows(tmp_path / "avg-10" / name)) == n_nodes
 
     def test_optimize_pulse_manifest_records_cg_counters(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.yaml", PDE_CFG)

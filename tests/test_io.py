@@ -13,6 +13,7 @@ import pytest
 import inhibopt as ib
 from conftest import reference_averaged, reference_pde
 from inhibopt import io as iomod
+from inhibopt.averaged import AveragedPropagator
 from inhibopt.core import Trajectory
 
 # signed zero, exponent switch points of repr, and the smallest subnormal
@@ -127,6 +128,28 @@ def test_decimated_field_snapshots(tmp_path):
     traj = ib.simulate_pde(prob, None, v, store_every=7)
     assert traj.store_every == 7 and len(traj.times) < len(tg.times)
     assert_same_bytes(tmp_path, iomod.write_field_snapshots, ref_field_snapshots, traj)
+
+
+def _thinned_scalar_run(kind, store_every):
+    if kind == "averaged":
+        prob = iomod.resolve_bundle(iomod.normalize_config(None)).problem
+        return AveragedPropagator(prob).forward(None, store_every=store_every)
+    prob = reference_pde(cells=(2, 2, 1), t_end=0.25)
+    v = ib.PulseStrategy(np.full((prob.time_grid.n_candidates, *prob.grid.dims), 0.5))
+    return ib.spatial_average(ib.simulate_pde(prob, None, v, store_every=store_every))
+
+
+@pytest.mark.parametrize("kind", ["averaged", "spatial average"])
+def test_averaged_trajectory_flags_the_jump_nodes_of_a_thinned_record(tmp_path, kind):
+    full, thin = _thinned_scalar_run(kind, 1), _thinned_scalar_run(kind, 7)
+    iomod.write_averaged_trajectory(tmp_path / "full.csv", full)
+    iomod.write_averaged_trajectory(tmp_path / "thin.csv", thin)
+    full_lines = (tmp_path / "full.csv").read_text().splitlines()
+    thin_lines = (tmp_path / "thin.csv").read_text().splitlines()
+    assert len(thin_lines) < len(full_lines)
+    assert set(thin_lines) <= set(full_lines)  # each stored node is written as in the full record
+    flagged = [float(line.split(",")[0]) for line in thin_lines[1:] if line.split(",")[2] == "1"]
+    assert len(thin.jumps) > 1 and flagged == [float(j.time) for j in thin.jumps]
 
 
 def test_special_values_and_per_point_strategy(tmp_path, rng):

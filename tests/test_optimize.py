@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,108 @@ class TestFixedPointPulse:
         thr = 0.02 * prob.grid.volume
         for j in fp.forward.jumps:
             assert float(np.sqrt(np.sum(j.pre**2) * prob.grid.cell_volume)) >= thr
+
+
+def _spacing_case(case):
+    if case == "averaged optimal_pulse":
+        prob = reference_averaged(t_end=0.5)
+        return ib.optimal_pulse, prob, ib.CostSpec.constant(prob.time_grid, 0.3, final=0.2)
+    if case == "field optimal_pulse":
+        grid = ib.SpaceGrid.from_cells(2, 2, 1)
+        initial = ib.ScalarField(grid, np.random.default_rng(7).uniform(0.2, 0.6, grid.dims))
+        prob = reference_pde(cells=(2, 2, 1), t_end=0.3, initial=initial)
+        return ib.optimal_pulse, prob, ib.CostSpec.constant(prob.time_grid, 0.3, final=0.2)
+    prob = reference_pde(cells=(2, 2, 1), t_end=0.3, sigma_star=0.02)
+    return ib.fixed_point_pulse, prob, ib.CostSpec.constant(prob.time_grid, 0.1)
+
+
+def _assert_same_jumps(got, want, names):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.time, a.node_index, a.candidate_index) == (b.time, b.node_index, b.candidate_index)
+        for name in names:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("m", [7, 50])
+@pytest.mark.parametrize("case", ["averaged optimal_pulse", "field optimal_pulse",
+                                  "field fixed_point_pulse"])
+def test_stored_spacing_changes_only_the_stored_rows(case, m):
+    solve, prob, costs = _spacing_case(case)
+    full = solve(prob, None, costs)
+    thin = solve(prob, None, costs, store_every=m)
+    tg = prob.time_grid
+    if case == "field fixed_point_pulse":
+        assert full.iterations >= 2 and full.forward.jumps
+    assert 0.0 in full.strategy.values and 1.0 in full.strategy.values
+    assert thin.strategy.values.tobytes() == full.strategy.values.tobytes()
+    assert thin.cost == full.cost
+    assert (thin.iterations, thin.converged, thin.diagnostics) == (
+        full.iterations, full.converged, full.diagnostics)
+    assert len(thin.certificate) == len(full.certificate) > 0
+    for a, b in zip(thin.certificate, full.certificate):
+        for name in ("time", "candidate_index", "p_plus", "unit_cost", "applied", "margin"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    nodes = sorted({*range(0, tg.n_steps + 1, m), *tg.candidate_indices, tg.n_steps})
+    for got, want in ((thin.forward, full.forward), (thin.adjoint, full.adjoint)):
+        assert got.store_every == m and not got.complete
+        assert got.node_indices.tolist() == nodes
+        assert np.array_equal(got.times, want.times[nodes])
+        assert np.array_equal(got.values, want.values[nodes])
+    _assert_same_jumps(thin.forward.jumps, full.forward.jumps, ("pre", "post", "applied"))
+    _assert_same_jumps(thin.adjoint.jumps, full.adjoint.jumps, ("p_plus", "p_minus", "applied"))
+    if isinstance(prob, ib.PdeProblem):
+        replay = ib.simulate_pde(prob, None, thin.strategy, store_every=m)
+        assert np.array_equal(replay.node_indices, thin.adjoint.node_indices)
+
+
+def test_thinned_field_optimization_holds_no_full_history():
+    bundle = iomod.resolve_bundle(PRESETS["fig5"].runs[0].config)
+    history_bytes = len(bundle.problem.time_grid.times) * bundle.problem.grid.npoints * 8
+    tracemalloc.start()
+    try:
+        res = ib.fixed_point_pulse(bundle.problem, bundle.u, bundle.costs, store_every=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.forward.store_every == res.adjoint.store_every == 50
+    assert peak < history_bytes
+
+
+def test_fixed_point_holds_no_discarded_costate():
+    # at full storage the fixed point needs two histories (the current forward
+    # run beside the one or the costate being built); a costate that only
+    # decided v must not stay alive beside them
+    grid = ib.SpaceGrid.from_cells(10, 10, 3)
+    initial = ib.ScalarField(grid, np.random.default_rng(2).uniform(0.3, 0.5, grid.dims))
+    prob = reference_pde(t_end=0.3, sigma_star=0.015, initial=initial)
+    history_bytes = len(prob.time_grid.times) * grid.npoints * 8
+    tracemalloc.start()
+    try:
+        res = ib.fixed_point_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.55))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.forward.jumps and res.forward.complete
+    assert peak < 3 * history_bytes
+
+
+@pytest.mark.parametrize("case", ["field optimal_pulse", "field fixed_point_pulse"])
+def test_field_costate_records_view_their_decisions(case):
+    # a record's applied is the decision itself: a row of the deciding sweep's
+    # v, or of the strategy when the costate is recomputed with it fixed; a
+    # copy per candidate would be one more array of the strategy's size
+    solve, prob, costs = _spacing_case(case)
+    res = solve(prob, None, costs)
+    jumps = res.adjoint.jumps
+    assert jumps
+    if case == "field fixed_point_pulse":
+        assert all(np.shares_memory(j.applied, res.strategy.values) for j in jumps)
+    else:
+        owner = jumps[0].applied.base
+        assert owner is not None and owner.shape == res.strategy.values.shape
+        assert all(j.applied.base is owner for j in jumps)
 
 
 class TestProjectedGradientMixed:
