@@ -17,8 +17,14 @@ alpha and u, second-order for smooth alpha, and maps [0,1] into [0,1]
 unconditionally since the update is a convex combination.
 
 :class:`AveragedPropagator` holds per-step attractor, decay and source weight
-w = (1 - e^{-rate*dt})/rate as Python lists (linear step ``decay*x + w*source``);
-the functions here are thin wrappers over the shared loops of :mod:`inhibopt.core`.
+w = (1 - e^{-rate*dt})/rate as Python lists.  Its ``flow`` runs one whole
+pulse-free span (see :mod:`inhibopt.core`) as one comprehension over slices
+of those lists with a local Python float: the state step
+``attr + (x - attr)*decay`` (the closed form of the linear step with source
+alpha), or the linear step ``decay*x + w*source`` of costate and tangent
+runs, through reversed slices for the costate.  Its record is a list of
+floats that the run converts to an array once.  The functions here are thin
+wrappers over the shared loops of :mod:`inhibopt.core`.
 
 Pulse thresholding: a candidate time t_k becomes a realized pulse time iff
 Theta(t_k) >= sigma_star (pre-jump value, ties trigger).  Stored trajectory
@@ -27,12 +33,13 @@ values are left limits; post-jump values live in the jump records.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable
 
 import numpy as np
 
 from .core import AveragedTrajectory, Jump  # noqa: F401  (re-exported)
-from .core import Propagator, _as_direction_array, _cost, _rows
+from .core import Propagator, Span, _as_direction_array, _cost, _rows
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -84,12 +91,27 @@ class AveragedPropagator(Propagator):
     def state(self, a) -> float:
         return float(a)
 
-    def step(self, x: float, n: int, source: float) -> float:
-        return self.decay[n] * x + self.w[n] * source
+    def record(self, n: int) -> list:
+        return [0.0] * n
 
-    def advance(self, x: float, n: int) -> float:
-        # attr + (x - attr)*decay: the closed form of step(x, n, alpha_mid[n])
-        return self.attr[n] + (x - self.attr[n]) * self.decay[n]
+    def flow(self, x: float, span: Span, source: list | None, out: list,
+             skipped: list | None) -> float:
+        """Walk one span, storing its kept nodes in ``out`` and the others in
+        ``skipped``; returns the end state (the interface is in :mod:`inhibopt.core`)."""
+        steps = span.steps
+        if source is None:  # attr + (x - attr)*decay: the closed form of the step with source alpha
+            xs = [x := at + (x - at) * d for at, d in zip(self.attr[steps], self.decay[steps])]
+        else:
+            xs = [x := d * x + w * s
+                  for d, w, s in zip(self.decay[steps], self.w[steps], source[steps])]
+        end = xs.pop()
+        if span.kept is None:
+            out[span.rows] = xs
+        else:
+            out[span.rows] = compress(xs, span.kept)
+            if skipped is not None:
+                skipped += [x for x, k in zip(xs, span.kept) if not k]
+        return end
 
     def gate(self, x: float) -> bool:
         return x >= self.threshold

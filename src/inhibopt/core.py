@@ -1,23 +1,36 @@
 """One propagator core for both models.
 
 Both models are one impulsive system: a linear-affine semiflow between
-candidate pulse times and a jump by v_i at each realized pulse.  A model's
-propagator supplies ``step(x, n, source)`` (node n to n+1 with an additive
-source), ``advance(x, n)`` (the state step, whose source is alpha at the step
-midpoint), the threshold ``gate(x)``, ``alpha_mid()`` for every step and a
+candidate pulse times and a jump by v_i at each realized pulse.  The unit of
+a model's propagator is the pulse-free :class:`Span` between two event nodes
+(node 0, the candidate nodes and the final node): ``flow(x, span, source,
+out, skipped)`` takes every step of the span (backwards in time for a
+costate span), with the state's own pressure as source when ``source`` is
+None and ``source[n]`` at step n otherwise.  It writes the span's stored
+interior nodes into the record ``out``, appends the grid sum of each interior
+node it does not store to ``skipped`` (unless that is None, as for the
+costate) and returns the state at the span's end.  A propagator also
+supplies the record itself (``record(n)``: a list of floats for the averaged
+model, converted once when the run ends, or a preallocated array), the
+threshold ``gate(x)``, ``alpha_mid()`` for every step and a
 ``space_weight`` for the per-row space integral (1, or ds^3 for fields).
 
 :class:`Propagator` writes each algorithm once over that interface: the gated
 forward run, the backward costate sweep with a per-candidate decision rule,
 the linear tangent run of the sensitivity oracles, the cost trapezoid and the
-midpoint algebra sigma*alpha*(.)*theta.  Averaged states are Python floats
-and field states arrays; :func:`_rows` splits per-candidate and per-step data
-so the scalar loops never index numpy arrays.
+midpoint algebra sigma*alpha*(.)*theta.  They visit only the event nodes, so
+no per-step call, pulse lookup or storage test remains in these loops.  Jump
+records keep the stored row of their node: a field's record views it.
+Averaged states are Python floats and field states arrays; :func:`_rows`
+splits per-candidate and per-step data so the scalar loops never index numpy
+arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,21 +142,57 @@ def _span_midpoints(traj: Trajectory) -> np.ndarray:
     return mid
 
 
-def _stored_nodes(time_grid, store_every: int) -> tuple[np.ndarray, list | None]:
-    """Stored node indices of a run and a per-node keep flag (None: every node is stored).
+class Span(NamedTuple):
+    """One pulse-free walk between two event nodes, everything in walk order.
 
-    Every ``store_every``-th node, every candidate node and the final node, so
-    a forward run and a costate sweep at the same spacing store the same nodes.
+    ``steps`` slices the per-step data (forwards step n leads to node n+1,
+    backwards to node n), ``rows`` the record rows of the interior nodes that
+    are stored, and ``kept`` flags each interior node (None: all are stored).
+    """
+
+    steps: slice
+    rows: slice
+    kept: list | None
+
+
+class _Walk(NamedTuple):
+    """The stored nodes of a run, its event nodes with their rows, and the spans
+    between consecutive event nodes (``forward[i]`` from event i to event i+1,
+    ``backward[i]`` from event i+1 down to event i)."""
+
+    rows: np.ndarray
+    events: list
+    at: list
+    forward: list
+    backward: list
+
+
+@functools.lru_cache(maxsize=32)
+def _walk(time_grid, store_every: int) -> _Walk:
+    """The walk of every run on ``time_grid`` at ``store_every``, built once per pair
+    (building it costs about as much as walking it) and shared, read-only, by every run.
+
+    Stored are every ``store_every``-th node, every candidate node and the
+    final node, so a forward run and a costate sweep at the same spacing store
+    the same nodes.  Event nodes are node 0, the candidate nodes and the final node.
     """
     if store_every < 1:
         raise ProblemError("store_every must be >= 1")
     last = time_grid.n_steps
-    if store_every == 1:
-        return np.arange(last + 1), None
     stored = np.arange(last + 1) % store_every == 0
     stored[list(time_grid.candidate_indices)] = True
     stored[last] = True
-    return np.flatnonzero(stored), stored.tolist()
+    rows = np.flatnonzero(stored)
+    rows.flags.writeable = False
+    keep = None if store_every == 1 else stored.tolist()
+    events = sorted({0, *time_grid.candidate_indices, last})
+    at = np.searchsorted(rows, events).tolist()
+    forward, backward = [], []
+    for a, b, ra, rb in zip(events, events[1:], at, at[1:]):
+        forward.append(Span(slice(a, b), slice(ra + 1, rb), keep and keep[a + 1:b]))
+        backward.append(Span(slice(b - 1, a - 1 if a else None, -1), slice(rb - 1, ra, -1),
+                             keep and keep[b - 1:a:-1]))
+    return _Walk(rows, events, at, forward, backward)
 
 
 def _as_direction_array(direction) -> np.ndarray:
@@ -191,15 +240,19 @@ def _cost(traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec,
 
 
 class Propagator:
-    """Model-independent algorithms over a model's step, gate and pressure.
+    """Model-independent algorithms over a model's span flow, gate and pressure.
 
     Subclasses set ``time_grid``, ``sigma``, ``shape``, ``space_weight``,
-    ``u_samples``, ``initial`` and ``zero`` and implement ``state``, ``step``,
-    ``advance``, ``gate`` and ``alpha_mid``; field propagators also set ``grid``
-    and report their solver counters through ``diagnostics``.
+    ``u_samples``, ``initial`` and ``zero`` and implement ``state``, ``flow``,
+    ``gate`` and ``alpha_mid``; field propagators also set ``grid`` and
+    report their solver counters through ``diagnostics``.
     """
 
     grid = None
+
+    def record(self, n: int):
+        """Storage for n rows, written by index and slice and read back by ``np.asarray``."""
+        return np.empty((n, *self.shape))
 
     def diagnostics(self) -> dict:
         """Deterministic counters of the work done so far (none for the averaged model)."""
@@ -225,44 +278,39 @@ class Propagator:
             return (values[k] * x, values[k]) if self.gate(x) else None
 
         pulse_at = {node: k for k, node in enumerate(tg.candidate_indices)}
-        return self._run(self.initial, self.advance, pulse_at, jump, store_every)
+        return self._run(self.initial, None, pulse_at, jump, store_every)
 
     def linear(self, forward, rule, sources: np.ndarray | None = None):
-        """Tangent run z(0) = 0: z <- step(z, n, sources[n]) (zero if None) between
-        the realized pulses of ``forward``, z(tau^+) = rule(forward_jump, z(tau)) at them."""
+        """Tangent run z(0) = 0 with source ``sources[n]`` at step n (zero if None)
+        between the realized pulses of ``forward``, z(tau^+) = rule(forward_jump, z(tau)) at them."""
         if not forward.complete:
             raise ProblemError("sensitivity needs a fully stored trajectory")
         src = [0.0] * self.time_grid.n_steps if sources is None else _rows(sources)
         by_k = {j.candidate_index: j for j in forward.jumps}
         pulse_at = {j.node_index: j.candidate_index for j in forward.jumps}
-        return self._run(self.zero, lambda z, n: self.step(z, n, src[n]), pulse_at,
+        return self._run(self.zero, src, pulse_at,
                          lambda k, z: (rule(by_k[k], z), by_k[k].applied))
 
-    def _run(self, x, advance, pulse_at: dict, jump, store_every: int = 1):
+    def _run(self, x, source, pulse_at: dict, jump, store_every: int = 1):
         tg = self.time_grid
-        last = tg.n_steps
-        rows, keep = _stored_nodes(tg, store_every)
-        states = np.empty((len(rows), *self.shape))
+        walk = _walk(tg, store_every)
+        states = self.record(len(walk.rows))
         jumps: list[Jump] = []
         skipped = []  # stays empty when every node is stored
-        r = 0
-        for n in range(last + 1):
-            if keep is None or keep[n]:
-                states[r] = x
-                r += 1
-            else:
-                skipped.append(np.sum(x))
+        for n, r, span in zip(walk.events, walk.at, [*walk.forward, None]):
+            states[r] = x  # event nodes are always stored
             k = pulse_at.get(n)
             if k is not None:
                 realized = jump(k, x)
                 if realized is not None:
                     post, applied = realized
-                    jumps.append(Jump(tg.times[n], n, k, x, post, applied))
+                    jumps.append(Jump(tg.times[n], n, k, states[r], post, applied))
                     x = post
-            if n < last:
-                x = advance(x, n)
-        return Trajectory(tg.times[rows], states, jumps, rows, store_every, self.grid,
-                          np.array(skipped))
+            if span is not None:
+                x = self.flow(x, span, source, states, skipped)
+        rows = walk.rows.copy()
+        return Trajectory(tg.times[rows], np.asarray(states), jumps, rows, store_every,
+                          self.grid, np.array(skipped))
 
     def backward(self, costs: CostSpec, realized, decide, store_every: int = 1):
         """Costate sweep from p(T) = C_f with source +1 under the forward step operator.
@@ -272,37 +320,36 @@ class Propagator:
         Only the nodes a forward run at ``store_every`` stores are kept: every
         m-th node, every candidate node and the final node.  Returns the
         costate Trajectory; each jump record's ``applied`` is the ``decide``
-        result itself, so a decision that views a live array is not copied.
+        result itself, so a decision that views a live array is not copied,
+        and a field record's ``p_minus`` views its stored row.
         """
         tg = self.time_grid
         last = tg.n_steps
-        rows, keep = _stored_nodes(tg, store_every)
+        walk = _walk(tg, store_every)
         if realized is None:
             realized = range(tg.n_candidates)
         pulse_at = {tg.candidate_indices[k]: k for k in realized}
         c = _rows(costs.pulse_unit)
-        values = np.empty((len(rows), *self.shape))
-        r = len(rows)
+        unit = [1.0] * last
+        values = self.record(len(walk.rows))
         jumps: list[AdjointJump] = []
         p = self.state(costs.final)
-        for n in range(last, -1, -1):
-            if n < last:
-                p = self.step(p, n, 1.0)
+        for n, r, span in zip(walk.events[::-1], walk.at[::-1], [*walk.backward[::-1], None]):
             k = pulse_at.get(n)
-            if k is not None:
+            if k is None:
+                values[r] = p
+            else:
                 # pulse exactly at T: the final cost uses the left limit, so
                 # the post-pulse state never enters J and p(tau^+) = 0
                 p_plus = self.zero if n == last else p
                 v = decide(k, p_plus)
-                p = (p if n == last else v * p_plus) + c[k] * (1.0 - v)
-                jumps.append(AdjointJump(tg.times[n], n, k, p_plus, p, v))
-            if keep is None:  # every node is stored: the averaged hot loop
-                values[n] = p
-            elif keep[n]:
-                r -= 1
-                values[r] = p
+                values[r] = p = (p if n == last else v * p_plus) + c[k] * (1.0 - v)
+                jumps.append(AdjointJump(tg.times[n], n, k, p_plus, values[r], v))
+            if span is not None:
+                p = self.flow(p, span, unit, values, None)
         jumps.reverse()
-        return Trajectory(tg.times[rows], values, jumps, rows, store_every, self.grid)
+        rows = walk.rows.copy()
+        return Trajectory(tg.times[rows], np.asarray(values), jumps, rows, store_every, self.grid)
 
     def adjoint(self, strategy: PulseStrategy, costs: CostSpec, forward,
                 store_every: int = 1) -> Trajectory:

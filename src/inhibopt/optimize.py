@@ -22,7 +22,6 @@ bang-bang rule as its decision.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +42,8 @@ from .model import (
 
 TIE_TOL = 1e-12
 BRUTE_FORCE_CAP = 20
+VERTEX_CHUNK = 2**13  # strategies costed per array pass of brute_force_pulse
+CERT_BLOCK_VALUES = 2**16  # values per array pass of certificate_check (a block of pulses)
 
 
 class PulseCycleError(SolverError):
@@ -200,23 +201,33 @@ def _segment_aggregates(prop: AveragedPropagator):
     return segments
 
 
-def _evaluate_vertex(theta0, segments, v, costs, sigma_star, control_cost, final_cost):
-    """Exact cost of one strategy through the affine segment maps."""
-    x = theta0
-    running = 0.0
-    pulse = 0.0
-    m = len(v)
-    for k in range(m):
+def _strategy_costs(theta0, segments, columns, n, costs, sigma_star, control_cost, final_cost):
+    """Exact costs of n strategies at once through the affine segment maps.
+
+    ``columns`` yields, candidate by candidate, the n strategies' values of v.
+    Each strategy's cost takes the operations of the one-strategy recursion
+    in the same order, so it is that recursion's value bit for bit.
+    """
+    x = np.full(n, float(theta0))
+    running = np.zeros(n)
+    pulse = np.zeros(n)
+    for k, v in enumerate(columns):
         off, slp, i_off, i_slp = segments[k]
         running += i_off + i_slp * x
         x = off + slp * x  # pre-jump value at candidate k
-        if x >= sigma_star:
-            pulse += costs.pulse_unit[k] * (1.0 - v[k]) * x
-            x = v[k] * x
-    off, slp, i_off, i_slp = segments[m]
+        realized = x >= sigma_star
+        # an unrealized pulse adds +0.0, which leaves the sum as it is (never -0.0)
+        pulse += np.where(realized, costs.pulse_unit[k] * (1.0 - v) * x, 0.0)
+        x = np.where(realized, v * x, x)
+    off, slp, i_off, i_slp = segments[-1]
     running += i_off + i_slp * x
     x = off + slp * x
     return running + control_cost + pulse + final_cost * x
+
+
+def _first_minimum(c: np.ndarray) -> int:
+    """Index of the first smallest cost, as a strict-improvement loop finds it: NaN never wins."""
+    return int(np.argmin(np.where(np.isnan(c), np.inf, c)))
 
 
 def brute_force_pulse(
@@ -231,7 +242,9 @@ def brute_force_pulse(
 
     Optionally samples random interior strategies in [0,1]^m to confirm that
     no interior point beats the best vertex.  Ties between vertices are
-    broken by lexicographic strategy order, so results are reproducible.
+    broken by lexicographic strategy order, so results are reproducible, and
+    a NaN cost never wins.  Vertices are costed ``VERTEX_CHUNK`` at a time as
+    arrays, their bits taken from their index in that order.
     """
     if not isinstance(problem, AveragedProblem):
         raise ProblemError("brute_force_pulse enumerates the averaged model only")
@@ -248,21 +261,34 @@ def brute_force_pulse(
         control_cost = float(np.sum(costs.continuous_unit * u.samples * tg.dt))
     final_cost = float(costs.final)
 
-    def evaluate(v):
-        return _evaluate_vertex(problem.theta0, segments, v, costs, problem.chem.sigma_star,
-                                control_cost, final_cost)
+    def evaluate(columns, n):
+        return _strategy_costs(problem.theta0, segments, columns, n, costs,
+                               problem.chem.sigma_star, control_cost, final_cost)
 
-    best_v: tuple[float, ...] | None = None
+    shifts = range(m - 1, -1, -1)  # v_0 is the leading bit of a vertex's index
+    best = None
     best_cost = np.inf
-    for bits in itertools.product((0.0, 1.0), repeat=m):
-        c = evaluate(bits)
-        if c < best_cost:
-            best_cost, best_v = c, bits
+    for start in range(0, 2**m, VERTEX_CHUNK):
+        index = np.arange(start, min(start + VERTEX_CHUNK, 2**m))
+        c = evaluate((((index >> s) & 1).astype(float) for s in shifts), index.size)
+        i = _first_minimum(c)
+        if c[i] < best_cost:
+            best_cost, best = c[i], start + i
+    best_v = None if best is None else [float((best >> s) & 1) for s in shifts]
 
     interior_best = None
     if interior_samples > 0:
+        # one (n, m) draw is the stream of n draws of m; like min(), keep the
+        # first sample's cost if it is NaN, else the first smallest cost
         rng = np.random.default_rng(seed)
-        interior_best = min(evaluate(rng.random(m)) for _ in range(interior_samples))
+        for start in range(0, interior_samples, VERTEX_CHUNK):
+            samples = rng.random((min(VERTEX_CHUNK, interior_samples - start), m))
+            c = evaluate(samples.T, len(samples))
+            if interior_best is None:
+                interior_best = c[0]
+            i = _first_minimum(c)
+            if c[i] < interior_best:
+                interior_best = c[i]
 
     return _result(
         prop, PulseStrategy(np.array(best_v)), u, costs,
@@ -427,6 +453,18 @@ def projected_gradient_mixed(
 # optimality-condition verification
 
 
+def _sign_violations(certs, theta_pre: list, tol: float) -> list[int]:
+    """Points violating the sign condition, per pulse, judged in one array pass."""
+    g = np.array([c.p_plus - c.unit_cost for c in certs])
+    g *= np.array(theta_pre)
+    low, high = g < -tol, g > tol  # and |g| > tol is low | high
+    del g  # a field's stacked coefficients go before its decisions are stacked
+    v = _per_point(np.array([c.applied for c in certs]), low.ndim)
+    bad = (((v <= 1e-12) & low) | ((v >= 1.0 - 1e-12) & high)
+           | ((v > 1e-12) & (v < 1.0 - 1e-12) & (low | high)))
+    return np.count_nonzero(bad.reshape(len(certs), -1), axis=1).tolist()
+
+
 def certificate_check(
     result: StrategyResult,
     problem: AveragedProblem | PdeProblem,
@@ -443,18 +481,14 @@ def certificate_check(
     density; a control that was only given is not judged.
     """
     violations: list[str] = []
+    certs = result.certificate
     theta_pre = {j.candidate_index: j.pre for j in result.forward.jumps}
-    for cert in result.certificate:
-        g = np.asarray((cert.p_plus - cert.unit_cost) * theta_pre[cert.candidate_index])
-        v = np.asarray(cert.applied)
-        bad_low = (v <= 1e-12) & (g < -tol)
-        bad_high = (v >= 1.0 - 1e-12) & (g > tol)
-        bad_mid = (v > 1e-12) & (v < 1.0 - 1e-12) & (np.abs(g) > tol)
-        n_bad = int(np.count_nonzero(bad_low | bad_high | bad_mid))
-        if n_bad:
-            violations.append(
-                f"pulse at t={cert.time:.6f}: {n_bad} point(s) violate the sign condition"
-            )
+    block = max(1, CERT_BLOCK_VALUES // np.size(certs[0].p_plus)) if certs else 1
+    for start in range(0, len(certs), block):
+        rows = certs[start:start + block]
+        n_bad = _sign_violations(rows, [theta_pre[c.candidate_index] for c in rows], tol)
+        violations += [f"pulse at t={c.time:.6f}: {n} point(s) violate the sign condition"
+                       for c, n in zip(rows, n_bad) if n]
     if result.continuous_certificate is not None:
         report = gradient_continuous(
             problem, result.forward, result.adjoint, result.control, costs

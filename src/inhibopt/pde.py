@@ -19,9 +19,11 @@ step's stored sample.  Pulses are exact pointwise multiplications applied at
 realized candidate times; realization is gated by the grid-quadrature L2
 threshold ||theta|| >= sigma_star * |Omega|.
 
-:class:`FieldPropagator` builds the step operator and takes one CN step per
-call; the forward run, costate sweep (the same operator with source +1),
-sensitivities and cost are the shared loops of :mod:`inhibopt.core`.
+:class:`FieldPropagator` builds the step operator and walks a pulse-free
+span one CN step at a time, writing each stored node as it is reached, so a
+thinned record never holds a whole span; the forward run, costate sweep (the
+same operator with source +1), sensitivities and cost are the shared loops
+of :mod:`inhibopt.core`.
 
 A stencil built once per (diffusion, spacing) keeps the face coefficients
 contiguous and holds every flux and CG work array, so stencil applies and CG
@@ -41,7 +43,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import FieldTrajectory, Propagator, Trajectory, _cost, _rows  # noqa: F401
+from .core import FieldTrajectory, Propagator, Span, Trajectory, _cost, _rows  # noqa: F401
 from .model import (
     ContinuousControl,
     CostBreakdown,
@@ -280,17 +282,29 @@ class FieldPropagator(Propagator):
     def state(self, a) -> np.ndarray:
         return np.broadcast_to(a, self.shape).astype(float)
 
-    def _advance(self, x: np.ndarray, n: int, alpha: np.ndarray, source) -> np.ndarray:
-        op = _step_operator(self.problem, self._u[n], alpha, self.stencil)
-        return _cn_advance(x, op, source, self.time_grid.dt[n], self.cg)
-
-    def step(self, x: np.ndarray, n: int, source) -> np.ndarray:
-        return self._advance(x, n, self.problem.pressure.field_at(self.time_grid.mid_times[n]),
-                             source)
-
-    def advance(self, x: np.ndarray, n: int) -> np.ndarray:
+    def _step(self, x: np.ndarray, n: int, source: list | None) -> np.ndarray:
+        """One CN step n; the source is the step's pressure when ``source`` is None."""
         alpha = self.problem.pressure.field_at(self.time_grid.mid_times[n])
-        return self._advance(x, n, alpha, alpha)
+        op = _step_operator(self.problem, self._u[n], alpha, self.stencil)
+        return _cn_advance(x, op, alpha if source is None else source[n],
+                           self.time_grid.dt[n], self.cg)
+
+    def flow(self, x: np.ndarray, span: Span, source: list | None, out: np.ndarray,
+             skipped: list | None) -> np.ndarray:
+        """Walk one span one CN step at a time, writing each stored node into its
+        row as it is reached; see :mod:`inhibopt.core`."""
+        steps = range(self.time_grid.n_steps)[span.steps]
+        out = out[span.rows]
+        kept = [True] * len(out) if span.kept is None else span.kept
+        r = 0
+        for n, store in zip(steps, kept):  # every step but the last, which ends the span
+            x = self._step(x, n, source)
+            if store:
+                out[r] = x
+                r += 1
+            elif skipped is not None:
+                skipped.append(np.sum(x))
+        return self._step(x, steps[-1], source)
 
     def diagnostics(self) -> dict:
         return {"cg": asdict(self.cg)}

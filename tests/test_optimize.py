@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,114 @@ class TestBruteForce:
         prob = reference_pde(cells=(1, 1, 1), t_end=0.1)
         with pytest.raises(ib.ProblemError):
             ib.brute_force_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.5))
+
+
+def _oracle_vertex_cost(theta0, segments, v, costs, sigma_star, control_cost, final_cost):
+    """One strategy's cost through the affine segment maps, one candidate at a time."""
+    x = theta0
+    running = 0.0
+    pulse = 0.0
+    m = len(v)
+    for k in range(m):
+        off, slp, i_off, i_slp = segments[k]
+        running += i_off + i_slp * x
+        x = off + slp * x  # pre-jump value at candidate k
+        if x >= sigma_star:
+            pulse += costs.pulse_unit[k] * (1.0 - v[k]) * x
+            x = v[k] * x
+    off, slp, i_off, i_slp = segments[m]
+    running += i_off + i_slp * x
+    x = off + slp * x
+    return running + control_cost + pulse + final_cost * x
+
+
+def _oracle_brute_force(problem, u, costs, interior_samples=0, seed=0):
+    """The vertex loop in lexicographic order, strict improvement only, and the interior samples."""
+    m = problem.time_grid.n_candidates
+    segments = optimize._segment_aggregates(optimize.AveragedPropagator(problem, u))
+    control_cost = 0.0
+    if u is not None:
+        control_cost = float(np.sum(costs.continuous_unit * u.samples * problem.time_grid.dt))
+
+    def evaluate(v):
+        return _oracle_vertex_cost(problem.theta0, segments, v, costs, problem.chem.sigma_star,
+                                   control_cost, float(costs.final))
+
+    best_v, best_cost = None, np.inf
+    for bits in itertools.product((0.0, 1.0), repeat=m):
+        c = evaluate(bits)
+        if c < best_cost:
+            best_cost, best_v = c, bits
+    interior_best = None
+    if interior_samples > 0:
+        rng = np.random.default_rng(seed)
+        interior_best = min(evaluate(rng.random(m)) for _ in range(interior_samples))
+    return np.array(best_v), best_cost, interior_best
+
+
+def _vertex_case(case):
+    tg = ib.TimeGrid.regular(1.0, 1e-3, 1.0 / 13)
+    assert tg.n_candidates == 12
+    if case == "ties":
+        # no pressure: theta only moves at pulses.  A free pulse at candidate 1
+        # clears it for good, after which every choice costs the same, and
+        # candidate 0 is too dear to use: the tied set is every (1, 0, ...)
+        # vertex and the loop keeps the first, (1, 0, 0, ..., 0)
+        prob = ib.AveragedProblem(tg, lambda t: np.zeros_like(np.asarray(t, float)),
+                                  ib.ChemicalParams(0.0, 0.0), 0.4)
+        unit = np.full(12, 0.3)
+        unit[:2] = (5.0, 0.0)
+        return prob, None, ib.CostSpec(unit, np.zeros(tg.n_steps), np.asarray(0.0)), 0
+    if case == "nan":
+        # an infinite cost at candidate 6: once a pulse there is realized, v = 1
+        # costs inf * 0 = NaN, and the NaN vertices must not hide the optimum
+        prob = ib.AveragedProblem(tg, reference_alpha(), ib.ChemicalParams(0.3, 0.3), 0.45)
+        unit = np.full(12, 0.5)
+        unit[6] = np.inf
+        return prob, None, ib.CostSpec(unit, np.zeros(tg.n_steps), np.asarray(0.3)), 0
+    star = 0.45 if case == "gated" else 0.0
+    prob = ib.AveragedProblem(tg, reference_alpha(), ib.ChemicalParams(0.3, star), 0.45)
+    u = ib.ContinuousControl.constant(tg, 0.2)
+    costs = ib.CostSpec.constant(tg, 0.5, continuous_unit=0.01, final=0.3)
+    return prob, u, costs, 300
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("chunk", [optimize.VERTEX_CHUNK, 1000])
+@pytest.mark.parametrize("case", ["mixed", "gated", "ties", "nan"])
+def test_enumeration_matches_the_vertex_loop(case, chunk, monkeypatch):
+    # chunks of 1,000 split the 4,096 vertices and the interior samples unevenly
+    monkeypatch.setattr(optimize, "VERTEX_CHUNK", chunk)
+    prob, u, costs, samples = _vertex_case(case)
+    res = ib.brute_force_pulse(prob, u, costs, interior_samples=samples, seed=4)
+    best_v, best_cost, interior_best = _oracle_brute_force(prob, u, costs, samples, seed=4)
+    assert res.strategy.values.tobytes() == best_v.tobytes()
+    assert np.float64(res.diagnostics["enumeration_best"]).tobytes() == np.float64(best_cost).tobytes()
+    if samples:
+        assert (np.float64(res.diagnostics["interior_best"]).tobytes()
+                == np.float64(interior_best).tobytes())
+    else:
+        assert res.diagnostics["interior_best"] is None
+    assert res.iterations == 2**12
+    if case == "ties":
+        assert best_v.tolist() == [1.0] + [0.0] * 11
+    elif case == "nan":
+        segments = optimize._segment_aggregates(optimize.AveragedPropagator(prob, u))
+        costs_all = [_oracle_vertex_cost(prob.theta0, segments, bits, costs, 0.3, 0.0, 0.3)
+                     for bits in itertools.product((0.0, 1.0), repeat=12)]
+        assert np.isnan(costs_all).any() and np.isfinite(best_cost)
+    else:
+        assert 0.0 in best_v and 1.0 in best_v
+    if case == "gated":
+        assert 0 < len(res.forward.jumps) < 12
+
+
+def test_one_interior_draw_is_the_stream_of_single_draws():
+    block = np.random.default_rng(9).random((7, 12))
+    rng = np.random.default_rng(9)
+    assert block.tobytes() == np.array([rng.random(12) for _ in range(7)]).tobytes()
+    rng = np.random.default_rng(9)
+    assert block.tobytes() == np.concatenate([rng.random((3, 12)), rng.random((4, 12))]).tobytes()
 
 
 class TestFixedPointPulse:
@@ -464,6 +573,41 @@ class TestCertificateCheck:
             forward, adjoint,
         )
         assert len(ib.certificate_check(bad, prob, costs)) >= 1
+
+    @pytest.mark.parametrize("block", [optimize.CERT_BLOCK_VALUES, 40])
+    @pytest.mark.parametrize("model", ["averaged", "field"])
+    def test_violation_messages_are_pinned(self, model, block, monkeypatch):
+        # a block of 40 values judges two field pulses (18 points each) per pass
+        monkeypatch.setattr(optimize, "CERT_BLOCK_VALUES", block)
+        if model == "averaged":
+            prob = reference_averaged(t_end=10 / 52)
+            costs = ib.CostSpec.constant(prob.time_grid, 0.2, final=0.1)
+
+            def flip(k, applied):  # every other pulse, and one interior value
+                return 0.5 if k == 3 else (1.0 - applied if k % 2 == 0 else applied)
+
+            want = [(0.019231, 1), (0.057692, 1), (0.076923, 1), (0.096154, 1),
+                    (0.134615, 1), (0.173077, 1)]
+        else:
+            grid = ib.SpaceGrid.from_cells(2, 2, 1)
+            initial = ib.ScalarField(grid, np.random.default_rng(7).uniform(0.2, 0.6, grid.dims))
+            prob = reference_pde(cells=(2, 2, 1), t_end=0.1, initial=initial,
+                                 amplitude=ib.build_random_amplitude(grid, 1.2, seed=5))
+            costs = ib.CostSpec.constant(prob.time_grid, 0.08, final=0.0)
+
+            def flip(k, applied):  # the first 3k+1 points, and the last point interior
+                out = applied.copy().reshape(-1)
+                out[: 3 * k + 1] = 1.0 - out[: 3 * k + 1]
+                out[-1] = 0.5
+                return out.reshape(applied.shape)
+
+            want = [(0.019231, 2), (0.038462, 5), (0.057692, 8), (0.076923, 11), (0.096154, 14)]
+        res = ib.optimal_pulse(prob, None, costs)
+        assert ib.certificate_check(res, prob, costs) == []
+        bad = dataclasses.replace(res, certificate=[
+            dataclasses.replace(c, applied=flip(k, c.applied)) for k, c in enumerate(res.certificate)])
+        assert ib.certificate_check(bad, prob, costs) == [
+            f"pulse at t={t:.6f}: {n} point(s) violate the sign condition" for t, n in want]
 
     def test_degenerate_ties_pass_with_any_value(self):
         # c_i = p(tau_i^+) exactly: zero coefficients, no violations
