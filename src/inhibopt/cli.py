@@ -42,25 +42,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="inhibopt", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name, help_text):
+    def add(name, help_text, store_every=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None, help="YAML config file")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override for random fields")
-        p.add_argument("--store-every", type=int, default=1, dest="store_every",
-                       help="keep and write every m-th field node (simulate-pde, optimize-pulse); "
-                            "the cost is unchanged; optimize-mixed stores every node, as its "
-                            "chemical gradient needs")
+        if store_every:
+            p.add_argument("--store-every", type=int, default=1, dest="store_every",
+                           help="keep and write every m-th field node (simulate-pde, "
+                                "optimize-pulse); the cost is unchanged; optimize-mixed stores "
+                                "every node, as its chemical gradient needs")
         return p
 
     add("simulate-averaged", "forward run of the spatially averaged model")
     add("simulate-pde", "forward run of the space-dependent model")
     add("optimize-pulse", "bang-bang pulse strategy (backward sweep / threshold fixed point)")
     add("optimize-mixed", "projected-gradient mixed chemical+pulse strategy")
-    bf = add("brute-force", "exhaustive vertex enumeration oracle (averaged model)")
+    bf = add("brute-force", "exhaustive vertex enumeration oracle (averaged model)",
+             store_every=False)
     bf.add_argument("--max-pulses", type=int, default=20, dest="max_pulses")
     bf.add_argument("--interior-samples", type=int, default=200, dest="interior_samples")
-    add("gradient-check", "adjoint gradients vs central finite differences")
+    add("gradient-check", "adjoint gradients vs central finite differences", store_every=False)
     pre = sub.add_parser("preset", help="run a bundled experiment preset")
     pre.add_argument("name", choices=sorted(PRESETS), help="preset name")
     pre.add_argument("--out", type=Path, default=Path("."), help="output directory")
@@ -76,11 +78,6 @@ def _load(args) -> iomod.Bundle:
         cfg = iomod.normalize_config(None)
         base = Path(".")
     return iomod.resolve_bundle(cfg, base_dir=base, seed_override=args.seed)
-
-
-def _check_valid(bundle: iomod.Bundle) -> list[str]:
-    report = validate(bundle.problem, bundle.u, bundle.strategy, bundle.costs)
-    return list(report)
 
 
 def _write_common(out: Path, bundle: iomod.Bundle, task: str, extra: dict | None = None) -> None:
@@ -115,9 +112,8 @@ def _export_result(bundle: iomod.Bundle, out: Path, result) -> None:
 
 
 def _task_optimize_pulse(bundle: iomod.Bundle, out: Path, store_every: int) -> None:
-    # optimal_pulse at sigma_star = 0; the averaged model stores every node
-    result = fixed_point_pulse(bundle.problem, bundle.u, bundle.costs,
-                               store_every=store_every if bundle.kind == "pde" else 1)
+    # optimal_pulse at sigma_star = 0
+    result = fixed_point_pulse(bundle.problem, bundle.u, bundle.costs, store_every=store_every)
     _export_result(bundle, out, result)
     _write_common(out, bundle, "optimize-pulse", {
         "iterations": result.iterations,
@@ -145,10 +141,11 @@ def _task_optimize_mixed(bundle: iomod.Bundle, out: Path) -> None:
     })
 
 
-def _task_brute_force(bundle: iomod.Bundle, out: Path, max_pulses: int, interior: int) -> None:
+def _task_brute_force(bundle: iomod.Bundle, out: Path, max_pulses: int,
+                      interior_samples: int) -> None:
     result = brute_force_pulse(
         bundle.problem, bundle.u, bundle.costs,
-        max_pulses=max_pulses, interior_samples=interior, seed=bundle.seed,
+        max_pulses=max_pulses, interior_samples=interior_samples, seed=bundle.seed,
     )
     _export_result(bundle, out, result)
     _write_common(out, bundle, "brute-force", {
@@ -175,14 +172,14 @@ def emit_alpha_profile(bundle: iomod.Bundle, out: Path) -> Path:
     return path
 
 
-def _task_gradient_check(bundle: iomod.Bundle, out: Path | None) -> float:
+def _task_gradient_check(bundle: iomod.Bundle, out: Path) -> float:
     """Max relative adjoint-vs-finite-difference error over pulse and chemical gradients."""
     problem, costs = bundle.problem, bundle.costs
     tg = problem.time_grid
     rng = np.random.default_rng(bundle.seed)
     eps = 1e-5
 
-    dims = _propagator(problem, None).shape
+    dims = problem.grid.dims if bundle.kind == "pde" else ()
     v_base = PulseStrategy(0.2 + 0.6 * rng.random((tg.n_candidates, *dims)))
     u_base = ContinuousControl(np.full((tg.n_steps, *dims), 0.5))
 
@@ -210,43 +207,47 @@ def _task_gradient_check(bundle: iomod.Bundle, out: Path | None) -> float:
     print(f"chemical gradient:  adjoint={adjoint_u:.10e} fd={fd_u:.10e} rel_err={err_u:.3e}")
     print(f"max relative adjoint-vs-fd error: {max(err_v, err_u):.3e} "
           f"(tolerance {GRADIENT_CHECK_TOL:.0e})")
-    if out is not None:
-        iomod.write_gradient_check(out / "gradient_check.csv", {
-            "pulse": (adjoint_v, fd_v, err_v),
-            "chemical": (adjoint_u, fd_u, err_u),
-        })
-        _write_common(out, bundle, "gradient-check",
-                      {"max_relative_error": max(err_v, err_u)})
+    iomod.write_gradient_check(out / "gradient_check.csv", {
+        "pulse": (adjoint_v, fd_v, err_v),
+        "chemical": (adjoint_u, fd_u, err_u),
+    })
+    _write_common(out, bundle, "gradient-check", {"max_relative_error": max(err_v, err_u)})
     return max(err_v, err_u)
 
 
-def _run_preset(name: str, out: Path, seed: int | None) -> int:
-    preset = PRESETS[name]
-    out.mkdir(parents=True, exist_ok=True)
+def _run(task: str, bundle: iomod.Bundle, out: Path, where: str, store_every: int = 1,
+         **options) -> int:
+    """Run one command or preset member; validation messages print as ``where: msg``.
 
-    def run_member(run) -> int:
-        member_out = out / run.label
-        member_out.mkdir(parents=True, exist_ok=True)
-        bundle = iomod.resolve_bundle(run.config, seed_override=seed)
-        problems = _check_valid(bundle)
-        if problems:
-            for msg in problems:
-                print(f"{name}/{run.label}: {msg}", file=sys.stderr)
-            return 1
-        store_every = 50 if bundle.kind == "pde" else 1
-        if run.task == "alpha-profile":
-            emit_alpha_profile(bundle, member_out)
-        elif run.task == "simulate":
-            _task_simulate(bundle, member_out, store_every)
-        elif run.task == "optimize-pulse":
-            _task_optimize_pulse(bundle, member_out, store_every)
-        elif run.task == "optimize-mixed":
-            _task_optimize_mixed(bundle, member_out)
-        else:
-            raise ProblemError(f"unknown preset task {run.task}")
-        return 0
-
-    return max([run_member(run) for run in preset.runs])
+    A field run keeps every ``store_every``-th node, an averaged run every node.
+    """
+    report = validate(bundle.problem, bundle.u, bundle.strategy, bundle.costs)
+    for msg in report:
+        print(f"{where}: {msg}", file=sys.stderr)
+    if not report.ok:
+        return 1
+    if task.startswith("simulate-") and task != f"simulate-{bundle.kind}":
+        article = "an" if bundle.kind == "averaged" else "a"
+        print(f"config describes {article} {bundle.kind} model; use simulate-{bundle.kind}",
+              file=sys.stderr)
+        return 1
+    if bundle.kind == "averaged":
+        store_every = 1
+    if task == "alpha-profile":
+        emit_alpha_profile(bundle, out)
+    elif task.startswith("simulate"):
+        _task_simulate(bundle, out, store_every)
+    elif task == "optimize-pulse":
+        _task_optimize_pulse(bundle, out, store_every)
+    elif task == "optimize-mixed":
+        _task_optimize_mixed(bundle, out)
+    elif task == "brute-force":
+        _task_brute_force(bundle, out, **options)
+    elif task == "gradient-check":
+        return 0 if _task_gradient_check(bundle, out) <= GRADIENT_CHECK_TOL else 2
+    else:
+        raise ProblemError(f"unknown task {task}")
+    return 0
 
 
 def run_cli(argv) -> int:
@@ -263,40 +264,19 @@ def run_cli(argv) -> int:
 
     try:
         if args.command == "preset":
-            return _run_preset(args.name, args.out, args.seed)
+            codes = []
+            for run in PRESETS[args.name].runs:
+                out = args.out / run.label
+                out.mkdir(parents=True, exist_ok=True)
+                bundle = iomod.resolve_bundle(run.config, seed_override=args.seed)
+                codes.append(_run(run.task, bundle, out, f"{args.name}/{run.label}", 50))
+            return max(codes)
 
         bundle = _load(args)
-        out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        problems = _check_valid(bundle)
-        if problems:
-            for msg in problems:
-                print(f"validation: {msg}", file=sys.stderr)
-            return 1
-
-        if args.command == "simulate-averaged":
-            if bundle.kind != "averaged":
-                print("config describes a pde model; use simulate-pde", file=sys.stderr)
-                return 1
-            _task_simulate(bundle, out, args.store_every)
-        elif args.command == "simulate-pde":
-            if bundle.kind != "pde":
-                print("config describes an averaged model; use simulate-averaged", file=sys.stderr)
-                return 1
-            _task_simulate(bundle, out, args.store_every)
-        elif args.command == "optimize-pulse":
-            _task_optimize_pulse(bundle, out, args.store_every)
-        elif args.command == "optimize-mixed":
-            _task_optimize_mixed(bundle, out)
-        elif args.command == "brute-force":
-            _task_brute_force(bundle, out, args.max_pulses, args.interior_samples)
-        elif args.command == "gradient-check":
-            err = _task_gradient_check(bundle, out)
-            return 0 if err <= GRADIENT_CHECK_TOL else 2
-        else:  # pragma: no cover - argparse restricts choices
-            parser.print_usage(sys.stderr)
-            return USAGE_EXIT
-        return 0
+        args.out.mkdir(parents=True, exist_ok=True)
+        options = {k: v for k, v in vars(args).items()
+                   if k in ("store_every", "max_pulses", "interior_samples")}
+        return _run(args.command, bundle, args.out, "validation", **options)
     except ProblemError as exc:
         print(f"validation: {exc}", file=sys.stderr)
         return 1

@@ -37,8 +37,7 @@ import numpy as np
 from .model import ContinuousControl, CostBreakdown, CostSpec, ProblemError, PulseStrategy
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(NamedTuple):
     """One realized pulse: state pre/post values and the applied v."""
 
     time: float
@@ -49,8 +48,7 @@ class Jump:
     applied: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class AdjointJump:
+class AdjointJump(NamedTuple):
     """Costate jump record: p(tau^+) (incoming backward) and p(tau) (outgoing)."""
 
     time: float

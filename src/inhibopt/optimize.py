@@ -22,7 +22,7 @@ bang-bang rule as its decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -435,18 +435,8 @@ def projected_gradient_mixed(
 
     cont_cert = _continuous_certificate(prop, current.forward, current.adjoint, u, costs)
     diag = {"cost_history": j_history, "stop_reason": stop_reason, "line_search_halvings": halvings}
-    return StrategyResult(
-        current.strategy,
-        u,
-        current.cost,
-        current.certificate,
-        current.forward,
-        current.adjoint,
-        iterations=iterations,
-        converged=converged,
-        continuous_certificate=cont_cert,
-        diagnostics=diag,
-    )
+    return replace(current, iterations=iterations, converged=converged,
+                   continuous_certificate=cont_cert, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

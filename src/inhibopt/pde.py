@@ -347,7 +347,7 @@ def cost_pde(
 def spatial_average(traj: Trajectory) -> Trajectory:
     """Per-time grid mean of a field trajectory, its jump records and its unstored sums."""
     values = traj.fields.mean(axis=(1, 2, 3))
-    jumps = [replace(j, pre=float(np.mean(j.pre)), post=float(np.mean(j.post)),
-                     applied=float(np.mean(j.applied))) for j in traj.jumps]
+    jumps = [j._replace(pre=float(np.mean(j.pre)), post=float(np.mean(j.post)),
+                        applied=float(np.mean(j.applied))) for j in traj.jumps]
     return replace(traj, times=traj.times.copy(), values=values, jumps=jumps, grid=None,
                    skipped_sums=np.asarray(traj.skipped_sums) / traj.values[0].size)

@@ -1,7 +1,10 @@
 """Bundled experiment presets.
 
-Each preset expands to one or more runs described by the same config schema
-the CLI accepts, so preset runs are reproducible from their manifests alone.
+Each preset expands to one or more runs.  A run's config is a partial config
+of the schema the CLI accepts, holding what differs from the defaults;
+``io.resolve_bundle`` fills in the rest and rejects unknown keys, and the
+manifest records the resolved config, so preset runs are reproducible from
+their manifests alone.
 fig1 samples the seasonal pressure profile; fig2-fig4 sweep the pulse-only
 optimization over unit pulse costs, a constant chemical control and the
 final-cost weight; fig5/fig6 run the space-dependent optimization for
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .io import DEFAULT_AMPLITUDE, normalize_config
+from .io import DEFAULT_AMPLITUDE
 
 
 @dataclass(frozen=True)
@@ -30,42 +33,13 @@ class ExperimentPreset:
     runs: tuple[PresetRun, ...]
 
 
-def _averaged(**overrides) -> dict:
-    cfg = {
-        "model": {"kind": "averaged"},
-        "cost": dict(overrides.pop("cost", {})),
-        "control": dict(overrides.pop("control", {})),
-    }
-    cfg["model"].update(overrides.pop("model", {}))
-    if overrides:
-        raise ValueError(f"unused overrides: {overrides}")
-    return normalize_config(cfg)
-
-
-def _pde(**overrides) -> dict:
-    cfg = {
-        "model": {"kind": "pde"},
-        "alpha": dict(overrides.pop("alpha", {})),
-        "initial": dict(overrides.pop("initial", {})),
-        "cost": dict(overrides.pop("cost", {})),
-    }
-    cfg["model"].update(overrides.pop("model", {}))
-    if "diffusion" in overrides:
-        cfg["diffusion"] = overrides.pop("diffusion")
-    if "seed" in overrides:
-        cfg["seed"] = overrides.pop("seed")
-    if overrides:
-        raise ValueError(f"unused overrides: {overrides}")
-    return normalize_config(cfg)
-
-
 def _build_presets() -> dict[str, ExperimentPreset]:
     presets = {}
 
     presets["fig1"] = ExperimentPreset(
         "fig1",
         "seasonal inhibition-pressure profile sampled on the integration grid",
-        (PresetRun("alpha", "alpha-profile", _averaged()),),
+        (PresetRun("alpha", "alpha-profile", {}),),
     )
 
     pulse_cost_sweep = (0.25, 0.4, 0.5)
@@ -73,7 +47,7 @@ def _build_presets() -> dict[str, ExperimentPreset]:
         "fig2",
         "pulse-only optimization for unit pulse costs 0.25/0.4/0.5 (no chemical control)",
         tuple(
-            PresetRun(f"c-{c}", "optimize-pulse", _averaged(cost={"pulse_unit": c}))
+            PresetRun(f"c-{c}", "optimize-pulse", {"cost": {"pulse_unit": c}})
             for c in pulse_cost_sweep
         ),
     )
@@ -85,7 +59,7 @@ def _build_presets() -> dict[str, ExperimentPreset]:
             PresetRun(
                 f"c-{c}",
                 "optimize-pulse",
-                _averaged(cost={"pulse_unit": c}, control={"u": 1.0}),
+                {"cost": {"pulse_unit": c}, "control": {"u": 1.0}},
             )
             for c in pulse_cost_sweep
         ),
@@ -98,7 +72,7 @@ def _build_presets() -> dict[str, ExperimentPreset]:
             PresetRun(
                 f"Cf-{cf}",
                 "optimize-pulse",
-                _averaged(cost={"pulse_unit": 0.5, "final": cf}),
+                {"cost": {"pulse_unit": 0.5, "final": cf}},
             )
             for cf in (0.0, 0.25, 0.5)
         ),
@@ -112,7 +86,8 @@ def _build_presets() -> dict[str, ExperimentPreset]:
             PresetRun(
                 "A-1",
                 "optimize-pulse",
-                _pde(diffusion=1.0, initial=sine_initial, cost={"pulse_unit": 0.55}),
+                {"model": {"kind": "pde"}, "diffusion": 1.0, "initial": sine_initial,
+                 "cost": {"pulse_unit": 0.55}},
             ),
         ),
     )
@@ -123,7 +98,8 @@ def _build_presets() -> dict[str, ExperimentPreset]:
             PresetRun(
                 "A-10",
                 "optimize-pulse",
-                _pde(diffusion=10.0, initial=sine_initial, cost={"pulse_unit": 0.55}),
+                {"model": {"kind": "pde"}, "diffusion": 10.0, "initial": sine_initial,
+                 "cost": {"pulse_unit": 0.55}},
             ),
         ),
     )
@@ -135,12 +111,13 @@ def _build_presets() -> dict[str, ExperimentPreset]:
             PresetRun(
                 "random-a",
                 "optimize-pulse",
-                _pde(
-                    alpha={"amplitude": "random", "mean": DEFAULT_AMPLITUDE},
-                    initial={"mode": "uniform", "value": 0.4},
-                    cost={"pulse_unit": 0.55},
-                    seed=7,
-                ),
+                {
+                    "model": {"kind": "pde"},
+                    "alpha": {"amplitude": "random", "mean": DEFAULT_AMPLITUDE},
+                    "initial": {"mode": "uniform", "value": 0.4},
+                    "cost": {"pulse_unit": 0.55},
+                    "seed": 7,
+                },
             ),
         ),
     )
@@ -152,7 +129,7 @@ def _build_presets() -> dict[str, ExperimentPreset]:
             PresetRun(
                 "mixed",
                 "optimize-mixed",
-                _averaged(cost={"pulse_unit": 0.5, "continuous_unit": 0.1}),
+                {"cost": {"pulse_unit": 0.5, "continuous_unit": 0.1}},
             ),
         ),
     )
@@ -164,9 +141,10 @@ def _build_presets() -> dict[str, ExperimentPreset]:
             PresetRun(
                 "pde",
                 "simulate",
-                _pde(initial={"mode": "uniform", "value": 0.4}, cost={"pulse_unit": 0.55}),
+                {"model": {"kind": "pde"}, "initial": {"mode": "uniform", "value": 0.4},
+                 "cost": {"pulse_unit": 0.55}},
             ),
-            PresetRun("averaged", "simulate", _averaged(cost={"pulse_unit": 0.55})),
+            PresetRun("averaged", "simulate", {"cost": {"pulse_unit": 0.55}}),
         ),
     )
 

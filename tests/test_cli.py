@@ -7,8 +7,10 @@ import pytest
 import yaml
 
 import inhibopt as ib
+from inhibopt import cli
 from inhibopt import io as iomod
 from inhibopt.cli import run_cli
+from inhibopt.presets import PRESETS, ExperimentPreset, PresetRun
 
 
 def write_config(path: Path, cfg: dict) -> Path:
@@ -78,9 +80,14 @@ class TestSimulateCommands:
                             "--out", str(out), "--store-every", "10"]) == 0
             assert iomod.config_from_manifest(out / "manifest")[1]["store_every"] == want
 
-    def test_kind_mismatch_is_validation_error(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.yaml", AVERAGED_CFG)
-        assert run_cli(["simulate-pde", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    def test_kind_mismatch_is_validation_error(self, tmp_path, capsys):
+        for command, cfg, message in (
+            ("simulate-pde", AVERAGED_CFG, "an averaged model; use simulate-averaged"),
+            ("simulate-averaged", PDE_CFG, "a pde model; use simulate-pde"),
+        ):
+            path = write_config(tmp_path / "cfg.yaml", cfg)
+            assert run_cli([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+            assert capsys.readouterr().err == f"config describes {message}\n"
 
 
 class TestOptimizeCommands:
@@ -198,8 +205,19 @@ class TestExitCodes:
         assert run_cli(["simulate-averaged", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.yaml", {"modle": {"kind": "averaged"}})
-        assert run_cli(["simulate-averaged", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        # at any depth: preset configs are partial and rely on this check too
+        for bad in ({"modle": {"kind": "averaged"}}, {"cost": {"pulse_unti": 0.5}},
+                    {"initial": {"mod": "sine"}}):
+            cfg = write_config(tmp_path / "cfg.yaml", bad)
+            assert run_cli(["simulate-averaged", "--config", str(cfg),
+                            "--out", str(tmp_path / "o")]) == 1
+            with pytest.raises(ib.ProblemError, match="unknown config keys"):
+                iomod.resolve_bundle(bad)
+
+    @pytest.mark.parametrize("command", ["brute-force", "gradient-check"])
+    def test_store_every_is_a_usage_error_where_nothing_is_stored(self, tmp_path, command):
+        assert run_cli([command, "--out", str(tmp_path / "o"), "--store-every", "5"]) == 64
+        assert not (tmp_path / "o").exists()
 
 
 class TestPresets:
@@ -221,6 +239,37 @@ class TestPresets:
             member = tmp_path / "fig2" / label
             assert (member / "strategy.csv").exists()
             assert (member / "trajectory.csv").exists()
+
+    def test_every_member_resolves_validates_and_dispatches(self, tmp_path, monkeypatch):
+        # the task functions are replaced: members are resolved and dispatched, not run
+        calls = []
+        tasks = {"alpha-profile": "emit_alpha_profile", "simulate": "_task_simulate",
+                 "optimize-pulse": "_task_optimize_pulse", "optimize-mixed": "_task_optimize_mixed"}
+        for task, name in tasks.items():
+            monkeypatch.setattr(cli, name, lambda bundle, out, *rest, _task=task:
+                                calls.append((_task, bundle.kind, rest)))
+        for preset in PRESETS.values():
+            for run in preset.runs:
+                bundle = iomod.resolve_bundle(run.config)
+                assert ib.validate(bundle.problem, bundle.u, bundle.strategy, bundle.costs).ok
+                assert cli._run(run.task, bundle, tmp_path, f"{preset.name}/{run.label}", 50) == 0
+                task, kind, rest = calls.pop()
+                assert task == run.task
+                if task in ("simulate", "optimize-pulse"):  # the one store-every rule
+                    assert rest == ((50,) if kind == "pde" else (1,))
+        assert not calls
+
+    def test_invalid_member_fails_and_the_others_still_run(self, tmp_path, monkeypatch, capsys):
+        broken = ExperimentPreset("broken", "one invalid member, one valid", (
+            PresetRun("bad", "simulate", {"model": {"sigma": 2.0}}),
+            PresetRun("good", "simulate", {"model": {"t_end": 0.05}}),
+        ))
+        monkeypatch.setitem(PRESETS, "broken", broken)
+        assert run_cli(["preset", "broken", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "broken/bad: sigma out of [0,1]: 2.0\n"
+        assert not any((tmp_path / "bad").iterdir())
+        assert {p.name for p in (tmp_path / "good").iterdir()} == {"trajectory.csv", "cost.csv",
+                                                                   "manifest"}
 
     def test_manifest_round_trip(self, tmp_path):
         assert run_cli(["preset", "fig2", "--out", str(tmp_path / "a")]) == 0
