@@ -156,7 +156,7 @@ def _task_brute_force(bundle: iomod.Bundle, out: Path, max_pulses: int,
 
 
 def emit_alpha_profile(bundle: iomod.Bundle, out: Path) -> Path:
-    """Sample the pressure profile on the integration grid into alpha.csv."""
+    """Sample the pressure profile at round(t_end/step) + 1 evenly spaced times into alpha.csv."""
     cfg = bundle.config
     t_end = float(cfg["model"]["t_end"])
     step = float(cfg["model"]["step"])

@@ -246,18 +246,32 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(defaults, override):
+def _merge(defaults, override, prefix=""):
+    """``defaults`` with ``override``'s values; a value is a mapping exactly where its default is one."""
     out = {}
     for key, val in defaults.items():
-        if isinstance(val, dict):
-            out[key] = _merge(val, override.get(key, {}) if override else {})
-        else:
-            out[key] = override.get(key, val) if override else val
+        given = override.get(key, val) if override else val
+        if isinstance(given, dict) != isinstance(val, dict) and given is not None:
+            kind = "a mapping" if isinstance(val, dict) else "a value, not a mapping"
+            raise ProblemError(f"config key {prefix}{key}: expected {kind}, got {given!r}")
+        out[key] = _merge(val, given, f"{prefix}{key}.") if isinstance(val, dict) else given
     if override:
         unknown = set(override) - set(defaults)
         if unknown:
             raise ProblemError(f"unknown config keys: {sorted(unknown)}")
     return out
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _number(value, key: str, kind=float):
+    """``kind(value)``, or a ProblemError naming the config key when the value is not numeric."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ProblemError(f"config key {key}: expected a number, got {value!r}") from None
 
 
 def load_config(path) -> dict:
@@ -289,42 +303,46 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
     """Build model objects from a (normalized) config mapping."""
     cfg = normalize_config(cfg)
     m = cfg["model"]
-    seed = int(cfg["seed"] if seed_override is None else seed_override)
+    seed = _number(cfg["seed"] if seed_override is None else seed_override, "seed", int)
     cfg["seed"] = seed
+
+    def num(key: str, kind=float):
+        section, _, name = key.rpartition(".")
+        return _number((cfg[section] if section else cfg)[name], key, kind)
+
     if m["pulse_times"] is not None:
-        tg = TimeGrid(float(m["t_end"]), float(m["step"]), tuple(float(t) for t in m["pulse_times"]))
+        tg = TimeGrid(num("model.t_end"), num("model.step"),
+                      num("model.pulse_times", lambda ts: tuple(float(t) for t in ts)))
     else:
-        tg = TimeGrid.regular(float(m["t_end"]), float(m["step"]), float(m["pulse_interval"]))
-    chem = ChemicalParams(float(m["sigma"]), float(m["sigma_star"]))
+        tg = TimeGrid.regular(num("model.t_end"), num("model.step"), num("model.pulse_interval"))
+    chem = ChemicalParams(num("model.sigma"), num("model.sigma_star"))
     a_cfg = cfg["alpha"]
 
     if m["kind"] == "averaged":
         if isinstance(a_cfg["amplitude"], str):
             raise ProblemError("random amplitude requires the space-dependent model")
-        alpha = seasonal_profile(
-            float(a_cfg["amplitude"]), float(a_cfg["peak_time"]), float(a_cfg["period"])
-        )
-        problem: AveragedProblem | PdeProblem = AveragedProblem(tg, alpha, chem, float(m["theta0"]))
+        alpha = seasonal_profile(num("alpha.amplitude"), num("alpha.peak_time"), num("alpha.period"))
+        problem: AveragedProblem | PdeProblem = AveragedProblem(tg, alpha, chem, num("model.theta0"))
         grid = None
     elif m["kind"] == "pde":
-        g = cfg["grid"]
-        grid = SpaceGrid.from_cells(*(int(n) for n in g["cells"]), spacing=float(g["spacing"]))
+        grid = SpaceGrid.from_cells(*num("grid.cells", lambda cells: [int(n) for n in cells]),
+                                    spacing=num("grid.spacing"))
         amp_cfg = a_cfg["amplitude"]
         if isinstance(amp_cfg, str):
             mode, _, s = amp_cfg.partition(":")
             if mode != "random":
                 raise ProblemError(f"unknown amplitude mode {amp_cfg!r}")
-            amp_seed = int(s) if s else seed
-            amplitude = build_random_amplitude(grid, float(a_cfg["mean"]), amp_seed)
+            amp_seed = _number(s, "alpha.amplitude", int) if s else seed
+            amplitude = build_random_amplitude(grid, num("alpha.mean"), amp_seed)
         else:
-            amplitude = ScalarField.uniform(grid, float(amp_cfg))
-        pressure = InhibitionPressure(amplitude, float(a_cfg["peak_time"]), float(a_cfg["period"]))
-        diffusion = DiffusionField.isotropic(grid, float(cfg["diffusion"]))
+            amplitude = ScalarField.uniform(grid, num("alpha.amplitude"))
+        pressure = InhibitionPressure(amplitude, num("alpha.peak_time"), num("alpha.period"))
+        diffusion = DiffusionField.isotropic(grid, num("diffusion"))
         ic = cfg["initial"]
         if ic["mode"] == "uniform":
-            rho = ScalarField.uniform(grid, float(ic["value"]))
+            rho = ScalarField.uniform(grid, num("initial.value"))
         elif ic["mode"] == "sine":
-            rho = build_initial_condition(grid, float(ic["mean"]), float(ic["floor"]))
+            rho = build_initial_condition(grid, num("initial.mean"), num("initial.floor"))
         elif ic["mode"] == "csv":
             rho = read_field_csv(Path(base_dir) / ic["path"], grid)
         else:
@@ -333,26 +351,25 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
     else:
         raise ProblemError(f"unknown model kind {m['kind']!r}")
 
-    u = ContinuousControl.constant(tg, float(cfg["control"]["u"]))
-    pv = cfg["control"]["pulse_values"]
-    if pv is None:
+    u = ContinuousControl.constant(tg, num("control.u"))
+    if cfg["control"]["pulse_values"] is None:
         strategy = PulseStrategy.no_intervention(tg)
     else:
-        strategy = PulseStrategy(np.asarray(pv, dtype=float))
+        strategy = PulseStrategy(num("control.pulse_values", _floats))
 
     c = cfg["cost"]
-    pulse_unit = c["pulse_unit"]
-    if isinstance(pulse_unit, str):
-        field = _field_from_spec(pulse_unit, base_dir, grid)
+    if isinstance(c["pulse_unit"], str):
+        field = _field_from_spec(c["pulse_unit"], base_dir, grid)
         pulse = np.broadcast_to(field.values, (tg.n_candidates, *grid.dims)).copy()
-    elif np.ndim(pulse_unit) == 0:
-        pulse = np.full(tg.n_candidates, float(pulse_unit))
     else:
-        pulse = np.asarray(pulse_unit, dtype=float)
-    final = c["final"]
-    if isinstance(final, str):
-        final = _field_from_spec(final, base_dir, grid).values
-    costs = CostSpec(pulse, np.full(tg.n_steps, float(c["continuous_unit"])), np.asarray(final, dtype=float))
+        pulse = num("cost.pulse_unit", _floats)
+        if pulse.ndim == 0:
+            pulse = np.full(tg.n_candidates, pulse)
+    if isinstance(c["final"], str):
+        final = _field_from_spec(c["final"], base_dir, grid).values
+    else:
+        final = num("cost.final", _floats)
+    costs = CostSpec(pulse, np.full(tg.n_steps, num("cost.continuous_unit")), final)
     return Bundle(m["kind"], problem, u, strategy, costs, cfg, seed)
 
 

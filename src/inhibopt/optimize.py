@@ -8,8 +8,8 @@ self-consistent because the costate between pulses does not depend on the
 state or the strategy.  Ties p(tau_i^+) = c_i (within TIE_TOL) choose v_i = 1.
 
 For sigma_star > 0 the realized pulse set depends on the state, so the sweep
-is alternated with forward runs until the realized set and strategy
-stabilize (fixed_point_pulse).  brute_force_pulse enumerates all vertex
+is alternated with forward runs until a forward run realizes the set its
+sweep used (fixed_point_pulse).  brute_force_pulse enumerates all vertex
 strategies of the averaged model as an exact oracle.  The mixed problem is
 handled by projected gradient on the chemical control with the pulse
 strategy recomputed by the sweep after every control update.
@@ -113,7 +113,8 @@ def _sweep(prop, costs, realized_candidates=None, store_every=1):
     costate Trajectory storing the nodes of ``store_every``).
     ``realized_candidates`` restricts the jump set (used by the threshold
     fixed point); None means every candidate pulses, which is the
-    sigma_star = 0 situation.
+    sigma_star = 0 situation.  v depends on the realized set alone, never
+    on the state, so two sweeps on one set decide the same v bit for bit.
     """
     c = _rows(costs.pulse_unit)
     v = np.ones((prop.time_grid.n_candidates, *prop.shape))  # 1 where unrealized
@@ -308,42 +309,39 @@ def fixed_point_pulse(
     max_iterations: int = 50,
     store_every: int = 1,
 ) -> StrategyResult:
-    """Alternate forward realization / backward sweep until the pulse set is stable.
+    """Alternate backward sweep and forward run until the realized pulse set repeats.
 
-    With sigma_star = 0 this is exactly optimal_pulse.  Cycles between
-    realized pulse sets raise PulseCycleError with both sets; hitting the
-    iteration cap returns the last iterate flagged as unconverged.  Every
-    forward run and sweep, the intermediate ones included, keeps only the
-    nodes of ``store_every`` (see optimal_pulse); the result is the same for
-    every spacing.
+    With sigma_star = 0 this is exactly optimal_pulse.  Otherwise the first
+    realized set R is that of the run without intervention.  Each iteration
+    sweeps on R and runs the decided strategy forward, which realizes a set
+    R'.  Between pulses the costate does not depend on the state, so the
+    sweep's v is a function of R alone: R' = R means the sweep would repeat
+    itself, and the iterate is returned as converged; ``iterations`` counts
+    the sweeps.  An R' that an earlier iteration swept on starts a cycle and
+    raises PulseCycleError with R' and R; hitting the iteration cap returns
+    the last iterate flagged as unconverged.  Every forward run and sweep,
+    the intermediate ones included, keeps only the nodes of ``store_every``
+    (see optimal_pulse); the result is the same for every spacing.
     """
     if problem.chem.sigma_star == 0:
         return optimal_pulse(problem, u, costs, store_every)
     prop = _propagator(problem, u)
-    seen: set = set()
     strategy = PulseStrategy(np.ones((problem.time_grid.n_candidates, *prop.shape)))
     forward = prop.forward(strategy, store_every)
-    iterations = 0
+    realized = frozenset(j.candidate_index for j in forward.jumps)
+    swept: list[frozenset] = []
     converged = False
-    while iterations < max_iterations:
-        iterations += 1
+    while not converged and len(swept) < max_iterations:
+        swept.append(realized)
+        strategy = PulseStrategy(_sweep(prop, costs, realized, store_every)[0])  # its costate is not needed
+        forward = prop.forward(strategy, store_every)
         realized = frozenset(j.candidate_index for j in forward.jumps)
-        new_v = _sweep(prop, costs, realized, store_every)[0]  # its costate is not needed
-        new_strategy = PulseStrategy(new_v)
-        new_forward = prop.forward(new_strategy, store_every)
-        new_realized = frozenset(j.candidate_index for j in new_forward.jumps)
-        state = (new_realized, new_v.tobytes())
-        if new_realized == realized and np.array_equal(new_v, strategy.values):
-            strategy, forward = new_strategy, new_forward
-            converged = True
-            break
-        if state in seen:
-            raise PulseCycleError(new_realized, realized)
-        seen.add(state)
-        strategy, forward = new_strategy, new_forward
+        converged = realized == swept[-1]
+        if not converged and realized in swept:
+            raise PulseCycleError(realized, swept[-1])
     # the costate is recomputed on the final realized set
     return _result(prop, strategy, u, costs, forward=forward, store_every=store_every,
-                   iterations=iterations, converged=converged)
+                   iterations=len(swept), converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def _build_presets() -> dict[str, ExperimentPreset]:
 
     presets["fig1"] = ExperimentPreset(
         "fig1",
-        "seasonal inhibition-pressure profile sampled on the integration grid",
+        "seasonal inhibition-pressure profile sampled at t_end/step + 1 evenly spaced times",
         (PresetRun("alpha", "alpha-profile", {}),),
     )
 

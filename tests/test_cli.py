@@ -214,6 +214,20 @@ class TestExitCodes:
             with pytest.raises(ib.ProblemError, match="unknown config keys"):
                 iomod.resolve_bundle(bad)
 
+    def test_config_values_of_the_wrong_type_are_validation_failures(self, tmp_path, capsys):
+        # a section that is not a mapping, a mapping where a value belongs and
+        # values that are not numbers each name their key and exit 1
+        cases = [({"model": 5}, "model"), ({"cost": [1, 2]}, "cost"),
+                 ({"model": {"kind": "pde"}, "diffusion": {"x": 1}}, "diffusion"),
+                 ({"model": {"t_end": "abc"}}, "model.t_end"),
+                 ({"model": {"t_end": [1]}}, "model.t_end")]
+        for bad, key in cases:
+            cfg = write_config(tmp_path / "cfg.yaml", bad)
+            capsys.readouterr()
+            assert run_cli(["simulate-averaged", "--config", str(cfg),
+                            "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err.startswith(f"validation: config key {key}:")
+
     @pytest.mark.parametrize("command", ["brute-force", "gradient-check"])
     def test_store_every_is_a_usage_error_where_nothing_is_stored(self, tmp_path, command):
         assert run_cli([command, "--out", str(tmp_path / "o"), "--store-every", "5"]) == 64

@@ -443,6 +443,131 @@ def test_field_costate_records_view_their_decisions(case):
         assert all(j.applied.base is owner for j in jumps)
 
 
+def _oracle_fixed_point(problem, u, costs, max_iterations=50, store_every=1):
+    """The earlier loop: it stopped once a pass repeated both the realized set and v."""
+    prop = optimize._propagator(problem, u)
+    seen: set = set()
+    strategy = ib.PulseStrategy(np.ones((problem.time_grid.n_candidates, *prop.shape)))
+    forward = prop.forward(strategy, store_every)
+    iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        iterations += 1
+        realized = frozenset(j.candidate_index for j in forward.jumps)
+        new_v = optimize._sweep(prop, costs, realized, store_every)[0]
+        new_strategy = ib.PulseStrategy(new_v)
+        new_forward = prop.forward(new_strategy, store_every)
+        new_realized = frozenset(j.candidate_index for j in new_forward.jumps)
+        state = (new_realized, new_v.tobytes())
+        if new_realized == realized and np.array_equal(new_v, strategy.values):
+            strategy, forward = new_strategy, new_forward
+            converged = True
+            break
+        if state in seen:
+            raise ib.PulseCycleError(new_realized, realized)
+        seen.add(state)
+        strategy, forward = new_strategy, new_forward
+    return optimize._result(prop, strategy, u, costs, forward=forward, store_every=store_every,
+                            iterations=iterations, converged=converged)
+
+
+def _threshold_cases():
+    """Seeded averaged fixed points (sigma* in [0.2, 0.6], a third with u = None) and one field one."""
+    rng = np.random.default_rng(31)
+    tg = ib.TimeGrid.regular(1.0, 1e-3, 1.0 / 52)
+    for i in range(30):
+        alpha = ib.seasonal_profile(0.5 * np.log(10.0) * rng.uniform(0.8, 1.2), 0.75, 0.2)
+        prob = ib.AveragedProblem(tg, alpha, ib.ChemicalParams(0.3, rng.uniform(0.2, 0.6)),
+                                  rng.uniform(0.2, 0.6))
+        u = ib.ContinuousControl.constant(tg, rng.uniform(0.0, 1.0)) if i % 3 else None
+        yield f"averaged {i}", prob, u, ib.CostSpec.constant(tg, rng.uniform(0.25, 0.6), 0.0,
+                                                              rng.uniform(0.0, 0.5)), 1
+    _, prob, costs = _spacing_case("field fixed_point_pulse")
+    for m in (1, 7):
+        yield f"field m={m}", prob, None, costs, m
+
+
+def test_fixed_point_matches_the_loop_with_a_confirming_pass():
+    moves = set()
+    for name, prob, u, costs, m in _threshold_cases():
+        got = ib.fixed_point_pulse(prob, u, costs, store_every=m)
+        want = _oracle_fixed_point(prob, u, costs, store_every=m)
+        assert got.converged and want.converged, name
+        assert got.strategy.values.tobytes() == want.strategy.values.tobytes(), name
+        assert got.cost == want.cost, name
+        for a, b in ((got.forward, want.forward), (got.adjoint, want.adjoint)):
+            assert a.values.tobytes() == b.values.tobytes(), name
+            assert np.array_equal(a.node_indices, b.node_indices), name
+        _assert_same_jumps(got.forward.jumps, want.forward.jumps, ("pre", "post", "applied"))
+        _assert_same_jumps(got.adjoint.jumps, want.adjoint.jumps, ("p_plus", "p_minus", "applied"))
+        assert len(got.certificate) == len(want.certificate), name
+        for a, b in zip(got.certificate, want.certificate):
+            for field in ("time", "candidate_index", "p_plus", "unit_cost", "applied", "margin"):
+                assert np.array_equal(getattr(a, field), getattr(b, field)), name
+        assert ib.certificate_check(got, prob, costs) == ib.certificate_check(want, prob, costs)
+        assert want.iterations - got.iterations in (0, 1), name
+        moves.add((want.iterations, got.iterations))
+    # both ways out occur: a first sweep that keeps the unforced set (1 -> 1)
+    # and one that changes it, where only the confirming pass goes (3 -> 2)
+    assert moves == {(1, 1), (3, 2)}
+
+
+def test_no_sweep_repeats_the_set_of_the_sweep_before_it(monkeypatch):
+    swept = []
+    sweep = optimize._sweep
+
+    def recording(prop, costs, realized_candidates=None, store_every=1):
+        swept.append(realized_candidates)
+        return sweep(prop, costs, realized_candidates, store_every)
+
+    monkeypatch.setattr(optimize, "_sweep", recording)
+    for name, prob, u, costs, m in _threshold_cases():
+        swept.clear()
+        res = ib.fixed_point_pulse(prob, u, costs, store_every=m)
+        assert res.converged and len(swept) == res.iterations, name
+        assert all(a != b for a, b in zip(swept, swept[1:])), name
+
+
+def test_alternating_realized_sets_raise_a_cycle(monkeypatch):
+    # the forward runs after the unforced one realize the odd, then the even,
+    # then the odd candidates again: the third sweep's set was swept before
+    make = optimize._propagator
+
+    def alternating(problem, u):
+        prop = make(problem, u)
+        forward = prop.forward
+        runs = []
+
+        def fake(strategy, store_every=1):
+            traj = forward(strategy, store_every)
+            if runs:
+                traj.jumps = [j for j in runs[0].jumps if j.candidate_index % 2 == len(runs) % 2]
+            runs.append(traj)
+            return traj
+
+        prop.forward = fake
+        return prop
+
+    monkeypatch.setattr(optimize, "_propagator", alternating)
+    prob = reference_averaged(sigma_star=0.2)
+    with pytest.raises(ib.PulseCycleError) as info:
+        ib.fixed_point_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.4))
+    odd = {k for k in range(prob.time_grid.n_candidates) if k % 2}
+    assert info.value.set_a and info.value.set_b
+    assert info.value.set_a <= odd and not info.value.set_b & odd
+
+
+def test_iteration_cap_returns_a_consistent_unconverged_iterate():
+    prob = reference_averaged(t_end=0.5, sigma_star=0.42)
+    costs = ib.CostSpec.constant(prob.time_grid, 0.1)
+    assert ib.fixed_point_pulse(prob, None, costs).iterations == 2
+    res = ib.fixed_point_pulse(prob, None, costs, max_iterations=1)
+    assert res.iterations == 1 and not res.converged
+    assert ({j.node_index for j in res.forward.jumps}
+            == {j.node_index for j in res.adjoint.jumps})
+    assert res.cost == ib.cost_averaged(res.forward, res.strategy, None, costs)
+
+
 class TestProjectedGradientMixed:
     def test_requires_chemical_efficacy(self):
         prob = reference_averaged(sigma=0.0)
