@@ -266,12 +266,19 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _number(value, key: str, kind=float):
-    """``kind(value)``, or a ProblemError naming the config key when the value is not numeric."""
+def _number(value, key: str, kind=float, expected="a number"):
+    """``kind(value)``, or a ProblemError naming the config key when ``kind`` rejects the value."""
     try:
         return kind(value)
     except (TypeError, ValueError):
-        raise ProblemError(f"config key {key}: expected a number, got {value!r}") from None
+        raise ProblemError(f"config key {key}: expected {expected}, got {value!r}") from None
+
+
+def _cells(value) -> list[int]:
+    cells = [int(n) for n in value]
+    if len(cells) != 3:
+        raise ValueError(value)
+    return cells
 
 
 def load_config(path) -> dict:
@@ -306,9 +313,9 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
     seed = _number(cfg["seed"] if seed_override is None else seed_override, "seed", int)
     cfg["seed"] = seed
 
-    def num(key: str, kind=float):
+    def num(key: str, kind=float, expected="a number"):
         section, _, name = key.rpartition(".")
-        return _number((cfg[section] if section else cfg)[name], key, kind)
+        return _number((cfg[section] if section else cfg)[name], key, kind, expected)
 
     if m["pulse_times"] is not None:
         tg = TimeGrid(num("model.t_end"), num("model.step"),
@@ -325,7 +332,7 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
         problem: AveragedProblem | PdeProblem = AveragedProblem(tg, alpha, chem, num("model.theta0"))
         grid = None
     elif m["kind"] == "pde":
-        grid = SpaceGrid.from_cells(*num("grid.cells", lambda cells: [int(n) for n in cells]),
+        grid = SpaceGrid.from_cells(*num("grid.cells", _cells, "three cell counts"),
                                     spacing=num("grid.spacing"))
         amp_cfg = a_cfg["amplitude"]
         if isinstance(amp_cfg, str):
@@ -344,7 +351,7 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
         elif ic["mode"] == "sine":
             rho = build_initial_condition(grid, num("initial.mean"), num("initial.floor"))
         elif ic["mode"] == "csv":
-            rho = read_field_csv(Path(base_dir) / ic["path"], grid)
+            rho = _field_csv("initial.path", ic["path"], base_dir, grid)
         else:
             raise ProblemError(f"unknown initial mode {ic['mode']!r}")
         problem = PdeProblem(tg, grid, pressure, diffusion, chem, rho)
@@ -359,27 +366,37 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
 
     c = cfg["cost"]
     if isinstance(c["pulse_unit"], str):
-        field = _field_from_spec(c["pulse_unit"], base_dir, grid)
+        field = _field_from_spec("cost.pulse_unit", c["pulse_unit"], base_dir, grid)
         pulse = np.broadcast_to(field.values, (tg.n_candidates, *grid.dims)).copy()
     else:
         pulse = num("cost.pulse_unit", _floats)
         if pulse.ndim == 0:
             pulse = np.full(tg.n_candidates, pulse)
     if isinstance(c["final"], str):
-        final = _field_from_spec(c["final"], base_dir, grid).values
+        final = _field_from_spec("cost.final", c["final"], base_dir, grid).values
     else:
         final = num("cost.final", _floats)
     costs = CostSpec(pulse, np.full(tg.n_steps, num("cost.continuous_unit")), final)
     return Bundle(m["kind"], problem, u, strategy, costs, cfg, seed)
 
 
-def _field_from_spec(spec: str, base_dir, grid: SpaceGrid | None) -> ScalarField:
+def _field_from_spec(key: str, spec: str, base_dir, grid: SpaceGrid | None) -> ScalarField:
     mode, _, path = spec.partition(":")
     if mode != "csv" or not path:
         raise ProblemError(f"field spec must be 'csv:<path>', got {spec!r}")
     if grid is None:
         raise ProblemError("csv fields require the space-dependent model")
-    return read_field_csv(Path(base_dir) / path, grid)
+    return _field_csv(key, path, base_dir, grid)
+
+
+def _field_csv(key: str, path, base_dir, grid: SpaceGrid) -> ScalarField:
+    """The field file that config key ``key`` names; a missing or unreadable one is a ProblemError."""
+    if not isinstance(path, str):
+        raise ProblemError(f"config key {key}: expected a file path, got {path!r}")
+    try:
+        return read_field_csv(Path(base_dir) / path, grid)
+    except OSError as exc:
+        raise ProblemError(f"config key {key}: cannot read {exc.filename}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ TIE_TOL = 1e-12
 BRUTE_FORCE_CAP = 20
 VERTEX_CHUNK = 2**13  # strategies costed per array pass of brute_force_pulse
 CERT_BLOCK_VALUES = 2**16  # values per array pass of certificate_check (a block of pulses)
+GAMMA_MIN, GAMMA_MAX = 1e-10, 1e10  # bounds of the spectral step of projected_gradient_mixed
 
 
 class PulseCycleError(SolverError):
@@ -348,8 +349,22 @@ def fixed_point_pulse(
 # mixed strategy by projected gradient
 
 
+def _control_inner(prop, a: np.ndarray, b: np.ndarray) -> float:
+    """The dt- and ds^3-weighted inner product of two chemical-control arrays."""
+    return float(np.sum(_space_integral(a * b, prop.space_weight) * prop.time_grid.dt))
+
+
 def _control_norm(prop, du: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(_space_integral(du**2, prop.space_weight) * prop.time_grid.dt)))
+    return float(np.sqrt(_control_inner(prop, du, du)))
+
+
+def _spectral_step(prop, s: np.ndarray, y: np.ndarray) -> float:
+    """Barzilai-Borwein step <s, s> / <s, y> clipped to [GAMMA_MIN, GAMMA_MAX];
+    GAMMA_MAX when <s, y> <= 0, where the gradient gives no curvature to scale by."""
+    sy = _control_inner(prop, s, y)
+    if not sy > 0:
+        return GAMMA_MAX
+    return min(max(_control_inner(prop, s, s) / sy, GAMMA_MIN), GAMMA_MAX)
 
 
 def _continuous_certificate(prop, forward, adjoint, u, costs) -> ContinuousCertificate:
@@ -373,13 +388,20 @@ def projected_gradient_mixed(
     tol_control: float = 1e-6,
     tol_cost: float = 1e-10,
 ) -> StrategyResult:
-    """Mixed chemical/pulse optimization: projected gradient on u, sweep on v.
+    """Mixed chemical/pulse optimization: spectral projected gradient on u, sweep on v.
 
     Each iteration takes u <- clip(u - gamma*ubar, 0, 1) with gamma halved
-    (from gamma0, reset every iteration) until the total cost decreases, the
-    pulse strategy being recomputed by the backward sweep after every control
-    update.  Stops when the control update norm <= tol_control or the cost
-    decrease <= tol_cost.  ``diagnostics["stop_reason"]`` names the stop:
+    until the total cost strictly decreases, the pulse strategy being
+    recomputed by the backward sweep after every control update.  The first
+    trial step is gamma0 at the first iteration and the spectral
+    (Barzilai-Borwein) step after it: with s = u_k - u_{k-1} and
+    y = ubar_k - ubar_{k-1} in the inner product of the control norm,
+    gamma = <s, s> / <s, y> clipped to [GAMMA_MIN, GAMMA_MAX], or GAMMA_MAX
+    when <s, y> <= 0; a GAMMA_MAX step projects onto the bang-bang control
+    that the sign of ubar selects.  Only a strict decrease is accepted, so
+    the cost history strictly decreases.  Stops when the control update
+    norm <= tol_control or the cost decrease <= tol_cost.
+    ``diagnostics["stop_reason"]`` names the stop:
     stationary, step tolerance, cost tolerance, line search failed or
     iteration cap; ``diagnostics["line_search_halvings"]`` counts the step
     halvings over all iterations.  The certificate records, per time sample,
@@ -400,14 +422,16 @@ def projected_gradient_mixed(
     halvings = 0
     converged = False
     stop_reason = "iteration cap"
+    previous = None  # (u samples, ubar) of the iterate before the current one
     while iterations < max_iterations:
         iterations += 1
-        report = gradient_continuous(problem, current.forward, current.adjoint, u, costs)
-        gamma = gamma0
+        ubar = gradient_continuous(problem, current.forward, current.adjoint, u, costs).continuous_gradient
+        gamma = (gamma0 if previous is None
+                 else _spectral_step(prop, u.samples - previous[0], ubar - previous[1]))
         accepted = None
         stationary = False
         for _ in range(max_halvings + 1):
-            u_new = ContinuousControl(np.clip(u.samples - gamma * report.continuous_gradient, 0.0, 1.0))
+            u_new = ContinuousControl(np.clip(u.samples - gamma * ubar, 0.0, 1.0))
             if np.array_equal(u_new.samples, u.samples):
                 stationary = True  # projection fixed point: no admissible descent
                 break
@@ -424,6 +448,7 @@ def projected_gradient_mixed(
         u_new, trial = accepted
         du = _control_norm(prop, u_new.samples - u.samples)
         decrease = j_history[-1] - trial.cost.total
+        previous = (u.samples, ubar)
         u, current = u_new, trial
         j_history.append(current.cost.total)
         if du <= tol_control or decrease <= tol_cost:

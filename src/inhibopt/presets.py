@@ -9,7 +9,9 @@ fig1 samples the seasonal pressure profile; fig2-fig4 sweep the pulse-only
 optimization over unit pulse costs, a constant chemical control and the
 final-cost weight; fig5/fig6 run the space-dependent optimization for
 diffusion 1*I and 10*I with the center-concentrated initial condition;
-fig7 uses a seeded random pressure amplitude with a uniform initial state.
+fig7 uses a seeded random pressure amplitude with a uniform initial state;
+mixed runs the mixed optimizer at a chemical unit cost where u stays 0 and at
+one where the chemical and pulse controls are both used.
 """
 
 from __future__ import annotations
@@ -124,13 +126,15 @@ def _build_presets() -> dict[str, ExperimentPreset]:
 
     presets["mixed"] = ExperimentPreset(
         "mixed",
-        "mixed chemical/pulse optimization by projected gradient (C = 0.1, c = 0.5)",
+        "mixed chemical/pulse optimization by projected gradient (c = 0.5; C = 0.1 keeps "
+        "u = 0, C = 0.005 uses both controls)",
         (
             PresetRun(
                 "mixed",
                 "optimize-mixed",
                 {"cost": {"pulse_unit": 0.5, "continuous_unit": 0.1}},
             ),
+            PresetRun("C-0.005", "optimize-mixed", {"cost": {"continuous_unit": 0.005}}),
         ),
     )
 

@@ -263,7 +263,7 @@ def test_criterion_09_mixed_descent():
     res_low = ib.projected_gradient_mixed(prob, costs_low)
     hist_low = res_low.diagnostics["cost_history"]
     assert all(b < a for a, b in zip(hist_low, hist_low[1:]))
-    assert res_low.iterations <= 200
+    assert res_low.converged and res_low.iterations <= 200
     agreement_low = res_low.continuous_certificate.agreement_fraction(margin_floor=1e-6)
     assert agreement_low >= 0.99, f"certificate agreement {agreement_low:.4f}"
     _report(9, f"monotone descent, {res.iterations} and {res_low.iterations} iterations, "

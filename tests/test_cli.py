@@ -228,6 +228,16 @@ class TestExitCodes:
                             "--out", str(tmp_path / "o")]) == 1
             assert capsys.readouterr().err.startswith(f"validation: config key {key}:")
 
+    @pytest.mark.parametrize("section, key", [
+        ({"initial": {"mode": "csv"}}, "initial.path"),  # no path
+        ({"grid": {"cells": [2, 2]}}, "grid.cells"),  # two counts for three axes
+        ({"cost": {"pulse_unit": "csv:missing.csv"}}, "cost.pulse_unit"),  # no such file
+    ])
+    def test_field_config_mistakes_are_validation_failures(self, tmp_path, capsys, section, key):
+        cfg = write_config(tmp_path / "cfg.yaml", {**PDE_CFG, **section})
+        assert run_cli(["simulate-pde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"validation: config key {key}:")
+
     @pytest.mark.parametrize("command", ["brute-force", "gradient-check"])
     def test_store_every_is_a_usage_error_where_nothing_is_stored(self, tmp_path, command):
         assert run_cli([command, "--out", str(tmp_path / "o"), "--store-every", "5"]) == 64
@@ -253,6 +263,16 @@ class TestPresets:
             member = tmp_path / "fig2" / label
             assert (member / "strategy.csv").exists()
             assert (member / "trajectory.csv").exists()
+
+    def test_mixed_preset_shows_a_mixed_strategy(self, tmp_path):
+        assert run_cli(["preset", "mixed", "--out", str(tmp_path)]) == 0
+        manifest = iomod.config_from_manifest(tmp_path / "C-0.005" / "manifest")[1]
+        assert manifest["converged"] is True and manifest["stop_reason"] == "stationary"
+        assert manifest["iterations"] <= 20 and manifest["realized_pulses"] > 0
+        u = [float(r["u"]) for r in read_rows(tmp_path / "C-0.005" / "control.csv")]
+        assert max(u) == 1.0
+        v = [float(r["v_i"]) for r in read_rows(tmp_path / "C-0.005" / "strategy.csv")]
+        assert 0.0 in v  # the chemical control and the pulses are both used
 
     def test_every_member_resolves_validates_and_dispatches(self, tmp_path, monkeypatch):
         # the task functions are replaced: members are resolved and dispatched, not run

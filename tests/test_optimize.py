@@ -643,6 +643,59 @@ class TestProjectedGradientMixed:
         assert res.diagnostics["stop_reason"] == stop
         assert res.diagnostics["line_search_halvings"] == len(trials) == (rejected or max_halvings + 1)
 
+    def test_first_step_is_gamma0(self):
+        prob = reference_averaged()
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
+        res = ib.projected_gradient_mixed(prob, costs, gamma0=0.75, max_iterations=1)
+        u0 = ib.ContinuousControl.constant(prob.time_grid, 0.0)
+        start = ib.optimal_pulse(prob, u0, costs)
+        ubar0 = ib.gradient_continuous(prob, start.forward, start.adjoint, u0, costs).continuous_gradient
+        assert res.diagnostics["line_search_halvings"] == 0
+        assert np.array_equal(res.control.samples, np.clip(u0.samples - 0.75 * ubar0, 0.0, 1.0))
+
+    @staticmethod
+    def _uneven_step_case():
+        # candidates at 0.013 and 0.05 split [0, 0.1] into steps of 0.0065, 0.00925 and 0.01
+        tg = ib.TimeGrid(0.1, 0.01, (0.013, 0.05))
+        problem = ib.AveragedProblem(tg, reference_alpha(), ib.ChemicalParams(0.3), 0.4)
+        prop = optimize._propagator(problem, None)
+        s = np.linspace(-1.0, 1.0, tg.n_steps) ** 3
+        y = np.arange(tg.n_steps, dtype=float) * s
+        return tg, prop, s, y
+
+    @pytest.mark.parametrize("sign", [-1.0, 0.0])
+    def test_spectral_step_without_curvature_is_gamma_max(self, sign):
+        _, prop, s, y = self._uneven_step_case()
+        assert optimize._spectral_step(prop, s, sign * y) == optimize.GAMMA_MAX
+
+    def test_spectral_step_is_the_dt_weighted_quotient(self):
+        tg, prop, s, y = self._uneven_step_case()
+        assert tg.dt.min() < 0.007 and tg.dt.max() > 0.0099
+        weighted = np.sum(s * s * tg.dt) / np.sum(s * y * tg.dt)
+        assert abs(weighted / (np.sum(s * s) / np.sum(s * y)) - 1.0) > 1e-3  # the weights matter
+        assert optimize._spectral_step(prop, s, y) == pytest.approx(weighted, rel=1e-12)
+        assert optimize._spectral_step(prop, s, 1e12 * y) == optimize.GAMMA_MIN
+        assert optimize._spectral_step(prop, s, 1e-12 * y) == optimize.GAMMA_MAX
+
+    def test_cheap_control_converges(self):
+        # the capped reset-every-iteration step ended at J = 0.28877322 with max u = 0.384
+        prob = reference_averaged()
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
+        res = ib.projected_gradient_mixed(prob, costs)
+        assert res.converged and res.iterations <= 20
+        assert res.control.samples.max() > 0.0
+        assert res.cost.total < 0.28877322
+        assert ib.certificate_check(res, prob, costs) == []
+
+    def test_cheap_control_converges_on_a_field(self):
+        prob = reference_pde(cells=(2, 2, 1), t_end=0.5)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
+        res = ib.projected_gradient_mixed(prob, costs, max_iterations=60)
+        hist = res.diagnostics["cost_history"]
+        assert res.converged
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+        assert res.control.samples.max() > 0.0
+
     def test_space_dependent_problem(self):
         prob = reference_pde(cells=(2, 2, 1), t_end=0.2)
         costs = ib.CostSpec.constant(prob.time_grid, 0.4, continuous_unit=0.05)
