@@ -139,7 +139,12 @@ def gradient_continuous(
     costs: CostSpec,
     direction=None,
 ) -> GradientReport:
-    """Steepest-ascent density for the chemical control, per integration step."""
+    """Steepest-ascent density for the chemical control, per integration step.
+
+    It is the exact gradient of J for the realized pulse set of ``forward``
+    held fixed.  Under an observability threshold a change of u can move a
+    pulse into or out of that set, where J(u) is not differentiable.
+    """
     tg = problem.time_grid
     sigma = problem.chem.sigma
     u_samples = u.samples if u is not None else np.zeros(tg.n_steps)

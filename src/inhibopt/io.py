@@ -58,15 +58,38 @@ def _fmt(x) -> str:
 
 
 def read_field_csv(path, grid: SpaceGrid) -> ScalarField:
-    values = np.full(grid.dims, np.nan)
+    """A field file with header ``i,j,k,value`` and one row per grid point.
+
+    A row whose indices are not integers in range, whose value is not a
+    finite number or whose point came before, and a point without a row,
+    are ProblemErrors that name the file and the line (or the point).
+    """
+    values = np.full(grid.dims, np.nan)  # nan until the point's row is read
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["i", "j", "k", "value"]:
-            raise ProblemError(f"{path}: expected header i,j,k,value, got {reader.fieldnames}")
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["i", "j", "k", "value"]:
+            raise ProblemError(f"{path}: expected header i,j,k,value, got {header}")
         for row in reader:
-            values[int(row["i"]), int(row["j"]), int(row["k"])] = float(row["value"])
-    if np.isnan(values).any():
-        raise ProblemError(f"{path}: missing grid points (grid dims {grid.dims})")
+            if not row:
+                continue  # a blank line
+            where = f"{path}: line {reader.line_num}"
+            try:
+                i, j, k, value = row
+                point, value = (int(i), int(j), int(k)), float(value)
+            except ValueError:
+                raise ProblemError(f"{where}: expected integer i,j,k and a number, got {row}") from None
+            if not all(0 <= n < d for n, d in zip(point, grid.dims)):
+                raise ProblemError(f"{where}: point {point} outside the grid dims {grid.dims}")
+            if not math.isfinite(value):
+                raise ProblemError(f"{where}: value {value} at {point} is not finite")
+            if not np.isnan(values[point]):
+                raise ProblemError(f"{where}: point {point} given twice")
+            values[point] = value
+    missing = np.argwhere(np.isnan(values))
+    if missing.size:
+        raise ProblemError(f"{path}: {len(missing)} missing grid point(s), the first "
+                           f"{tuple(missing[0].tolist())} (grid dims {grid.dims})")
     return ScalarField(grid, values)
 
 
@@ -390,13 +413,15 @@ def _field_from_spec(key: str, spec: str, base_dir, grid: SpaceGrid | None) -> S
 
 
 def _field_csv(key: str, path, base_dir, grid: SpaceGrid) -> ScalarField:
-    """The field file that config key ``key`` names; a missing or unreadable one is a ProblemError."""
+    """The field file that config key ``key`` names; a missing, unreadable or bad one is a ProblemError."""
     if not isinstance(path, str):
         raise ProblemError(f"config key {key}: expected a file path, got {path!r}")
     try:
         return read_field_csv(Path(base_dir) / path, grid)
     except OSError as exc:
         raise ProblemError(f"config key {key}: cannot read {exc.filename}: {exc.strerror}") from None
+    except ProblemError as exc:
+        raise ProblemError(f"config key {key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ state or the strategy.  Ties p(tau_i^+) = c_i (within TIE_TOL) choose v_i = 1.
 
 For sigma_star > 0 the realized pulse set depends on the state, so the sweep
 is alternated with forward runs until a forward run realizes the set its
-sweep used (fixed_point_pulse).  brute_force_pulse enumerates all vertex
-strategies of the averaged model as an exact oracle.  The mixed problem is
-handled by projected gradient on the chemical control with the pulse
-strategy recomputed by the sweep after every control update.
+sweep used (fixed_point_pulse; optimal_pulse is that loop from every
+candidate).  brute_force_pulse enumerates all vertex strategies of the
+averaged model as an exact oracle.  The mixed problem is handled by projected
+gradient on u with the pulses recomputed by the fixed point after each update.
 
 Every optimizer builds one propagator per (problem, u) with
 :func:`inhibopt.adjoint._propagator` and runs the shared loops of
@@ -112,10 +112,9 @@ def _sweep(prop, costs, realized_candidates=None, store_every=1):
     v_i = 0 where p(tau_i^+) > c_i + TIE_TOL, else 1: the adjoint sweep with
     the bang-bang rule as its decision.  Returns (strategy values,
     costate Trajectory storing the nodes of ``store_every``).
-    ``realized_candidates`` restricts the jump set (used by the threshold
-    fixed point); None means every candidate pulses, which is the
-    sigma_star = 0 situation.  v depends on the realized set alone, never
-    on the state, so two sweeps on one set decide the same v bit for bit.
+    ``realized_candidates`` restricts the jump set; None means every
+    candidate pulses.  v depends on the realized set alone, never on the
+    state, so two sweeps on one set decide the same v bit for bit.
     """
     c = _rows(costs.pulse_unit)
     v = np.ones((prop.time_grid.n_candidates, *prop.shape))  # 1 where unrealized
@@ -151,6 +150,28 @@ def _result(prop, strategy, u, costs, forward=None, adjoint=None, store_every=1,
     return result
 
 
+def _pulse_loop(prop, u, costs, realized: frozenset, max_iterations: int, store_every: int):
+    """The loop of fixed_point_pulse (see there) from the realized set ``realized``."""
+    if max_iterations < 1:
+        raise ProblemError("max_iterations must be >= 1")
+    swept: list[frozenset] = []
+    converged = False
+    while not converged and len(swept) < max_iterations:
+        swept.append(realized)
+        forward = adjoint = None  # only the new costate and its forward run are alive
+        v, adjoint = _sweep(prop, costs, realized, store_every)
+        strategy = PulseStrategy(v)
+        forward = prop.forward(strategy, store_every)
+        realized = frozenset(j.candidate_index for j in forward.jumps)
+        converged = realized == swept[-1]
+        if not converged and realized in swept:
+            raise PulseCycleError(realized, swept[-1])
+    if not converged:
+        adjoint = None  # it swept on the set before the last one
+    return _result(prop, strategy, u, costs, forward, adjoint, store_every,
+                   iterations=len(swept), converged=converged)
+
+
 def optimal_pulse(
     problem: AveragedProblem | PdeProblem,
     u: ContinuousControl | None,
@@ -160,18 +181,17 @@ def optimal_pulse(
     """Constructive bang-bang pulse strategy via a single backward sweep.
 
     Only valid with sigma_star = 0 (every candidate time pulses); otherwise
-    use fixed_point_pulse.  The forward run and the costate keep every
-    ``store_every``-th node plus every candidate node and the final node, so
-    memory follows the spacing; the strategy, the cost and the certificate
-    are the same for every spacing.  The chemical gradient needs complete
-    records (the default).
+    use fixed_point_pulse, whose loop this is, entered with every candidate
+    realized and capped at one sweep, which converges as no pulse is gated
+    off.  The forward run and the costate keep every ``store_every``-th node
+    plus every candidate node and the final node; the strategy, the cost and
+    the certificate are the same for every spacing.  The chemical gradient
+    needs complete records (the default).
     """
     if problem.chem.sigma_star > 0:
         raise ProblemError("optimal_pulse requires sigma_star = 0; use fixed_point_pulse")
-    prop = _propagator(problem, u)
-    v_values, adjoint = _sweep(prop, costs, store_every=store_every)
-    return _result(prop, PulseStrategy(v_values), u, costs, adjoint=adjoint,
-                   store_every=store_every)
+    every = frozenset(range(problem.time_grid.n_candidates))
+    return _pulse_loop(_propagator(problem, u), u, costs, every, 1, store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -312,37 +332,21 @@ def fixed_point_pulse(
 ) -> StrategyResult:
     """Alternate backward sweep and forward run until the realized pulse set repeats.
 
-    With sigma_star = 0 this is exactly optimal_pulse.  Otherwise the first
-    realized set R is that of the run without intervention.  Each iteration
-    sweeps on R and runs the decided strategy forward, which realizes a set
-    R'.  Between pulses the costate does not depend on the state, so the
-    sweep's v is a function of R alone: R' = R means the sweep would repeat
-    itself, and the iterate is returned as converged; ``iterations`` counts
-    the sweeps.  An R' that an earlier iteration swept on starts a cycle and
-    raises PulseCycleError with R' and R; hitting the iteration cap returns
-    the last iterate flagged as unconverged.  Every forward run and sweep,
-    the intermediate ones included, keeps only the nodes of ``store_every``
-    (see optimal_pulse); the result is the same for every spacing.
+    With sigma_star = 0 this is exactly optimal_pulse.  Otherwise R starts as
+    the set the run without intervention realizes; each iteration sweeps on R
+    and runs the decided v forward, which realizes R'.  The costate between
+    pulses does not depend on the state, so v is a function of R alone: R' = R
+    converges, and that sweep's costate is the result's.  An R' swept on
+    before raises PulseCycleError(R', R); at the cap the last iterate is
+    returned unconverged, its costate computed on the final set.
+    ``iterations`` counts the sweeps; every run keeps the nodes of
+    ``store_every`` (see optimal_pulse), and the result is the same for any.
     """
     if problem.chem.sigma_star == 0:
         return optimal_pulse(problem, u, costs, store_every)
     prop = _propagator(problem, u)
-    strategy = PulseStrategy(np.ones((problem.time_grid.n_candidates, *prop.shape)))
-    forward = prop.forward(strategy, store_every)
-    realized = frozenset(j.candidate_index for j in forward.jumps)
-    swept: list[frozenset] = []
-    converged = False
-    while not converged and len(swept) < max_iterations:
-        swept.append(realized)
-        strategy = PulseStrategy(_sweep(prop, costs, realized, store_every)[0])  # its costate is not needed
-        forward = prop.forward(strategy, store_every)
-        realized = frozenset(j.candidate_index for j in forward.jumps)
-        converged = realized == swept[-1]
-        if not converged and realized in swept:
-            raise PulseCycleError(realized, swept[-1])
-    # the costate is recomputed on the final realized set
-    return _result(prop, strategy, u, costs, forward=forward, store_every=store_every,
-                   iterations=len(swept), converged=converged)
+    unforced = frozenset(j.candidate_index for j in prop.forward(None, store_every).jumps)
+    return _pulse_loop(prop, u, costs, unforced, max_iterations, store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +392,15 @@ def projected_gradient_mixed(
     tol_control: float = 1e-6,
     tol_cost: float = 1e-10,
 ) -> StrategyResult:
-    """Mixed chemical/pulse optimization: spectral projected gradient on u, sweep on v.
+    """Mixed chemical/pulse optimization: spectral projected gradient on u, fixed point on v.
 
     Each iteration takes u <- clip(u - gamma*ubar, 0, 1) with gamma halved
     until the total cost strictly decreases, the pulse strategy being
-    recomputed by the backward sweep after every control update.  The first
-    trial step is gamma0 at the first iteration and the spectral
+    recomputed by fixed_point_pulse after every control update; a trial
+    whose fixed point cycles or stops at its cap is rejected like one that
+    does not lower J.  ubar is the exact gradient only while the realized
+    pulse set stays fixed: J(u) is piecewise smooth under a threshold.  The
+    first trial step is gamma0 at the first iteration and the spectral
     (Barzilai-Borwein) step after it: with s = u_k - u_{k-1} and
     y = ubar_k - ubar_{k-1} in the inner product of the control norm,
     gamma = <s, s> / <s, y> clipped to [GAMMA_MIN, GAMMA_MAX], or GAMMA_MAX
@@ -404,9 +411,9 @@ def projected_gradient_mixed(
     ``diagnostics["stop_reason"]`` names the stop:
     stationary, step tolerance, cost tolerance, line search failed or
     iteration cap; ``diagnostics["line_search_halvings"]`` counts the step
-    halvings over all iterations.  The certificate records, per time sample,
-    whether the final iterate matches the chemical bang-bang switching
-    condition.
+    halvings over all iterations, ``"fixed_point_rejections"`` the rejected
+    fixed points among them.  The certificate records, per time sample,
+    whether the final iterate meets the chemical bang-bang condition.
     """
     if not problem.chem.sigma > 0:
         raise ProblemError("projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)")
@@ -416,10 +423,10 @@ def projected_gradient_mixed(
     full_shape = (tg.n_steps, *prop.shape)
     if u.samples.shape != full_shape:
         u = ContinuousControl(np.broadcast_to(_per_point(u.samples, len(full_shape)), full_shape))
-    current = optimal_pulse(problem, u, costs)
+    current = fixed_point_pulse(problem, u, costs)
     j_history = [current.cost.total]
     iterations = 0
-    halvings = 0
+    halvings = rejections = 0
     converged = False
     stop_reason = "iteration cap"
     previous = None  # (u samples, ubar) of the iterate before the current one
@@ -435,8 +442,13 @@ def projected_gradient_mixed(
             if np.array_equal(u_new.samples, u.samples):
                 stationary = True  # projection fixed point: no admissible descent
                 break
-            trial = optimal_pulse(problem, u_new, costs)
-            if trial.cost.total < j_history[-1]:
+            try:
+                trial = fixed_point_pulse(problem, u_new, costs)
+            except PulseCycleError:
+                trial = None
+            if trial is None or not trial.converged:
+                rejections += 1
+            elif trial.cost.total < j_history[-1]:
                 accepted = (u_new, trial)
                 break
             gamma *= shrink
@@ -457,7 +469,8 @@ def projected_gradient_mixed(
             break
 
     cont_cert = _continuous_certificate(prop, current.forward, current.adjoint, u, costs)
-    diag = {"cost_history": j_history, "stop_reason": stop_reason, "line_search_halvings": halvings}
+    diag = {"cost_history": j_history, "stop_reason": stop_reason, "line_search_halvings": halvings,
+            "fixed_point_rejections": rejections}
     return replace(current, iterations=iterations, converged=converged,
                    continuous_certificate=cont_cert, diagnostics=diag)
 

@@ -149,6 +149,21 @@ class TestOptimizeCommands:
         assert extras["stop_reason"] in ("stationary", "step tolerance", "cost tolerance",
                                          "line search failed", "iteration cap")
 
+    def test_optimize_mixed_under_a_threshold(self, tmp_path):
+        # every control is evaluated by the threshold fixed point
+        cfg = {"model": {"sigma_star": 0.3}, "cost": {"continuous_unit": 0.005}}
+        out = tmp_path / "run"
+        assert run_cli(["optimize-mixed", "--config", str(write_config(tmp_path / "cfg.yaml", cfg)),
+                        "--out", str(out)]) == 0
+        _, extras = iomod.config_from_manifest(out / "manifest")
+        assert extras["stop_reason"] == "stationary" and extras["converged"] is True
+        assert extras["realized_pulses"] == 1
+        bundle = iomod.resolve_bundle(cfg)
+        res = ib.projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
+        hist = res.diagnostics["cost_history"]
+        assert len(hist) > 1 and all(b < a for a, b in zip(hist, hist[1:]))
+        assert extras["total_cost"] == hist[-1]
+
     def test_manifests_record_realized_pulses_and_halvings(self, tmp_path):
         gated = {**AVERAGED_CFG, "model": {**AVERAGED_CFG["model"], "sigma_star": 0.45}}
         out = tmp_path / "pulse"
@@ -338,6 +353,27 @@ def test_csv_initial_condition_config(tmp_path):
     }
     bundle = iomod.resolve_bundle(cfg, base_dir=tmp_path)
     assert np.array_equal(bundle.problem.initial.values, rho.values)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({16: "3,0,0,0.4"}, "line 18: point (3, 0, 0) outside the grid dims (3, 3, 2)"),
+    ({17: "-1,2,1,0.9"}, "line 19: point (-1, 2, 1) outside"),  # not a stand-in for (2,2,1)
+    ({0: "0.5,0,0,0.4"}, "line 2: expected integer i,j,k and a number"),
+    ({0: "0,0,0,abc"}, "line 2: expected integer i,j,k and a number"),
+    ({3: "0,1,1,nan"}, "line 5: value nan at (0, 1, 1) is not finite"),
+    ({5: "0,1,1,0.3"}, "line 7: point (0, 1, 1) given twice"),
+    ({17: None}, "1 missing grid point(s), the first (2, 2, 1)"),
+])
+def test_field_csv_mistakes_are_validation_failures(tmp_path, capsys, edit, message):
+    # one row per point of the 3x3x2 points of cells [2, 2, 1], then one row replaced or dropped
+    rows = [f"{i},{j},{k},0.{i + j + k + 1}" for i in range(3) for j in range(3) for k in range(2)]
+    rows = [edit.get(n, row) for n, row in enumerate(rows)]
+    (tmp_path / "rho.csv").write_text("\n".join(["i,j,k,value", *filter(None, rows)]) + "\n")
+    cfg = write_config(tmp_path / "cfg.yaml", {**PDE_CFG, "initial": {"mode": "csv", "path": "rho.csv"}})
+    assert run_cli(["simulate-pde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation: config key initial.path:")
+    assert f"rho.csv: {message}" in err
 
 
 def test_random_amplitude_seed_override(tmp_path):

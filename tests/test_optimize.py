@@ -428,19 +428,15 @@ def test_fixed_point_holds_no_discarded_costate():
 
 @pytest.mark.parametrize("case", ["field optimal_pulse", "field fixed_point_pulse"])
 def test_field_costate_records_view_their_decisions(case):
-    # a record's applied is the decision itself: a row of the deciding sweep's
-    # v, or of the strategy when the costate is recomputed with it fixed; a
-    # copy per candidate would be one more array of the strategy's size
+    # a record's applied is the decision itself, a row of the deciding sweep's
+    # v; a copy per candidate would be one more array of the strategy's size
     solve, prob, costs = _spacing_case(case)
     res = solve(prob, None, costs)
     jumps = res.adjoint.jumps
     assert jumps
-    if case == "field fixed_point_pulse":
-        assert all(np.shares_memory(j.applied, res.strategy.values) for j in jumps)
-    else:
-        owner = jumps[0].applied.base
-        assert owner is not None and owner.shape == res.strategy.values.shape
-        assert all(j.applied.base is owner for j in jumps)
+    owner = jumps[0].applied.base
+    assert owner is not None and owner.shape == res.strategy.values.shape
+    assert all(j.applied.base is owner for j in jumps)
 
 
 def _oracle_fixed_point(problem, u, costs, max_iterations=50, store_every=1):
@@ -557,6 +553,15 @@ def test_alternating_realized_sets_raise_a_cycle(monkeypatch):
     assert info.value.set_a <= odd and not info.value.set_b & odd
 
 
+def test_field_fixed_point_computes_no_costate_again():
+    # the unforced run, then a sweep and a forward run per iteration, one CG
+    # solve per step each: the converged sweep's costate is the result's
+    _, prob, costs = _spacing_case("field fixed_point_pulse")
+    res = ib.fixed_point_pulse(prob, None, costs)
+    assert res.converged and res.iterations >= 2
+    assert res.diagnostics["cg"]["solves"] == (1 + 2 * res.iterations) * prob.time_grid.n_steps
+
+
 def test_iteration_cap_returns_a_consistent_unconverged_iterate():
     prob = reference_averaged(t_end=0.5, sigma_star=0.42)
     costs = ib.CostSpec.constant(prob.time_grid, 0.1)
@@ -627,7 +632,7 @@ class TestProjectedGradientMixed:
         # made to look worse by reporting a raised cost for them
         prob = reference_averaged(t_end=0.25)
         costs = ib.CostSpec.constant(prob.time_grid, 0.4, continuous_unit=0.005)
-        real = optimize.optimal_pulse
+        real = optimize.fixed_point_pulse
         trials = []
 
         def worse_trials(problem, u, costs):
@@ -638,10 +643,55 @@ class TestProjectedGradientMixed:
                 res.cost = ib.CostBreakdown.assemble(c.running_state, c.running_control, c.pulse, c.final + 1.0)
             return res
 
-        monkeypatch.setattr(optimize, "optimal_pulse", worse_trials)
+        monkeypatch.setattr(optimize, "fixed_point_pulse", worse_trials)
         res = ib.projected_gradient_mixed(prob, costs, max_halvings=max_halvings, max_iterations=1)
         assert res.diagnostics["stop_reason"] == stop
         assert res.diagnostics["line_search_halvings"] == len(trials) == (rejected or max_halvings + 1)
+
+    @pytest.mark.parametrize("failure", ["cycle", "unconverged"])
+    def test_failed_fixed_points_are_rejected_trials(self, monkeypatch, failure):
+        prob = reference_averaged(t_end=0.25)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.4, continuous_unit=0.005)
+        real = optimize.fixed_point_pulse
+        failed = []
+
+        def failing_trials(problem, u, costs):
+            res = real(problem, u, costs)
+            if np.any(u.samples) and len(failed) < 2:
+                failed.append(u)
+                if failure == "cycle":
+                    raise ib.PulseCycleError({0}, {1})
+                res.converged = False
+            return res
+
+        monkeypatch.setattr(optimize, "fixed_point_pulse", failing_trials)
+        res = ib.projected_gradient_mixed(prob, costs, max_iterations=1)
+        diag = res.diagnostics
+        assert diag["line_search_halvings"] == diag["fixed_point_rejections"] == len(failed) == 2
+        # the third trial, a quarter of the first step, is accepted
+        assert diag["stop_reason"] == "iteration cap"
+        u0 = ib.ContinuousControl.constant(prob.time_grid, 0.0)
+        start = real(prob, u0, costs)
+        ubar0 = ib.gradient_continuous(prob, start.forward, start.adjoint, u0, costs).continuous_gradient
+        assert np.array_equal(res.control.samples, np.clip(-0.25 * ubar0, 0.0, 1.0))
+
+    def test_thresholded_run_ends_on_the_fixed_point_of_its_control(self):
+        # 10 candidates, all but one gated off by sigma* at the final u.  The
+        # fixed point is not guaranteed optimal: at the same u the vertex
+        # enumeration finds a lower cost, and the gap is pinned, not assumed 0
+        prob = reference_averaged(t_end=10.5 / 52, sigma_star=0.4)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.2, continuous_unit=0.005, final=1.0)
+        res = ib.projected_gradient_mixed(prob, costs)
+        hist = res.diagnostics["cost_history"]
+        assert res.diagnostics["stop_reason"] == "stationary"
+        assert all(b < a for a, b in zip(hist, hist[1:]))
+        assert 0 < len(res.forward.jumps) < prob.time_grid.n_candidates == 10
+        assert res.control.samples.max() > 0.0 and 0.0 in res.strategy.values
+        fp = ib.fixed_point_pulse(prob, res.control, costs)
+        assert res.strategy.values.tobytes() == fp.strategy.values.tobytes()
+        assert res.cost == fp.cost
+        gap = res.cost.total - ib.brute_force_pulse(prob, res.control, costs).cost.total
+        assert gap == pytest.approx(0.029878168522692622, rel=1e-9)
 
     def test_first_step_is_gamma0(self):
         prob = reference_averaged()
