@@ -138,6 +138,7 @@ def _task_optimize_mixed(bundle: iomod.Bundle, out: Path) -> None:
         "certificate_agreement": result.continuous_certificate.agreement_fraction(),
         "stop_reason": result.diagnostics["stop_reason"],
         "line_search_halvings": result.diagnostics["line_search_halvings"],
+        **{f"cg_{k}": v for k, v in result.diagnostics.get("cg", {}).items()},
     })
 
 

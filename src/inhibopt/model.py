@@ -235,8 +235,9 @@ class InhibitionPressure:
     def seasonal(self, t):
         return (t - self.peak_time) ** 2 * (1.0 - np.cos(2.0 * np.pi * t / self.period))
 
-    def field_at(self, t: float) -> np.ndarray:
-        return self.amplitude_field.values * self.seasonal(t)
+    def field_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """a(x) * seasonal(t), into ``out`` when given."""
+        return np.multiply(self.amplitude_field.values, self.seasonal(t), out=out)
 
     def mean_profile(self) -> Callable:
         """Spatially averaged time profile, for the averaged-model reduction."""
@@ -252,7 +253,8 @@ class ConstantPressure:
     def seasonal(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
-    def field_at(self, t: float) -> np.ndarray:
+    def field_at(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """a(x) itself, whatever ``out`` is: it does not change with t."""
         return self.amplitude_field.values
 
     def mean_profile(self) -> Callable:

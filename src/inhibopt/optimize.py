@@ -22,7 +22,7 @@ bang-bang rule as its decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .model import (
     PulseStrategy,
     SolverError,
 )
+from .pde import CGCounters
 
 TIE_TOL = 1e-12
 BRUTE_FORCE_CAP = 20
@@ -48,14 +49,19 @@ GAMMA_MIN, GAMMA_MAX = 1e-10, 1e10  # bounds of the spectral step of projected_g
 
 
 class PulseCycleError(SolverError):
-    """Threshold fixed-point iteration entered a cycle of realized pulse sets."""
+    """Threshold fixed-point iteration entered a cycle of realized pulse sets.
 
-    def __init__(self, set_a, set_b):
+    ``diagnostics`` holds the propagator's counters up to the cycle (the
+    solver work of a field fixed point that did not converge).
+    """
+
+    def __init__(self, set_a, set_b, diagnostics: dict | None = None):
         super().__init__(
             f"realized pulse sets alternate without converging: {sorted(set_a)} <-> {sorted(set_b)}"
         )
         self.set_a = frozenset(set_a)
         self.set_b = frozenset(set_b)
+        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,7 @@ def _pulse_loop(prop, u, costs, realized: frozenset, max_iterations: int, store_
         realized = frozenset(j.candidate_index for j in forward.jumps)
         converged = realized == swept[-1]
         if not converged and realized in swept:
-            raise PulseCycleError(realized, swept[-1])
+            raise PulseCycleError(realized, swept[-1], prop.diagnostics())
     if not converged:
         adjoint = None  # it swept on the set before the last one
     return _result(prop, strategy, u, costs, forward, adjoint, store_every,
@@ -353,6 +359,11 @@ def fixed_point_pulse(
 # mixed strategy by projected gradient
 
 
+def _realized(result: StrategyResult) -> list[int]:
+    """The candidates whose pulses the result's forward run realized."""
+    return [j.candidate_index for j in result.forward.jumps]
+
+
 def _control_inner(prop, a: np.ndarray, b: np.ndarray) -> float:
     """The dt- and ds^3-weighted inner product of two chemical-control arrays."""
     return float(np.sum(_space_integral(a * b, prop.space_weight) * prop.time_grid.dt))
@@ -412,8 +423,11 @@ def projected_gradient_mixed(
     stationary, step tolerance, cost tolerance, line search failed or
     iteration cap; ``diagnostics["line_search_halvings"]`` counts the step
     halvings over all iterations, ``"fixed_point_rejections"`` the rejected
-    fixed points among them.  The certificate records, per time sample,
-    whether the final iterate meets the chemical bang-bang condition.
+    fixed points among them and ``"realized_set_changes"`` the accepted
+    iterations whose fixed point realized another pulse set than the iterate
+    before.  For fields ``diagnostics["cg"]`` sums the CG counters of every
+    fixed point, rejected ones included.  The certificate records, per time
+    sample, whether the final iterate meets the chemical bang-bang condition.
     """
     if not problem.chem.sigma > 0:
         raise ProblemError("projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)")
@@ -423,10 +437,24 @@ def projected_gradient_mixed(
     full_shape = (tg.n_steps, *prop.shape)
     if u.samples.shape != full_shape:
         u = ContinuousControl(np.broadcast_to(_per_point(u.samples, len(full_shape)), full_shape))
-    current = fixed_point_pulse(problem, u, costs)
+    cg = CGCounters() if "cg" in prop.diagnostics() else None  # a field's solves, all fixed points
+
+    def fixed_point(control):
+        """fixed_point_pulse at ``control``; its CG counters, a cycle's too, add to ``cg``."""
+        try:
+            res = fixed_point_pulse(problem, control, costs)
+        except PulseCycleError as err:
+            if cg is not None and "cg" in err.diagnostics:
+                cg.add(err.diagnostics["cg"])
+            raise
+        if cg is not None:
+            cg.add(res.diagnostics["cg"])
+        return res
+
+    current = fixed_point(u)
     j_history = [current.cost.total]
     iterations = 0
-    halvings = rejections = 0
+    halvings = rejections = set_changes = 0
     converged = False
     stop_reason = "iteration cap"
     previous = None  # (u samples, ubar) of the iterate before the current one
@@ -443,7 +471,7 @@ def projected_gradient_mixed(
                 stationary = True  # projection fixed point: no admissible descent
                 break
             try:
-                trial = fixed_point_pulse(problem, u_new, costs)
+                trial = fixed_point(u_new)
             except PulseCycleError:
                 trial = None
             if trial is None or not trial.converged:
@@ -458,6 +486,8 @@ def projected_gradient_mixed(
             stop_reason = "stationary" if stationary else "line search failed"
             break
         u_new, trial = accepted
+        if _realized(trial) != _realized(current):
+            set_changes += 1
         du = _control_norm(prop, u_new.samples - u.samples)
         decrease = j_history[-1] - trial.cost.total
         previous = (u.samples, ubar)
@@ -470,7 +500,9 @@ def projected_gradient_mixed(
 
     cont_cert = _continuous_certificate(prop, current.forward, current.adjoint, u, costs)
     diag = {"cost_history": j_history, "stop_reason": stop_reason, "line_search_halvings": halvings,
-            "fixed_point_rejections": rejections}
+            "fixed_point_rejections": rejections, "realized_set_changes": set_changes}
+    if cg is not None:
+        diag["cg"] = asdict(cg)
     return replace(current, iterations=iterations, converged=converged,
                    continuous_certificate=cont_cert, diagnostics=diag)
 

@@ -164,6 +164,25 @@ class TestOptimizeCommands:
         assert len(hist) > 1 and all(b < a for a, b in zip(hist, hist[1:]))
         assert extras["total_cost"] == hist[-1]
 
+    def test_field_optimize_mixed_records_its_cg_counters(self, tmp_path):
+        cfg = {"model": {"kind": "pde", "t_end": 0.25}, "grid": {"cells": [3, 3, 2]},
+               "cost": {"continuous_unit": 0.005}}
+        out = tmp_path / "field"
+        assert run_cli(["optimize-mixed", "--config", str(write_config(tmp_path / "f.yaml", cfg)),
+                        "--out", str(out)]) == 0
+        _, extras = iomod.config_from_manifest(out / "manifest")
+        bundle = iomod.resolve_bundle(iomod.normalize_config(cfg))
+        res = ib.projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
+        assert {k: extras[f"cg_{k}"] for k in res.diagnostics["cg"]} == res.diagnostics["cg"]
+        assert extras["cg_solves"] > 2 * bundle.problem.time_grid.n_steps  # more than one fixed point
+
+        averaged = tmp_path / "averaged"
+        assert run_cli(["optimize-mixed", "--config",
+                        str(write_config(tmp_path / "a.yaml", {"cost": {"continuous_unit": 0.005}})),
+                        "--out", str(averaged)]) == 0
+        _, extras = iomod.config_from_manifest(averaged / "manifest")
+        assert not any(k.startswith("cg_") for k in extras)
+
     def test_manifests_record_realized_pulses_and_halvings(self, tmp_path):
         gated = {**AVERAGED_CFG, "model": {**AVERAGED_CFG["model"], "sigma_star": 0.45}}
         out = tmp_path / "pulse"

@@ -754,6 +754,68 @@ class TestProjectedGradientMixed:
         assert res.control.samples.shape == (prob.time_grid.n_steps, *prob.grid.dims)
         assert res.continuous_certificate.agreement_fraction() >= 0.99
 
+    @staticmethod
+    def _recording(monkeypatch, cycle_first_trial=False):
+        """Wrap fixed_point_pulse; record each call's (J, realized set, CG counters).
+        With ``cycle_first_trial`` the first trial raises PulseCycleError after its work."""
+        real = optimize.fixed_point_pulse
+        calls = []
+
+        def recorded(problem, u, costs):
+            res = real(problem, u, costs)
+            calls.append((res.cost.total, [j.candidate_index for j in res.forward.jumps],
+                          res.diagnostics.get("cg")))
+            if cycle_first_trial and len(calls) == 2:
+                raise ib.PulseCycleError({0}, {1}, res.diagnostics)
+            return res
+
+        monkeypatch.setattr(optimize, "fixed_point_pulse", recorded)
+        return calls
+
+    @staticmethod
+    def _set_changes(calls, history):
+        """Accepted iterates are the calls whose J is the next entry of the cost history."""
+        accepted, rest = [calls[0][1]], iter(calls[1:])
+        for j in history[1:]:
+            accepted.append(next(c[1] for c in rest if c[0] == j))
+        return sum(a != b for a, b in zip(accepted, accepted[1:]))
+
+    @pytest.mark.parametrize("case, changes", [
+        ("threshold-config", 0),  # sigma* = 0.3, C = 0.005: one pulse throughout
+        ("short-horizon", 1),  # a seeded 7-candidate horizon that loses a pulse
+    ])
+    def test_realized_set_changes_are_counted(self, monkeypatch, case, changes):
+        if case == "threshold-config":
+            bundle = iomod.resolve_bundle({"model": {"sigma_star": 0.3},
+                                           "cost": {"continuous_unit": 0.005}})
+            prob, costs = bundle.problem, bundle.costs
+        else:
+            prob = reference_averaged(t_end=7.5 / 52, sigma_star=0.4225, theta0=0.3961)
+            costs = ib.CostSpec.constant(prob.time_grid, 0.3836, continuous_unit=0.005,
+                                         final=0.6744)
+        calls = self._recording(monkeypatch)
+        res = ib.projected_gradient_mixed(prob, costs)
+        diag = res.diagnostics
+        assert diag["stop_reason"] == "stationary" and res.iterations > 2
+        assert diag["realized_set_changes"] == changes
+        assert self._set_changes(calls, diag["cost_history"]) == changes
+        assert "cg" not in diag
+
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_field_run_sums_the_cg_counters_of_every_fixed_point(self, monkeypatch, cycle):
+        prob = reference_pde(cells=(3, 3, 2), t_end=0.25)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
+        calls = self._recording(monkeypatch, cycle_first_trial=cycle)
+        res = ib.projected_gradient_mixed(prob, costs)
+        cg = res.diagnostics["cg"]
+        counts = [c[2] for c in calls]
+        assert len(counts) >= 3 and res.diagnostics["fixed_point_rejections"] == int(cycle)
+        # sigma* = 0: each fixed point is one sweep and one forward run
+        assert cg["solves"] == sum(c["solves"] for c in counts) == 2 * prob.time_grid.n_steps * len(counts)
+        assert cg["iterations"] == sum(c["iterations"] for c in counts)
+        assert cg["max_iterations"] == max(c["max_iterations"] for c in counts)
+        assert cg["worst_residual"] == max(c["worst_residual"] for c in counts)
+
 
 class TestCertificateCheck:
     def test_sweep_output_passes(self):

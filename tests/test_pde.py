@@ -9,6 +9,7 @@ import pytest
 
 import inhibopt as ib
 from conftest import rel_err, reference_pde
+from inhibopt import core
 from inhibopt import io as iomod
 from inhibopt import pde as pde_mod
 from inhibopt.presets import PRESETS
@@ -59,6 +60,68 @@ class TestApplyDivergence:
         with pytest.raises(ib.ProblemError):
             ib.apply_divergence(ib.DiffusionField.isotropic(g1, 1.0),
                                 ib.ScalarField.uniform(g2, 0.5))
+
+
+def _reference_divergence(diffusion, phi, spacing):
+    """The seven-point formula as written: a zero-filled output, a multiply by every
+    face's own coefficient, no boundary-crossing face and a final division by ds^2."""
+    out = np.zeros(phi.shape)
+    for axis, faces in enumerate(diffusion.interior_faces()):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        flux = (phi[hi] - phi[lo]) * faces
+        out[lo] += flux
+        out[hi] -= flux
+    return out / spacing**2
+
+
+class TestStencilOracle:
+    """The stencil's shortcuts (one weight per uniform axis, no multiply by 1.0, no
+    zero fill, no division by 1.0) leave every bit of the plain formula."""
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.7])
+    @pytest.mark.parametrize("faces", ["one", "uniform", "random"])
+    def test_divergence_equals_the_plain_formula_bit_for_bit(self, rng, faces, spacing):
+        grid = ib.SpaceGrid.from_cells(4, 3, 2, spacing=spacing)
+        diffusion = {"one": ib.DiffusionField.isotropic(grid, 1.0),
+                     "uniform": ib.DiffusionField.isotropic(grid, 2.5),
+                     "random": random_diffusion(grid, rng, scale=3.0)}[faces]
+        stencil = pde_mod._Stencil(diffusion, spacing)
+        weights = [w for _, w, _, _ in stencil.axes]
+        kind = {"one": type(None), "uniform": float, "random": np.ndarray}[faces]
+        assert all(isinstance(w, kind) for w in weights)
+        phi = rng.normal(size=grid.dims)
+        phi_inf = phi.copy()
+        phi_inf[1, 2, -1] = np.inf  # the end of a row: its crossings give inf * 0 or inf * A
+        for values in (phi, phi_inf):
+            with np.errstate(invalid="ignore"):  # inf - inf and inf * 0
+                got = stencil.divergence(values, np.full(grid.dims, np.nan))
+                want = _reference_divergence(diffusion, values, spacing)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert got.tobytes() == want.tobytes()
+
+    def test_zero_control_takes_either_rate_path_to_the_same_bits(self, rng):
+        grid = ib.SpaceGrid.from_cells(3, 3, 2)
+        prob = reference_pde(cells=(3, 3, 2), amplitude=ib.build_random_amplitude(grid, 1.5, seed=5))
+        assert prob.chem.sigma > 0
+        theta = ib.ScalarField(grid, rng.random(grid.dims))
+        # 1 - sigma*1e-300 rounds to 1: the division path with a divisor of exactly 1
+        controls = (0.0, ib.ScalarField.uniform(grid, 0.0), ib.ScalarField.uniform(grid, 1e-300))
+        unit = [pde_mod._unit_divisor(prob.chem.sigma, getattr(u, "values", u)) for u in controls]
+        assert unit == [True, True, False]
+        steps = [ib.cn_step(theta, 0.4, 1e-3, prob, u_sample=u).values for u in controls]
+        assert steps[0].tobytes() == steps[1].tobytes() == steps[2].tobytes()
+
+    def test_propagator_takes_either_rate_path_to_the_same_bits(self):
+        prob = reference_pde(cells=(3, 3, 2), t_end=0.05)
+        tiny = ib.ContinuousControl(np.full(prob.time_grid.n_steps, 1e-300))
+        assert pde_mod.FieldPropagator(prob).unit_divisor
+        assert not pde_mod.FieldPropagator(prob, tiny).unit_divisor
+        halves = ib.PulseStrategy(np.full((prob.time_grid.n_candidates, *prob.grid.dims), 0.5))
+        plain = ib.simulate_pde(prob, None, halves)
+        divided = ib.simulate_pde(prob, tiny, halves)
+        assert plain.jumps
+        assert plain.fields.tobytes() == divided.fields.tobytes()
 
 
 class TestCnStep:
@@ -145,6 +208,71 @@ class TestDenseOracle:
         assert [j.node_index for j in traj.jumps] == [1, 2]
         for j in traj.jumps:
             assert np.array_equal(j.pre, traj.fields[j.node_index])
+
+
+class TestReusedBuffers:
+    """A propagator's step buffers (pressure, rate, the two span iterates and the
+    stencil's work arrays) never end up in what a run returns."""
+
+    @staticmethod
+    def _buffers(prop):
+        work = prop.stencil
+        return [prop.alpha, prop.rate, *prop.iterates, work.rhs, work.residual, work.direction,
+                work.image, work.tmp, *(flux for _, _, flux, _ in work.axes)]
+
+    @staticmethod
+    def _outputs(forward, adjoint, end):
+        return [forward.values, *(a for j in forward.jumps for a in (j.pre, j.post)),
+                adjoint.values, *(a for j in adjoint.jumps for a in (j.p_plus, j.p_minus)), end]
+
+    @staticmethod
+    def _runs(prop, value, store_every):
+        tg = prop.time_grid
+        strategy = ib.PulseStrategy(np.full((tg.n_candidates, *prop.shape), value))
+        costs = ib.CostSpec.constant(tg, value, final=value)
+        forward = prop.forward(strategy, store_every)
+        adjoint = prop.adjoint(strategy, costs, forward, store_every)
+        span = core._walk(tg, store_every).forward[1]
+        end = prop.flow(prop.initial, span, None, prop.record(forward.values.shape[0]), [])
+        return forward, adjoint, end
+
+    @pytest.mark.parametrize("store_every", [1, 3])
+    def test_a_second_run_leaves_the_first_as_it_was(self, store_every):
+        grid = ib.SpaceGrid.from_cells(3, 3, 2)
+        rng = np.random.default_rng(8)
+        prob = reference_pde(cells=(3, 3, 2), t_end=3.5 / 52,
+                             amplitude=ib.build_random_amplitude(grid, 1.5, seed=2),
+                             initial=ib.ScalarField(grid, rng.uniform(0.3, 0.6, grid.dims)))
+        prop = pde_mod.FieldPropagator(prob)
+        first = self._runs(prop, 0.5, store_every)
+        assert len(first[0].jumps) == len(first[1].jumps) == 3
+        outputs = self._outputs(*first)
+        kept = [a.copy() for a in outputs]
+        second = self._runs(prop, 0.25, store_every)
+        assert not np.array_equal(second[0].values, first[0].values)
+        for a, b in zip(outputs, kept):
+            assert np.array_equal(a, b)
+        for a in outputs + self._outputs(*second):
+            assert not any(np.shares_memory(a, buf) for buf in self._buffers(prop))
+        # reusing a propagator changes no result
+        again = self._runs(pde_mod.FieldPropagator(prob), 0.25, store_every)
+        for a, b in zip(self._outputs(*second), self._outputs(*again)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_steps_inside_a_span_allocate_nothing(self):
+        prob = reference_pde(cells=(20, 20, 6), t_end=1.5 / 52)
+        prop = pde_mod.FieldPropagator(prob)
+        span = core._walk(prob.time_grid, 1).forward[0]
+        assert span.steps.stop - span.steps.start > 10
+        rows = prop.record(prob.time_grid.n_steps + 1)
+        prop.flow(prop.initial, span, None, rows, [])
+        tracemalloc.start()
+        try:
+            prop.flow(prop.initial, span, None, rows, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * prop.initial.nbytes  # the span's end state, and no other field
 
 
 _THREAD_PROBE = """
