@@ -131,6 +131,14 @@ def gradient_pulse(
     return GradientReport(indices, coeffs, None, directional, space_weight)
 
 
+def _ubar(switching: np.ndarray, sigma: float, u_samples: np.ndarray, costs) -> np.ndarray:
+    """C - S/(1 - sigma*u)^2 from the switching function S = sigma*alpha*p*theta at midpoints."""
+    if np.any(sigma * u_samples > 1.0 - SIGMA_U_GUARD):
+        raise ProblemError("sigma*u too close to 1 (division guard)")
+    return (_per_point(costs.continuous_unit, switching.ndim)
+            - switching / _per_point((1.0 - sigma * u_samples) ** 2, switching.ndim))
+
+
 def gradient_continuous(
     problem: AveragedProblem | PdeProblem,
     forward: Trajectory,
@@ -148,12 +156,8 @@ def gradient_continuous(
     tg = problem.time_grid
     sigma = problem.chem.sigma
     u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
-    if np.any(sigma * u_samples > 1.0 - SIGMA_U_GUARD):
-        raise ProblemError("sigma*u too close to 1 (division guard)")
-    prop = _propagator(problem, u)
-    rate = prop.chemical_rate(forward, _span_midpoints(adjoint))
-    ubar = (_per_point(costs.continuous_unit, rate.ndim)
-            - rate / _per_point((1.0 - sigma * u_samples) ** 2, rate.ndim))
+    prop = _propagator(problem, None)  # S needs no u: no propagator divides by 1 - sigma*u
+    ubar = _ubar(prop.chemical_rate(forward, _span_midpoints(adjoint)), sigma, u_samples, costs)
 
     directional = None
     if direction is not None:

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .adjoint import _propagator, gradient_continuous
+from .adjoint import _propagator, _ubar
 from .averaged import AveragedPropagator
 from .core import Trajectory, _per_point, _rows, _space_integral, _span_midpoints
 from .model import (
@@ -78,14 +78,26 @@ class PulseCertificate:
 
 @dataclass
 class ContinuousCertificate:
-    """Per-step record of the chemical bang-bang condition C vs sigma*alpha*p*theta/(1-sigma)."""
+    """Per-step chemical bang-bang record: C against S/(1-sigma), S the switching function."""
 
     mid_times: np.ndarray
     unit_cost: np.ndarray
-    switch_level: np.ndarray
+    switching: np.ndarray
+    sigma: float
     control: np.ndarray
-    margin: np.ndarray
-    consistent: np.ndarray
+
+    @property
+    def switch_level(self) -> np.ndarray:
+        return self.switching / (1.0 - self.sigma)
+
+    @property
+    def margin(self) -> np.ndarray:
+        return np.abs(self.unit_cost - self.switch_level)
+
+    @property
+    def consistent(self) -> np.ndarray:
+        return np.where(self.unit_cost > self.switch_level,
+                        self.control <= 1e-12, self.control >= 1.0 - 1e-12)
 
     def agreement_fraction(self, margin_floor: float = 1e-6) -> float:
         decisive = self.margin > margin_floor
@@ -382,16 +394,6 @@ def _spectral_step(prop, s: np.ndarray, y: np.ndarray) -> float:
     return min(max(_control_inner(prop, s, s) / sy, GAMMA_MIN), GAMMA_MAX)
 
 
-def _continuous_certificate(prop, forward, adjoint, u, costs) -> ContinuousCertificate:
-    """Per-step comparison of C against sigma*alpha*p*theta/(1-sigma)."""
-    switch = prop.chemical_rate(forward, _span_midpoints(adjoint)) / (1.0 - prop.sigma)
-    cu = np.broadcast_to(_per_point(costs.continuous_unit, switch.ndim), switch.shape)
-    u_s = np.broadcast_to(_per_point(u.samples, switch.ndim), switch.shape)
-    margin = np.abs(cu - switch)
-    consistent = np.where(cu > switch, u_s <= 1e-12, u_s >= 1.0 - 1e-12)
-    return ContinuousCertificate(prop.time_grid.mid_times.copy(), cu, switch, u_s, margin, consistent)
-
-
 def projected_gradient_mixed(
     problem: AveragedProblem | PdeProblem,
     costs: CostSpec,
@@ -407,27 +409,28 @@ def projected_gradient_mixed(
 
     Each iteration takes u <- clip(u - gamma*ubar, 0, 1) with gamma halved
     until the total cost strictly decreases, the pulse strategy being
-    recomputed by fixed_point_pulse after every control update; a trial
-    whose fixed point cycles or stops at its cap is rejected like one that
-    does not lower J.  ubar is the exact gradient only while the realized
-    pulse set stays fixed: J(u) is piecewise smooth under a threshold.  The
-    first trial step is gamma0 at the first iteration and the spectral
-    (Barzilai-Borwein) step after it: with s = u_k - u_{k-1} and
-    y = ubar_k - ubar_{k-1} in the inner product of the control norm,
-    gamma = <s, s> / <s, y> clipped to [GAMMA_MIN, GAMMA_MAX], or GAMMA_MAX
-    when <s, y> <= 0; a GAMMA_MAX step projects onto the bang-bang control
-    that the sign of ubar selects.  Only a strict decrease is accepted, so
-    the cost history strictly decreases.  Stops when the control update
-    norm <= tol_control or the cost decrease <= tol_cost.
-    ``diagnostics["stop_reason"]`` names the stop:
-    stationary, step tolerance, cost tolerance, line search failed or
-    iteration cap; ``diagnostics["line_search_halvings"]`` counts the step
-    halvings over all iterations, ``"fixed_point_rejections"`` the rejected
-    fixed points among them and ``"realized_set_changes"`` the accepted
-    iterations whose fixed point realized another pulse set than the iterate
-    before.  For fields ``diagnostics["cg"]`` sums the CG counters of every
-    fixed point, rejected ones included.  The certificate records, per time
-    sample, whether the final iterate meets the chemical bang-bang condition.
+    recomputed by fixed_point_pulse after every control update; a trial whose
+    fixed point cycles or stops at its cap is rejected like one that does not
+    lower J.  ubar = C - S/(1-sigma*u)^2, from the switching function
+    S = sigma*alpha*p*theta computed once for u0 and each accepted control, is
+    the exact gradient only while the realized pulse set stays fixed: J(u) is
+    piecewise smooth under a threshold.  The first trial step is gamma0;
+    accepting u_k sets the next to the spectral (Barzilai-Borwein) step, with
+    s = u_k - u_{k-1} and y = ubar_k - ubar_{k-1} in the inner product of the
+    control norm, gamma = <s, s> / <s, y> clipped to [GAMMA_MIN, GAMMA_MAX],
+    or GAMMA_MAX when <s, y> <= 0; a GAMMA_MAX step projects onto the
+    bang-bang control that the sign of ubar selects.  Only a strict decrease
+    is accepted, so the cost history strictly decreases.  Stops when the
+    control update norm <= tol_control or the cost decrease <= tol_cost.
+    ``diagnostics["stop_reason"]`` names the stop: stationary, step tolerance,
+    cost tolerance, line search failed or iteration cap;
+    ``diagnostics["line_search_halvings"]`` counts the step halvings over all
+    iterations, ``"fixed_point_rejections"`` the rejected fixed points among
+    them and ``"realized_set_changes"`` the accepted iterations whose fixed
+    point realized another pulse set than the iterate before.  For fields
+    ``diagnostics["cg"]`` sums the CG counters of every fixed point, rejected
+    ones included.  The certificate keeps the final S and records, per time
+    sample, whether u meets the bang-bang condition.
     """
     if not problem.chem.sigma > 0:
         raise ProblemError("projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)")
@@ -451,54 +454,61 @@ def projected_gradient_mixed(
             cg.add(res.diagnostics["cg"])
         return res
 
+    def ubar(switching, control):
+        return _ubar(switching, prop.sigma, control.samples, costs)
+
     current = fixed_point(u)
+    switching = prop.chemical_rate(current.forward, _span_midpoints(current.adjoint))
     j_history = [current.cost.total]
     iterations = 0
     halvings = rejections = set_changes = 0
     converged = False
     stop_reason = "iteration cap"
-    previous = None  # (u samples, ubar) of the iterate before the current one
+    gamma = gamma0
     while iterations < max_iterations:
         iterations += 1
-        ubar = gradient_continuous(problem, current.forward, current.adjoint, u, costs).continuous_gradient
-        gamma = (gamma0 if previous is None
-                 else _spectral_step(prop, u.samples - previous[0], ubar - previous[1]))
-        accepted = None
-        stationary = False
+        accepted = stationary = False
         for _ in range(max_halvings + 1):
-            u_new = ContinuousControl(np.clip(u.samples - gamma * ubar, 0.0, 1.0))
+            u_new = ContinuousControl(np.clip(u.samples - gamma * ubar(switching, u), 0.0, 1.0))
             if np.array_equal(u_new.samples, u.samples):
                 stationary = True  # projection fixed point: no admissible descent
                 break
+            trial = None  # a rejected trial's records go before the next trial runs
             try:
                 trial = fixed_point(u_new)
             except PulseCycleError:
-                trial = None
+                pass
             if trial is None or not trial.converged:
                 rejections += 1
             elif trial.cost.total < j_history[-1]:
-                accepted = (u_new, trial)
+                accepted = True
                 break
             gamma *= shrink
             halvings += 1
-        if accepted is None:
+        if not accepted:
             converged = stationary
             stop_reason = "stationary" if stationary else "line search failed"
             break
-        u_new, trial = accepted
         if _realized(trial) != _realized(current):
             set_changes += 1
-        du = _control_norm(prop, u_new.samples - u.samples)
-        decrease = j_history[-1] - trial.cost.total
-        previous = (u.samples, ubar)
-        u, current = u_new, trial
+        current, trial = trial, None  # of the iterate before, only u and ubar live on
+        ubar_before, switching = ubar(switching, u), None
+        switching = prop.chemical_rate(current.forward, _span_midpoints(current.adjoint))
+        s = u_new.samples - u.samples
+        u = u_new
+        du = _control_norm(prop, s)
+        gamma = _spectral_step(prop, s, ubar(switching, u) - ubar_before)
+        del s, ubar_before
+        decrease = j_history[-1] - current.cost.total
         j_history.append(current.cost.total)
         if du <= tol_control or decrease <= tol_cost:
             converged = True
             stop_reason = "step tolerance" if du <= tol_control else "cost tolerance"
             break
 
-    cont_cert = _continuous_certificate(prop, current.forward, current.adjoint, u, costs)
+    cu, u_s = (np.broadcast_to(_per_point(a, switching.ndim), switching.shape)
+               for a in (costs.continuous_unit, u.samples))
+    cont_cert = ContinuousCertificate(tg.mid_times.copy(), cu, switching, prop.sigma, u_s)
     diag = {"cost_history": j_history, "stop_reason": stop_reason, "line_search_halvings": halvings,
             "fixed_point_rejections": rejections, "realized_set_changes": set_changes}
     if cg is not None:
@@ -536,7 +546,8 @@ def certificate_check(
     v_i = 1 requires g_i <= tol, interior v_i requires |g_i| <= tol.  When the
     chemical control was optimized (``continuous_certificate`` is set), its
     boundary samples are checked against the sign of the steepest-ascent
-    density; a control that was only given is not judged.
+    density, formed from the certificate's S at ``result.control``; a control
+    that was only given is not judged.
     """
     violations: list[str] = []
     certs = result.certificate
@@ -547,11 +558,8 @@ def certificate_check(
         n_bad = _sign_violations(rows, [theta_pre[c.candidate_index] for c in rows], tol)
         violations += [f"pulse at t={c.time:.6f}: {n} point(s) violate the sign condition"
                        for c, n in zip(rows, n_bad) if n]
-    if result.continuous_certificate is not None:
-        report = gradient_continuous(
-            problem, result.forward, result.adjoint, result.control, costs
-        )
-        ubar = report.continuous_gradient
+    if (cert := result.continuous_certificate) is not None:
+        ubar = _ubar(cert.switching, cert.sigma, result.control.samples, costs)
         u_s = _per_point(result.control.samples, ubar.ndim)
         bad = np.count_nonzero(((u_s <= 1e-12) & (ubar < -tol)) | ((u_s >= 1 - 1e-12) & (ubar > tol)))
         if bad:

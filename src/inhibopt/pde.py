@@ -291,7 +291,10 @@ def _step_operator(problem: PdeProblem, u_sample: np.ndarray | float, alpha: np.
     The rate alpha/(1 - sigma*u) goes into ``rate`` (a fresh array when None);
     it is ``alpha`` itself when the caller knows the divisor is exactly 1.
     """
-    if not unit_divisor:
+    if not unit_divisor and rate is not None and np.ndim(u_sample):  # a field u: all in rate
+        np.subtract(1.0, np.multiply(u_sample, problem.chem.sigma, out=rate), out=rate)
+        alpha = np.divide(alpha, rate, out=rate)
+    elif not unit_divisor:
         alpha = np.divide(alpha, 1.0 - problem.chem.sigma * u_sample, out=rate)
     return DiscreteOperator(problem.diffusion, alpha, problem.grid.spacing, stencil)
 

@@ -7,6 +7,7 @@ import pytest
 
 import inhibopt as ib
 from conftest import reference_alpha, reference_averaged, reference_pde
+from inhibopt import core
 from inhibopt import io as iomod
 from inhibopt import optimize
 from inhibopt.presets import PRESETS
@@ -702,6 +703,66 @@ class TestProjectedGradientMixed:
         ubar0 = ib.gradient_continuous(prob, start.forward, start.adjoint, u0, costs).continuous_gradient
         assert res.diagnostics["line_search_halvings"] == 0
         assert np.array_equal(res.control.samples, np.clip(u0.samples - 0.75 * ubar0, 0.0, 1.0))
+
+    def test_second_step_is_the_spectral_step_of_the_first_two_iterates(self):
+        prob = reference_averaged()
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
+        res = ib.projected_gradient_mixed(prob, costs, max_iterations=2)
+        assert res.diagnostics["line_search_halvings"] == 0
+        u, ubar = [ib.ContinuousControl.constant(prob.time_grid, 0.0)], []
+        for k in range(2):
+            it = ib.fixed_point_pulse(prob, u[k], costs)
+            ubar.append(ib.gradient_continuous(prob, it.forward, it.adjoint, u[k], costs)
+                        .continuous_gradient)
+            gamma = 1.0 if k == 0 else optimize._spectral_step(
+                optimize._propagator(prob, None), u[1].samples - u[0].samples, ubar[1] - ubar[0])
+            u.append(ib.ContinuousControl(np.clip(u[k].samples - gamma * ubar[k], 0.0, 1.0)))
+        assert res.control.samples.tobytes() == u[2].samples.tobytes()
+
+    @pytest.mark.parametrize("model", ["averaged", "field"])
+    def test_switching_function_is_computed_once_per_accepted_control(self, monkeypatch, model):
+        if model == "averaged":
+            prob = reference_averaged()
+        else:
+            prob = reference_pde(cells=(2, 2, 1), t_end=0.25)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
+        real = core.Propagator.chemical_rate
+        calls = []
+
+        def counted(self, forward, factor):
+            calls.append(factor.shape)
+            return real(self, forward, factor)
+
+        monkeypatch.setattr(core.Propagator, "chemical_rate", counted)
+        res = ib.projected_gradient_mixed(prob, costs)
+        accepted = len(res.diagnostics["cost_history"]) - 1
+        assert accepted >= 2 and res.diagnostics["stop_reason"] == "stationary"
+        assert len(calls) == accepted + 1  # the start control and every accepted trial
+        del calls[:]
+        assert ib.certificate_check(res, prob, costs) == []
+        assert calls == []  # the check reads the certificate's switching function
+
+    def test_field_run_holds_a_bounded_number_of_histories(self):
+        prob = reference_pde(cells=(6, 6, 2), t_end=1.0)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.55, continuous_unit=0.005)
+        history_bytes = len(prob.time_grid.times) * prob.grid.npoints * 8
+        tracemalloc.start()
+        try:
+            res = ib.projected_gradient_mixed(prob, costs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 3 and res.diagnostics["stop_reason"] == "stationary"
+        assert peak <= 10.5 * history_bytes
+        assert held <= 5.0 * history_bytes
+
+    def test_division_guard_runs_on_the_last_accepted_control(self):
+        # a step to u = 1 at sigma = 1 - 1e-10 is accepted and stops the run at
+        # once; its ubar divides by (1 - sigma*u)^2 < 1e-18
+        prob = reference_averaged(sigma=1.0 - 1e-10)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
+        with pytest.raises(ib.ProblemError, match="division guard"):
+            ib.projected_gradient_mixed(prob, costs, gamma0=1e10, tol_cost=1e10)
 
     @staticmethod
     def _uneven_step_case():

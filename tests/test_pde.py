@@ -112,6 +112,16 @@ class TestStencilOracle:
         steps = [ib.cn_step(theta, 0.4, 1e-3, prob, u_sample=u).values for u in controls]
         assert steps[0].tobytes() == steps[1].tobytes() == steps[2].tobytes()
 
+    def test_field_control_rate_in_the_buffer_is_the_plain_quotient(self, rng):
+        grid = ib.SpaceGrid.from_cells(3, 3, 2)
+        prob = reference_pde(cells=(3, 3, 2))
+        alpha, u = rng.random(grid.dims), rng.random(grid.dims)
+        buffer = np.empty(grid.dims)
+        op = pde_mod._step_operator(prob, u, alpha, rate=buffer)
+        assert op.rate is buffer
+        assert buffer.tobytes() == (alpha / (1.0 - prob.chem.sigma * u)).tobytes()
+        assert buffer.tobytes() == pde_mod._step_operator(prob, u, alpha).rate.tobytes()
+
     def test_propagator_takes_either_rate_path_to_the_same_bits(self):
         prob = reference_pde(cells=(3, 3, 2), t_end=0.05)
         tiny = ib.ContinuousControl(np.full(prob.time_grid.n_steps, 1e-300))
@@ -260,19 +270,22 @@ class TestReusedBuffers:
             assert a.tobytes() == b.tobytes()
 
     def test_steps_inside_a_span_allocate_nothing(self):
+        # with no control, and with a field control (0.3 everywhere), whose divisor
+        # 1 - sigma*u is built in the rate buffer
         prob = reference_pde(cells=(20, 20, 6), t_end=1.5 / 52)
-        prop = pde_mod.FieldPropagator(prob)
-        span = core._walk(prob.time_grid, 1).forward[0]
-        assert span.steps.stop - span.steps.start > 10
-        rows = prop.record(prob.time_grid.n_steps + 1)
-        prop.flow(prop.initial, span, None, rows, [])
-        tracemalloc.start()
-        try:
+        u = ib.ContinuousControl(np.full((prob.time_grid.n_steps, *prob.grid.dims), 0.3))
+        for prop in (pde_mod.FieldPropagator(prob), pde_mod.FieldPropagator(prob, u)):
+            span = core._walk(prob.time_grid, 1).forward[0]
+            assert span.steps.stop - span.steps.start > 10
+            rows = prop.record(prob.time_grid.n_steps + 1)
             prop.flow(prop.initial, span, None, rows, [])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * prop.initial.nbytes  # the span's end state, and no other field
+            tracemalloc.start()
+            try:
+                prop.flow(prop.initial, span, None, rows, [])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * prop.initial.nbytes  # the span's end state, and no other field
 
 
 _THREAD_PROBE = """
