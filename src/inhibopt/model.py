@@ -41,9 +41,9 @@ class QuadratureError(SolverError):
 class LinearSolverError(SolverError):
     """Iterative linear solve did not reach the requested residual."""
 
-    def __init__(self, residual: float, iterations: int):
+    def __init__(self, residual: float, iterations: int, reason: str = "stalled"):
         super().__init__(
-            f"conjugate gradient stalled: relative residual {residual:.3e} "
+            f"conjugate gradient {reason}: relative residual {residual:.3e} "
             f"after {iterations} iterations"
         )
         self.residual = residual
@@ -546,7 +546,8 @@ def validate(
 ) -> ValidationReport:
     """List every violated model assumption; empty report iff well-posed.
 
-    Covers the box constraints on sigma, u (H6) and v (H7), nonnegativity of
+    Covers the box constraints on sigma, u (H6) and v (H7), sigma*u < 1
+    (the rate alpha/(1 - sigma*u) is finite), nonnegativity of
     costs and pressure, the initial condition range, and length/shape
     consistency between the time grid, controls and cost data.
     """
@@ -593,8 +594,14 @@ def validate(
             )
         if u.samples.ndim > 1 and u.samples.shape[1:] != state_shape:
             msgs.append(f"control sample shape {u.samples.shape[1:]} does not match problem")
-        if u.samples.size and (u.samples.min() < 0.0 or u.samples.max() > 1.0):
-            msgs.append("H6 violated: control u out of [0,1] somewhere")
+        if u.samples.size:
+            lo, hi = float(u.samples.min()), float(u.samples.max())
+            if lo < 0.0 or hi > 1.0:
+                msgs.append("H6 violated: control u out of [0,1] somewhere")
+            worst = max(chem.sigma * lo, chem.sigma * hi)
+            if worst >= 1.0:
+                msgs.append(f"sigma * u reaches {worst} somewhere (sigma = {chem.sigma}, u up to "
+                            f"{hi}): the attractor 1 - sigma*u must stay > 0")
 
     if v is not None:
         if len(v) != tg.n_candidates:

@@ -430,10 +430,13 @@ def projected_gradient_mixed(
     point realized another pulse set than the iterate before.  For fields
     ``diagnostics["cg"]`` sums the CG counters of every fixed point, rejected
     ones included.  The certificate keeps the final S and records, per time
-    sample, whether u meets the bang-bang condition.
+    sample, whether u meets the bang-bang condition.  Needs 0 < sigma < 1.
     """
     if not problem.chem.sigma > 0:
         raise ProblemError("projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)")
+    if not problem.chem.sigma < 1:
+        raise ProblemError("projected_gradient_mixed needs sigma < 1: its box lets u reach 1, "
+                           "where 1 - sigma*u must stay > 0")
     tg = problem.time_grid
     u = u0 if u0 is not None else ContinuousControl.constant(tg, 0.0)
     prop = _propagator(problem, u)  # only its u-independent parts are used below

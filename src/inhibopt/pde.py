@@ -27,20 +27,29 @@ of :mod:`inhibopt.core`.
 
 A stencil built once per (diffusion, spacing) keeps the face coefficients
 contiguous and holds every flux and CG work array, so stencil applies and CG
-iterations allocate nothing.  The propagator also owns the step's pressure
-and rate and two states that the steps inside a span write in turn: such a
-step allocates nothing, and only a span's end state (with the jump records)
-and ``cn_step``'s result are fresh.  CG starts from theta, so its first
-residual b - (I - h/2 M) theta = h*source + h*M theta reuses the M theta of
-the right-hand side: a CN step costs one stencil apply plus one per CG
-iteration.  Every reduction (CG inner products, norms, grid sums) runs in
-numpy's own loops and never in BLAS, so results do not depend on the BLAS
-thread count and reruns are byte-identical.
+iterations allocate nothing.  It also builds, once, the shifted flat views
+with which the divergence of CG's direction into its image runs, and those of
+any other (phi, out) pair it is bound to; :class:`FieldPropagator` binds its
+two span states into the residual, where each step's right-hand-side apply
+goes, and builds its one :class:`DiscreteOperator` on its rate buffer.  Every
+apply still enters through :meth:`DiscreteOperator.apply`.  The propagator
+also owns the step's pressure and rate and the two states that the steps
+inside a span write in turn: such a step allocates nothing, and only a span's
+end state (with the jump records) and ``cn_step``'s result are fresh.  CG
+starts from theta, so its first residual b - (I - h/2 M) theta = h*source +
+h*M theta reuses the M theta of the right-hand side: a CN step costs one
+stencil apply plus one per CG iteration.  Every reduction (CG inner products,
+norms, grid sums) runs in numpy's own loops and never in BLAS, so results do
+not depend on the BLAS thread count and reruns are byte-identical; the CG
+inner products call the kernel of ``np.einsum("i,i->")`` on flat views.
+A right-hand side of non-finite norm (sigma*u = 1 somewhere, say) raises
+LinearSolverError.
 
 The kernel skips arithmetic that is exactly the identity, so the skips give
 the same bits as the full arithmetic: an axis whose interior faces all hold
 one coefficient multiplies by that float, and not at all when it is 1.0;
-the first axis writes 0.0 + flux instead of adding to a zero-filled output;
+the first axis writes 0.0 + flux instead of adding to a zero-filled output,
+and its crossings, which lie past its flux, are not zeroed;
 division by ds^2 happens only when ds^2 != 1.0; the rate is alpha itself when
 sigma = 0 or u = 0 everywhere (decided once per propagator), as
 1 - sigma*u is then exactly 1; and CG tests convergence right after it
@@ -53,6 +62,11 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _c_einsum
 
 from .core import FieldTrajectory, Propagator, Span, Trajectory, _cost, _rows  # noqa: F401
 from .model import (
@@ -90,14 +104,16 @@ class _Stencil:
     is one contiguous numpy call.  An axis whose interior faces all hold one
     coefficient keeps that float instead (None when it is 1.0: no multiply),
     which gives the same products.  The flux, the CN right-hand side and the
-    CG vectors live in arrays allocated once here.
+    CG vectors live in arrays allocated once here, and the views with which
+    the divergence runs are built once for every (phi, out) pair that
+    :meth:`bind` names: CG's direction into its image from the start.
     """
 
     def __init__(self, diffusion: DiffusionField, spacing: float):
         shape = diffusion.grid.dims
         size = math.prod(shape)
         self.scale = spacing**2
-        flux = np.empty(shape)  # one axis at a time
+        self.flux = np.empty(shape)  # one axis at a time
         self.axes = []
         for axis, faces in enumerate(diffusion.interior_faces()):
             offset = math.prod(shape[axis + 1:])
@@ -108,12 +124,36 @@ class _Stencil:
                 weight = padded.ravel()[:size - offset].copy()
             elif weight == 1.0:
                 weight = None  # flux * 1.0 is flux
-            crossings = flux[(slice(None),) * axis + (-1,)]
-            self.axes.append((offset, weight, flux.reshape(-1)[:size - offset], crossings))
+            # axis 0's crossings (its last plane) lie past its flux view: none to zero
+            crossings = self.flux[(slice(None),) * axis + (-1,)] if axis else None
+            self.axes.append((offset, weight, self.flux.reshape(-1)[:size - offset], crossings))
         # CN right-hand side; residual; CG direction and its image; a product that
         # every apply overwrites (rate*phi), so no caller keeps it across one
         self.rhs, self.residual, self.direction, self.image, self.tmp = (
             np.empty(shape) for _ in range(5))
+        self.bound = []  # (phi, out, views)
+        self.bind(self.direction, self.image)
+
+    def bind(self, phi: np.ndarray, out: np.ndarray) -> None:
+        """Build, once, the views with which every later ``divergence(phi, out)`` runs."""
+        self.bound.append((phi, out, self._views(phi, out)))
+
+    def _views(self, phi: np.ndarray, out: np.ndarray) -> list:
+        """Per axis: phi's upper and lower shifts, the flux and face weight, the
+        slab to zero, the two terms whose sum goes into out's lower shift, and
+        out's upper shift."""
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        phi_flat, out_flat = phi.reshape(-1), out.reshape(-1)
+        views = []
+        for offset, faces, flux, crossings in self.axes:
+            lower, upper = out_flat[:-offset], out_flat[offset:]
+            if crossings is None:  # the first axis: 0.0 + flux, as a zero-filled out would give
+                update = (out_flat[-offset:], flux, 0.0)
+            else:
+                update = (crossings, lower, flux)
+            views.append((phi_flat[offset:], phi_flat[:-offset], flux, faces, *update, lower, upper))
+        return views
 
     def divergence(self, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
         """div(A grad phi) into the C-contiguous ``out``; grid sum is exactly zero.
@@ -122,20 +162,19 @@ class _Stencil:
         seven-point formula.  A crossing's flux is +0.0, which leaves the
         running value (never -0.0: it starts at +0.0) as it is.
         """
-        if not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        phi_flat, out_flat = phi.reshape(-1), out.reshape(-1)
-        for axis, (offset, faces, flux, crossings) in enumerate(self.axes):
-            np.subtract(phi_flat[offset:], phi_flat[:-offset], out=flux)
+        for bound_phi, bound_out, views in self.bound:
+            if phi is bound_phi and out is bound_out:
+                break
+        else:
+            views = self._views(phi, out)
+        subtract, multiply, add = np.subtract, np.multiply, np.add
+        for upper, lower, flux, faces, zeros, augend, addend, out_lower, out_upper in views:
+            subtract(upper, lower, flux)
             if faces is not None:
-                flux *= faces
-            crossings[...] = 0.0  # a non-finite phi would leave 0 * inf there
-            if axis:
-                out_flat[:-offset] += flux
-            else:  # 0.0 + flux, as a zero-filled out would give
-                np.add(flux, 0.0, out=out_flat[:-offset])
-                out_flat[-offset:] = 0.0
-            out_flat[offset:] -= flux
+                multiply(flux, faces, flux)
+            zeros.fill(0.0)  # out's last slab, or the crossings (a non-finite phi leaves 0 * inf)
+            add(augend, addend, out_lower)
+            subtract(out_upper, flux, out_upper)
         if self.scale != 1.0:
             out /= self.scale
         return out
@@ -170,7 +209,7 @@ class DiscreteOperator:
             out = np.empty(phi.shape)
         stencil = self.stencil
         stencil.divergence(phi, out)
-        out -= np.multiply(self.rate, phi, out=stencil.tmp)
+        out -= np.multiply(self.rate, phi, stencil.tmp)
         return out
 
 
@@ -198,8 +237,17 @@ class CGCounters:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Inner product in numpy's own loop: never BLAS, so no thread count changes it."""
-    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
+    """Inner product of two flat arrays in the loop of ``np.einsum("i,i->", a, b)``,
+    called without its dispatch wrapper: never BLAS, so no thread count changes it."""
+    return float(_c_einsum("i,i->", a, b))
+
+
+def _apply_system(op: DiscreteOperator, half_h: float, x: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """(I - half_h*M) x into ``out``."""
+    op.apply(x, out)
+    out *= half_h
+    return np.subtract(x, out, out)
 
 
 def _cg(op: DiscreteOperator, half_h: float, b: np.ndarray, x0: np.ndarray,
@@ -210,48 +258,46 @@ def _cg(op: DiscreteOperator, half_h: float, b: np.ndarray, x0: np.ndarray,
     ``r0``, if given, is the first residual b - (I - half_h*M) x0 and is
     overwritten.  The solution goes into ``out`` (a fresh array when None;
     x0 is read once, before ``out`` is written); every other vector is a work
-    array of the operator's stencil.
+    array of the operator's stencil.  A b of non-finite norm (say, from a rate
+    alpha/(1 - sigma*u) with sigma*u = 1 somewhere) raises LinearSolverError.
     """
     work = op.stencil
-
-    def apply_system(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        op.apply(x, out=out)
-        out *= half_h
-        return np.subtract(x, out, out=out)
-
-    def solved(x: np.ndarray, iterations: int, rs: float) -> np.ndarray:
-        if counters is not None:
-            counters.record(iterations, math.sqrt(rs) / bnorm)
-        return x
-
-    bnorm = math.sqrt(_dot(b, b))
+    b_flat = b.reshape(-1)
+    bnorm = math.sqrt(_dot(b_flat, b_flat))
+    if not math.isfinite(bnorm):
+        raise LinearSolverError(math.nan, 0, "got a right-hand side of non-finite norm")
     x = np.empty_like(b) if out is None else out
     if bnorm == 0.0:
         if counters is not None:
             counters.record(0, 0.0)
         x.fill(0.0)
         return x
+    tol = CG_RTOL * bnorm
     maxiter = CG_ITER_FACTOR * b.size
     np.copyto(x, x0)
     r, d, ad, tmp = r0, work.direction, work.image, work.tmp
     if r is None:
-        r = np.subtract(b, apply_system(x, work.residual), out=work.residual)
-    rs = _dot(r, r)
-    if math.sqrt(rs) <= CG_RTOL * bnorm:
-        return solved(x, 0, rs)
-    np.copyto(d, r)
-    for iteration in range(1, maxiter + 1):
-        apply_system(d, ad)
-        alpha = rs / _dot(d, ad)
-        x += np.multiply(d, alpha, out=tmp)
-        r -= np.multiply(ad, alpha, out=tmp)
-        rs_new = _dot(r, r)
-        if math.sqrt(rs_new) <= CG_RTOL * bnorm:  # converged: the direction is not needed
-            return solved(x, iteration, rs_new)
-        d *= rs_new / rs
-        d += r
-        rs = rs_new
-    raise LinearSolverError(math.sqrt(rs) / bnorm, maxiter)
+        r = np.subtract(b, _apply_system(op, half_h, x, work.residual), work.residual)
+    r_flat, d_flat, ad_flat = r.reshape(-1), d.reshape(-1), ad.reshape(-1)
+    rs = _dot(r_flat, r_flat)
+    iteration = 0
+    if math.sqrt(rs) > tol:
+        np.copyto(d, r)
+        for iteration in range(1, maxiter + 1):
+            _apply_system(op, half_h, d, ad)
+            alpha = rs / _dot(d_flat, ad_flat)
+            x += np.multiply(d, alpha, tmp)
+            r -= np.multiply(ad, alpha, tmp)
+            rs, rs_old = _dot(r_flat, r_flat), rs
+            if math.sqrt(rs) <= tol:  # converged: the direction is not needed
+                break
+            d *= rs / rs_old
+            d += r
+        else:
+            raise LinearSolverError(math.sqrt(rs) / bnorm, maxiter)
+    if counters is not None:
+        counters.record(iteration, math.sqrt(rs) / bnorm)
+    return x
 
 
 def _cn_advance(
@@ -269,13 +315,14 @@ def _cn_advance(
     The new state goes into ``out`` (a fresh array when None).
     """
     work = op.stencil
-    m_theta = op.apply(theta, out=work.residual)
-    rhs = np.multiply(source, h, out=work.rhs)
+    half_h = h / 2.0
+    m_theta = op.apply(theta, work.residual)
+    rhs = np.multiply(source, h, work.rhs)
     rhs += theta
-    rhs += np.multiply(m_theta, h / 2.0, out=work.tmp)
+    rhs += np.multiply(m_theta, half_h, work.tmp)
     m_theta *= h
-    m_theta += np.multiply(source, h, out=work.tmp)
-    return _cg(op, h / 2.0, rhs, theta, m_theta, counters, out)
+    m_theta += np.multiply(source, h, work.tmp)
+    return _cg(op, half_h, rhs, theta, m_theta, counters, out)
 
 
 def _unit_divisor(sigma: float, u: np.ndarray | float) -> bool:
@@ -283,20 +330,24 @@ def _unit_divisor(sigma: float, u: np.ndarray | float) -> bool:
     return sigma == 0.0 or not np.any(u)
 
 
-def _step_operator(problem: PdeProblem, u_sample: np.ndarray | float, alpha: np.ndarray,
-                   stencil: _Stencil | None = None, unit_divisor: bool = False,
-                   rate: np.ndarray | None = None) -> DiscreteOperator:
-    """M at a step whose midpoint pressure is ``alpha`` and chemical sample ``u_sample``.
+def _rate(sigma: float, u_sample: np.ndarray | float, alpha: np.ndarray, unit_divisor: bool,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """alpha/(1 - sigma*u) into ``out`` (a fresh array when None); ``alpha``
+    itself when the caller knows the divisor is exactly 1."""
+    if unit_divisor:
+        return alpha
+    if out is not None and np.ndim(u_sample):  # a field u: all in out
+        np.subtract(1.0, np.multiply(u_sample, sigma, out), out)
+        return np.divide(alpha, out, out)
+    return np.divide(alpha, 1.0 - sigma * u_sample, out=out)
 
-    The rate alpha/(1 - sigma*u) goes into ``rate`` (a fresh array when None);
-    it is ``alpha`` itself when the caller knows the divisor is exactly 1.
-    """
-    if not unit_divisor and rate is not None and np.ndim(u_sample):  # a field u: all in rate
-        np.subtract(1.0, np.multiply(u_sample, problem.chem.sigma, out=rate), out=rate)
-        alpha = np.divide(alpha, rate, out=rate)
-    elif not unit_divisor:
-        alpha = np.divide(alpha, 1.0 - problem.chem.sigma * u_sample, out=rate)
-    return DiscreteOperator(problem.diffusion, alpha, problem.grid.spacing, stencil)
+
+def _step_operator(problem: PdeProblem, u_sample: np.ndarray | float, alpha: np.ndarray,
+                   unit_divisor: bool = False, rate: np.ndarray | None = None) -> DiscreteOperator:
+    """M at a step whose midpoint pressure is ``alpha`` and chemical sample ``u_sample``,
+    with its rate from :func:`_rate` and a stencil of its own."""
+    rate = _rate(problem.chem.sigma, u_sample, alpha, unit_divisor, rate)
+    return DiscreteOperator(problem.diffusion, rate, problem.grid.spacing)
 
 
 def cn_step(
@@ -313,18 +364,19 @@ def cn_step(
         raise ProblemError("field grid does not match problem grid")
     u_val = u_sample.values if isinstance(u_sample, ScalarField) else u_sample
     alpha = problem.pressure.field_at(t + h / 2.0)
-    op = _step_operator(problem, u_val, alpha, unit_divisor=_unit_divisor(problem.chem.sigma, u_val))
-    return ScalarField(theta.grid, _cn_advance(theta.values, op, alpha, h))
+    op = _step_operator(problem, u_val, alpha, _unit_divisor(problem.chem.sigma, u_val))
+    return ScalarField(theta.grid, _cn_advance(theta.values, op, alpha, float(h)))
 
 
 class FieldPropagator(Propagator):
     """Crank-Nicolson steps of the space-dependent model for one chemical control.
 
-    One stencil, with its work arrays, serves every step, and the propagator
-    owns the step's pressure and rate and the two states that alternate inside
-    a span, so one propagator must not step from two threads at once and a
-    step inside a span allocates nothing; ``cg`` counts the CG solves of all
-    its steps.
+    One stencil, with its work arrays, and one operator on the rate buffer
+    serve every step.  The propagator owns the step's pressure and rate and
+    the two states that alternate inside a span, whose stencil applies into
+    the residual run on views bound once, so one propagator must not step
+    from two threads at once and a step inside a span allocates nothing;
+    ``cg`` counts the CG solves of all its steps.
     """
 
     def __init__(self, problem: PdeProblem, u: ContinuousControl | None = None):
@@ -337,11 +389,19 @@ class FieldPropagator(Propagator):
         self.threshold = problem.chem.sigma_star * problem.grid.volume
         self.initial = problem.initial.values.copy()
         self.zero = np.zeros(self.shape)
+        self.mid_times, self.dt = tg.mid_times, tg.dt.tolist()
         self.stencil = _Stencil(problem.diffusion, problem.grid.spacing)
         self.cg = CGCounters()
         self.unit_divisor = _unit_divisor(self.sigma, self.u_samples)
-        # the step's pressure and rate, and the states of the steps inside a span
-        self.alpha, self.rate, *self.iterates = (np.empty(self.shape) for _ in range(4))
+        # the step's rate and the states of the steps inside a span
+        self.rate, *self.iterates = (np.empty(self.shape) for _ in range(3))
+        for x in self.iterates:
+            self.stencil.bind(x, self.stencil.residual)  # a step's right-hand-side apply
+        # the array every step's pressure lands in: this buffer, or a constant
+        # pressure's own field, which field_at returns whatever out is
+        self.alpha = problem.pressure.field_at(0.0, out=np.empty(self.shape))
+        self.op = DiscreteOperator(problem.diffusion, self.alpha if self.unit_divisor else self.rate,
+                                   problem.grid.spacing, self.stencil)
 
     def state(self, a) -> np.ndarray:
         return np.broadcast_to(a, self.shape).astype(float)
@@ -350,11 +410,10 @@ class FieldPropagator(Propagator):
               out: np.ndarray | None = None) -> np.ndarray:
         """One CN step n into ``out`` (a fresh array when None); the source is the
         step's pressure when ``source`` is None."""
-        alpha = self.problem.pressure.field_at(self.time_grid.mid_times[n], out=self.alpha)
-        op = _step_operator(self.problem, self._u[n], alpha, self.stencil, self.unit_divisor,
-                            self.rate)
-        return _cn_advance(x, op, alpha if source is None else source[n],
-                           self.time_grid.dt[n], self.cg, out)
+        alpha = self.problem.pressure.field_at(self.mid_times[n], out=self.alpha)
+        _rate(self.sigma, self._u[n], alpha, self.unit_divisor, self.rate)
+        return _cn_advance(x, self.op, alpha if source is None else source[n], self.dt[n],
+                           self.cg, out)
 
     def flow(self, x: np.ndarray, span: Span, source: list | None, out: np.ndarray,
              skipped: list | None) -> np.ndarray:

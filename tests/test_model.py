@@ -133,6 +133,25 @@ class TestValidate:
         report = ib.validate(prob)
         assert any("sigma out of [0,1]" in m for m in report)
 
+    @pytest.mark.parametrize("model", ["averaged", "pde"])
+    def test_control_with_sigma_u_of_one_flagged(self, model):
+        # 1 - sigma*u = 0 makes the rate alpha/(1 - sigma*u) infinite
+        prob = (reference_averaged(sigma=1.0) if model == "averaged"
+                else reference_pde(cells=(3, 3, 2), t_end=0.05, sigma=1.0))
+        tg = prob.time_grid
+        u = ib.ContinuousControl.constant(tg, 1.0)
+        messages = [m for m in ib.validate(prob, u=u) if "sigma * u" in m]
+        assert len(messages) == 1 and "sigma = 1.0" in messages[0] and "u up to 1.0" in messages[0]
+        # a field control that reaches 1 at one point of one step only
+        if model == "pde":
+            samples = np.full((tg.n_steps, *prob.grid.dims), 0.5)
+            samples[3, 1, 2, 0] = 1.0
+            assert any("sigma * u" in m for m in ib.validate(prob, u=ib.ContinuousControl(samples)))
+        # sigma*u just below 1 is allowed
+        below = ib.ContinuousControl.constant(tg, 1.0 - 1e-12)
+        assert ib.validate(prob, u=below).ok
+        assert ib.validate(prob, u=u).messages == messages
+
     def test_control_out_of_range_flags_h6(self):
         prob = reference_averaged()
         u = ib.ContinuousControl(np.full(prob.time_grid.n_steps, -0.1))

@@ -580,6 +580,14 @@ class TestProjectedGradientMixed:
         with pytest.raises(ib.ProblemError):
             ib.projected_gradient_mixed(prob, ib.CostSpec.constant(prob.time_grid, 0.5))
 
+    @pytest.mark.parametrize("sigma", [1.0, 1.5])
+    def test_refuses_sigma_of_one_or_more(self, sigma):
+        # the projection box lets u reach 1, where 1 - sigma*u <= 0
+        prob = reference_averaged(sigma=sigma)
+        costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
+        with pytest.raises(ib.ProblemError, match="sigma < 1"):
+            ib.projected_gradient_mixed(prob, costs)
+
     def test_vanishing_efficacy_limit(self):
         # sigma -> 0: the gradient is ~C > 0 everywhere, so u stays at 0 and
         # the pulse strategy equals the pulse-only sweep

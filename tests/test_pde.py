@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import inhibopt as ib
-from conftest import rel_err, reference_pde
+from conftest import REF_PEAK_TIME, REF_PERIOD, WEEK, rel_err, reference_pde
 from inhibopt import core
 from inhibopt import io as iomod
 from inhibopt import pde as pde_mod
@@ -220,15 +220,135 @@ class TestDenseOracle:
             assert np.array_equal(j.pre, traj.fields[j.node_index])
 
 
+def _plain_cn_step(diffusion, spacing, rate, theta, source, h):
+    """One CN step in the kernel's order of operations, with nothing shared or prebuilt:
+    the plain seven-point formula, fresh arrays, np.einsum inner products and CG from
+    theta, whose first residual is h*source + h*M theta."""
+    def dot(a, b):
+        return np.einsum("i,i->", a.ravel(), b.ravel())
+
+    def apply(phi):
+        return _reference_divergence(diffusion, phi, spacing) - rate * phi
+
+    half_h = h / 2.0
+    m_theta = apply(theta)
+    b = source * h + theta + m_theta * half_h
+    r = m_theta * h + source * h
+    bnorm = np.sqrt(dot(b, b))
+    if bnorm == 0.0:
+        return np.zeros(theta.shape)
+    tol = pde_mod.CG_RTOL * bnorm
+    x = theta
+    rs = dot(r, r)
+    if np.sqrt(rs) > tol:
+        d = r
+        while True:
+            ad = d - apply(d) * half_h
+            alpha = rs / dot(d, ad)
+            x = x + d * alpha
+            r = r - ad * alpha
+            rs_new = dot(r, r)
+            if np.sqrt(rs_new) <= tol:
+                break
+            d = d * (rs_new / rs) + r
+            rs = rs_new
+    return x
+
+
+class TestPlainStepOracle:
+    """cn_step and a propagator span, byte for byte against :func:`_plain_cn_step`."""
+
+    @staticmethod
+    def _problem(faces, spacing):
+        rng = np.random.default_rng(31)
+        grid = ib.SpaceGrid.from_cells(4, 3, 2, spacing=spacing)
+        diffusion = {"one": ib.DiffusionField.isotropic(grid, 1.0),
+                     "uniform": ib.DiffusionField.isotropic(grid, 2.5),
+                     "random": random_diffusion(grid, rng, scale=3.0)}[faces]
+        problem = ib.PdeProblem(
+            ib.TimeGrid.regular(0.05, 1e-3, WEEK), grid,
+            ib.InhibitionPressure(ib.build_random_amplitude(grid, 1.5, seed=4),
+                                  REF_PEAK_TIME, REF_PERIOD),
+            diffusion, ib.ChemicalParams(0.3, 0.0),
+            ib.ScalarField(grid, rng.uniform(0.3, 0.6, grid.dims)))
+        n = problem.time_grid.n_steps
+        controls = {"none": None,
+                    "scalar": ib.ContinuousControl(rng.uniform(0.0, 1.0, n)),
+                    "field": ib.ContinuousControl(rng.uniform(0.0, 1.0, (n, *grid.dims)))}
+        return problem, controls, rng
+
+    @staticmethod
+    def _rate(problem, alpha, u):
+        return alpha if u is None else alpha / (1.0 - problem.chem.sigma * u)
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.5])
+    @pytest.mark.parametrize("faces", ["one", "uniform", "random"])
+    def test_cn_step(self, faces, spacing):
+        problem, controls, rng = self._problem(faces, spacing)
+        theta = ib.ScalarField(problem.grid, rng.uniform(0.0, 1.0, problem.grid.dims))
+        t, h = 0.3, 1e-3
+        alpha = problem.pressure.field_at(t + h / 2.0)
+        for name, u in controls.items():
+            sample = None if u is None else u.samples[7]
+            given = (0.0 if u is None else float(sample) if name == "scalar"
+                     else ib.ScalarField(problem.grid, sample))
+            got = ib.cn_step(theta, t, h, problem, u_sample=given).values
+            want = _plain_cn_step(problem.diffusion, spacing, self._rate(problem, alpha, sample),
+                                  theta.values, alpha, h)
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("source", ["pressure", "costate"])
+    @pytest.mark.parametrize("control", ["none", "scalar", "field"])
+    @pytest.mark.parametrize("spacing", [1.0, 0.5])
+    @pytest.mark.parametrize("faces", ["one", "uniform", "random"])
+    def test_span(self, faces, spacing, control, source):
+        problem, controls, rng = self._problem(faces, spacing)
+        u = controls[control]
+        tg = problem.time_grid
+        prop = pde_mod.FieldPropagator(problem, u)
+        walk = core._walk(tg, 1)
+        # a forward span and, for the costate, a backward one; each starts from a state
+        # that is none of the propagator's arrays, and walks on through its iterates
+        span = walk.forward[1] if source == "pressure" else walk.backward[1]
+        unit = None if source == "pressure" else [1.0] * tg.n_steps
+        x0 = rng.uniform(0.0, 1.0, problem.grid.dims)
+        for _ in range(2):  # a second walk reuses every buffer of the first
+            rows = prop.record(tg.n_steps + 1)
+            end = prop.flow(x0, span, unit, rows, None)
+            x, want = x0, []
+            for n in range(tg.n_steps)[span.steps]:
+                alpha = problem.pressure.field_at(tg.mid_times[n])
+                sample = None if u is None else u.samples[n]
+                x = _plain_cn_step(problem.diffusion, spacing, self._rate(problem, alpha, sample),
+                                   x, alpha if unit is None else unit[n], tg.dt[n])
+                want.append(x)
+            assert len(want) > 10
+            assert end.tobytes() == want[-1].tobytes()
+            assert rows[span.rows].tobytes() == np.array(want[:-1]).tobytes()
+
+
 class TestReusedBuffers:
     """A propagator's step buffers (pressure, rate, the two span iterates and the
     stencil's work arrays) never end up in what a run returns."""
 
     @staticmethod
     def _buffers(prop):
+        """Every array a step writes, and every view of one that the stencil prebuilds."""
         work = prop.stencil
-        return [prop.alpha, prop.rate, *prop.iterates, work.rhs, work.residual, work.direction,
-                work.image, work.tmp, *(flux for _, _, flux, _ in work.axes)]
+        views = [a for axis in work.axes for a in axis if isinstance(a, np.ndarray)]
+        views += [a for phi, out, axes in work.bound for axis in ((phi, out), *axes)
+                  for a in axis if isinstance(a, np.ndarray)]
+        return [prop.alpha, prop.rate, prop.op.rate, *prop.iterates, work.rhs, work.residual,
+                work.direction, work.image, work.tmp, work.flux, *views]
+
+    def test_the_stencil_prebuilds_its_cg_apply_and_the_span_iterates(self):
+        prop = pde_mod.FieldPropagator(reference_pde(cells=(3, 3, 2), t_end=0.05))
+        work = prop.stencil
+        pairs = [(phi, out) for phi, out, _ in work.bound]
+        assert pairs[0][0] is work.direction and pairs[0][1] is work.image
+        assert [(phi is x, out is work.residual) for (phi, out), x in zip(pairs[1:], prop.iterates)
+                ] == [(True, True)] * 2
+        assert prop.op.stencil is work and prop.op.rate is prop.alpha  # unit divisor
 
     @staticmethod
     def _outputs(forward, adjoint, end):
@@ -270,11 +390,14 @@ class TestReusedBuffers:
             assert a.tobytes() == b.tobytes()
 
     def test_steps_inside_a_span_allocate_nothing(self):
-        # with no control, and with a field control (0.3 everywhere), whose divisor
-        # 1 - sigma*u is built in the rate buffer
+        # with no control, with a scalar control and with a field control (0.3
+        # everywhere), whose divisor 1 - sigma*u is built in the rate buffer
         prob = reference_pde(cells=(20, 20, 6), t_end=1.5 / 52)
-        u = ib.ContinuousControl(np.full((prob.time_grid.n_steps, *prob.grid.dims), 0.3))
-        for prop in (pde_mod.FieldPropagator(prob), pde_mod.FieldPropagator(prob, u)):
+        n = prob.time_grid.n_steps
+        field = ib.ContinuousControl(np.full((n, *prob.grid.dims), 0.3))
+        scalar = ib.ContinuousControl(np.full(n, 0.3))
+        for prop in (pde_mod.FieldPropagator(prob), pde_mod.FieldPropagator(prob, scalar),
+                     pde_mod.FieldPropagator(prob, field)):
             span = core._walk(prob.time_grid, 1).forward[0]
             assert span.steps.stop - span.steps.start > 10
             rows = prop.record(prob.time_grid.n_steps + 1)
@@ -306,6 +429,16 @@ problem = ib.PdeProblem(
 )
 sys.stdout.write(hashlib.sha256(ib.simulate_pde(problem).fields.tobytes()).hexdigest())
 """
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 484, 21_853])
+def test_dot_is_einsum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=n), rng.normal(size=n) * 1e3
+    for x, y in ((a, b), (a, a), (b, a)):
+        got = pde_mod._dot(x, y)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.einsum("i,i->", x, y).tobytes()
 
 
 def test_results_do_not_depend_on_blas_thread_count():
@@ -541,6 +674,24 @@ class TestCgCounters:
         prob = reference_pde(cells=(2, 2, 1), t_end=0.2).averaged()
         res = ib.optimal_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.5))
         assert "cg" not in res.diagnostics
+
+
+def test_non_finite_right_hand_side_raises_instead_of_returning_theta():
+    # sigma*u = 1: the rate alpha/(1 - sigma*u) is infinite, so is the CN right-hand side
+    prob = reference_pde(cells=(3, 3, 2), t_end=0.05, sigma=1.0)
+    u = ib.ContinuousControl.constant(prob.time_grid, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ib.LinearSolverError, match="non-finite norm"):
+            ib.simulate_pde(prob, u)
+        with pytest.raises(ib.LinearSolverError, match="non-finite norm"):
+            ib.cn_step(prob.initial, 0.0, 1e-3, prob, u_sample=1.0)
+    grid = prob.grid
+    op = ib.DiscreteOperator(ib.DiffusionField.isotropic(grid, 1.0), np.full(grid.dims, 0.5), 1.0)
+    for bad in (np.inf, np.nan):
+        b = np.ones(grid.dims)
+        b[1, 1, 1] = bad
+        with pytest.raises(ib.LinearSolverError):
+            pde_mod._cg(op, 0.5, b, np.zeros(grid.dims))
 
 
 def test_cg_iteration_budget_failure_reports_residual(monkeypatch, rng):
