@@ -4,7 +4,8 @@ Subcommands: simulate-averaged, simulate-pde, optimize-pulse, optimize-mixed,
 brute-force, gradient-check, preset.  Every run reads one YAML config (all
 keys optional; defaults reproduce the bundled reference scenario), writes CSV
 outputs plus a ``manifest`` of key=value lines into --out, and exits 0 on
-success, 1 on validation failure, 2 on solver failure, 64 on usage errors.
+success, 1 on validation failure (having written nothing), 2 on solver
+failure, 64 on usage errors.
 """
 
 from __future__ import annotations
@@ -80,11 +81,7 @@ def _load(args) -> iomod.Bundle:
     return iomod.resolve_bundle(cfg, base_dir=base, seed_override=args.seed)
 
 
-def _write_common(out: Path, bundle: iomod.Bundle, task: str, extra: dict | None = None) -> None:
-    iomod.write_manifest(out / "manifest", bundle.config, {"task": task, **(extra or {})})
-
-
-def _task_simulate(bundle: iomod.Bundle, out: Path, store_every: int) -> None:
+def _task_simulate(bundle: iomod.Bundle, out: Path, store_every: int) -> dict:
     if bundle.kind == "averaged":
         traj = simulate_averaged(bundle.problem, bundle.u, bundle.strategy)
         cost = cost_averaged(traj, bundle.strategy, bundle.u, bundle.costs)
@@ -95,10 +92,11 @@ def _task_simulate(bundle: iomod.Bundle, out: Path, store_every: int) -> None:
         iomod.write_pde_summary(out / "summary.csv", traj)
         iomod.write_field_snapshots(out / "fields.csv", traj)
     iomod.write_cost(out / "cost.csv", cost)
-    _write_common(out, bundle, "simulate", {"store_every": traj.store_every})
+    return {"store_every": traj.store_every}
 
 
-def _export_result(bundle: iomod.Bundle, out: Path, result) -> None:
+def _export_result(bundle: iomod.Bundle, out: Path, result) -> dict:
+    """Write a strategy result's CSV files; return the optimizers' common manifest entries."""
     tg = bundle.problem.time_grid
     iomod.write_strategy(out / "strategy.csv", tg, result.strategy)
     iomod.write_certificate(out / "certificate.csv", result.certificate)
@@ -109,71 +107,57 @@ def _export_result(bundle: iomod.Bundle, out: Path, result) -> None:
         iomod.write_pde_summary(out / "summary.csv", result.forward)
     if result.adjoint is not None:
         iomod.write_adjoint(out / "adjoint.csv", result.adjoint)
+    return {
+        "iterations": result.iterations,
+        "converged": result.converged,
+        "total_cost": result.cost.total,
+        "realized_pulses": len(result.forward.jumps),
+        **{f"cg_{k}": v for k, v in result.diagnostics.get("cg", {}).items()},
+    }
 
 
-def _task_optimize_pulse(bundle: iomod.Bundle, out: Path, store_every: int) -> None:
+def _task_optimize_pulse(bundle: iomod.Bundle, out: Path, store_every: int) -> dict:
     # optimal_pulse at sigma_star = 0
     result = fixed_point_pulse(bundle.problem, bundle.u, bundle.costs, store_every=store_every)
-    _export_result(bundle, out, result)
-    _write_common(out, bundle, "optimize-pulse", {
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "total_cost": result.cost.total,
-        "realized_pulses": len(result.forward.jumps),
-        "store_every": result.forward.store_every,
-        **{f"cg_{k}": v for k, v in result.diagnostics.get("cg", {}).items()},
-    })
+    return {**_export_result(bundle, out, result), "store_every": result.forward.store_every}
 
 
-def _task_optimize_mixed(bundle: iomod.Bundle, out: Path) -> None:
+def _task_optimize_mixed(bundle: iomod.Bundle, out: Path) -> dict:
     result = projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
-    _export_result(bundle, out, result)
     iomod.write_control(out / "control.csv", bundle.problem.time_grid, result.control)
     iomod.write_control_certificate(out / "control_certificate.csv", result.continuous_certificate)
-    _write_common(out, bundle, "optimize-mixed", {
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "total_cost": result.cost.total,
-        "realized_pulses": len(result.forward.jumps),
+    return {
+        **_export_result(bundle, out, result),
         "certificate_agreement": result.continuous_certificate.agreement_fraction(),
         "stop_reason": result.diagnostics["stop_reason"],
         "line_search_halvings": result.diagnostics["line_search_halvings"],
-        **{f"cg_{k}": v for k, v in result.diagnostics.get("cg", {}).items()},
-    })
+    }
 
 
 def _task_brute_force(bundle: iomod.Bundle, out: Path, max_pulses: int,
-                      interior_samples: int) -> None:
+                      interior_samples: int) -> dict:
     result = brute_force_pulse(
         bundle.problem, bundle.u, bundle.costs,
         max_pulses=max_pulses, interior_samples=interior_samples, seed=bundle.seed,
     )
-    _export_result(bundle, out, result)
-    _write_common(out, bundle, "brute-force", {
-        "enumerated": result.iterations,
-        "interior_best": result.diagnostics.get("interior_best"),
-        "total_cost": result.cost.total,
-    })
+    _export_result(bundle, out, result)  # the enumeration records entries of its own
+    return {"enumerated": result.iterations, "interior_best": result.diagnostics.get("interior_best"),
+            "total_cost": result.cost.total}
 
 
-def emit_alpha_profile(bundle: iomod.Bundle, out: Path) -> Path:
+def emit_alpha_profile(bundle: iomod.Bundle, out: Path) -> dict:
     """Sample the pressure profile at round(t_end/step) + 1 evenly spaced times into alpha.csv."""
-    cfg = bundle.config
-    t_end = float(cfg["model"]["t_end"])
-    step = float(cfg["model"]["step"])
-    n = max(1, round(t_end / step))
-    times = np.linspace(0.0, t_end, n + 1)
+    tg = bundle.problem.time_grid
+    times = np.linspace(0.0, tg.t_end, max(1, round(tg.t_end / tg.step)) + 1)
     if bundle.kind == "averaged":
         values = np.asarray(bundle.problem.alpha(times), dtype=float)
     else:
         values = bundle.problem.pressure.mean_profile()(times)
-    path = out / "alpha.csv"
-    iomod.write_alpha_profile(path, times, values)
-    _write_common(out, bundle, "alpha-profile")
-    return path
+    iomod.write_alpha_profile(out / "alpha.csv", times, values)
+    return {}
 
 
-def _task_gradient_check(bundle: iomod.Bundle, out: Path) -> float:
+def _task_gradient_check(bundle: iomod.Bundle, out: Path) -> dict:
     """Max relative adjoint-vs-finite-difference error over pulse and chemical gradients."""
     problem, costs = bundle.problem, bundle.costs
     tg = problem.time_grid
@@ -208,19 +192,18 @@ def _task_gradient_check(bundle: iomod.Bundle, out: Path) -> float:
     print(f"chemical gradient:  adjoint={adjoint_u:.10e} fd={fd_u:.10e} rel_err={err_u:.3e}")
     print(f"max relative adjoint-vs-fd error: {max(err_v, err_u):.3e} "
           f"(tolerance {GRADIENT_CHECK_TOL:.0e})")
-    iomod.write_gradient_check(out / "gradient_check.csv", {
-        "pulse": (adjoint_v, fd_v, err_v),
-        "chemical": (adjoint_u, fd_u, err_u),
-    })
-    _write_common(out, bundle, "gradient-check", {"max_relative_error": max(err_v, err_u)})
-    return max(err_v, err_u)
+    iomod.write_gradient_check(out / "gradient_check.csv", {"pulse": (adjoint_v, fd_v, err_v),
+                                                            "chemical": (adjoint_u, fd_u, err_u)})
+    return {"max_relative_error": max(err_v, err_u)}
 
 
 def _run(task: str, bundle: iomod.Bundle, out: Path, where: str, store_every: int = 1,
          **options) -> int:
     """Run one command or preset member; validation messages print as ``where: msg``.
 
-    A field run keeps every ``store_every``-th node, an averaged run every node.
+    A run that fails validation or the simulate kind check writes nothing; a task writes its
+    CSV files and returns its manifest entries.  A field run keeps every ``store_every``-th
+    node, an averaged run every node.
     """
     report = validate(bundle.problem, bundle.u, bundle.strategy, bundle.costs)
     for msg in report:
@@ -234,20 +217,22 @@ def _run(task: str, bundle: iomod.Bundle, out: Path, where: str, store_every: in
         return 1
     if bundle.kind == "averaged":
         store_every = 1
-    if task == "alpha-profile":
-        emit_alpha_profile(bundle, out)
-    elif task.startswith("simulate"):
-        _task_simulate(bundle, out, store_every)
-    elif task == "optimize-pulse":
-        _task_optimize_pulse(bundle, out, store_every)
-    elif task == "optimize-mixed":
-        _task_optimize_mixed(bundle, out)
-    elif task == "brute-force":
-        _task_brute_force(bundle, out, **options)
-    elif task == "gradient-check":
-        return 0 if _task_gradient_check(bundle, out) <= GRADIENT_CHECK_TOL else 2
-    else:
+    name = "simulate" if task.startswith("simulate") else task
+    run = {
+        "alpha-profile": lambda: emit_alpha_profile(bundle, out),
+        "simulate": lambda: _task_simulate(bundle, out, store_every),
+        "optimize-pulse": lambda: _task_optimize_pulse(bundle, out, store_every),
+        "optimize-mixed": lambda: _task_optimize_mixed(bundle, out),
+        "brute-force": lambda: _task_brute_force(bundle, out, **options),
+        "gradient-check": lambda: _task_gradient_check(bundle, out),
+    }.get(name)
+    if run is None:
         raise ProblemError(f"unknown task {task}")
+    out.mkdir(parents=True, exist_ok=True)
+    entries = run()
+    iomod.write_manifest(out / "manifest", bundle.config, {"task": name, **entries})
+    if name == "gradient-check" and not entries["max_relative_error"] <= GRADIENT_CHECK_TOL:
+        return 2  # a NaN error fails too
     return 0
 
 
@@ -267,14 +252,11 @@ def run_cli(argv) -> int:
         if args.command == "preset":
             codes = []
             for run in PRESETS[args.name].runs:
-                out = args.out / run.label
-                out.mkdir(parents=True, exist_ok=True)
                 bundle = iomod.resolve_bundle(run.config, seed_override=args.seed)
-                codes.append(_run(run.task, bundle, out, f"{args.name}/{run.label}", 50))
+                codes.append(_run(run.task, bundle, args.out / run.label, f"{args.name}/{run.label}", 50))
             return max(codes)
 
         bundle = _load(args)
-        args.out.mkdir(parents=True, exist_ok=True)
         options = {k: v for k, v in vars(args).items()
                    if k in ("store_every", "max_pulses", "interior_samples")}
         return _run(args.command, bundle, args.out, "validation", **options)

@@ -201,42 +201,40 @@ def write_control_certificate(path, cert) -> None:
     def flat(a):
         return a if a.ndim == 1 else a.mean(axis=tuple(range(1, a.ndim)))
 
-    columns = (cert.mid_times, cert.unit_cost, cert.switch_level, cert.control, cert.margin,
-               cert.consistent.astype(float))
+    table = np.stack([flat(a) for a in (cert.unit_cost, cert.switch_level, cert.control, cert.margin,
+                                        cert.consistent.astype(float))], axis=-1)
     with open(path, "w", newline="") as fh:
         fh.write("t,unit_cost,switch_level,u,margin,consistent\n")
-        for row in zip(*(flat(a) for a in columns)):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        _write_points(fh, [_key(t) for t in cert.mid_times], table, columns=5)
 
 
 def write_gradient_check(path, rows: dict) -> None:
     """``rows`` maps a quantity name to its (adjoint, finite difference, relative error)."""
     with open(path, "w", newline="") as fh:
         fh.write("quantity,adjoint,finite_difference,relative_error\n")
-        for name, values in rows.items():
-            fh.write(name + "".join(f",{float(x)!r}" for x in values) + "\n")
+        _write_points(fh, [f"{name}," for name in rows], np.array(list(rows.values()), dtype=float),
+                      columns=3)
 
 
 def write_cost(path, cost: CostBreakdown) -> None:
+    names = ("running_state", "running_control", "pulse", "final", "total")
     with open(path, "w", newline="") as fh:
         fh.write("component,value\n")
-        for name in ("running_state", "running_control", "pulse", "final", "total"):
-            fh.write(f"{name},{_fmt(getattr(cost, name))}\n")
+        _write_points(fh, [f"{name}," for name in names],
+                      np.array([getattr(cost, name) for name in names], dtype=float))
 
 
 def write_alpha_profile(path, times: np.ndarray, values: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,alpha\n")
-        for t, a in zip(times, values):
-            fh.write(f"{_fmt(t)},{_fmt(a)}\n")
+        _write_points(fh, [_key(t) for t in times], np.asarray(values, dtype=float))
 
 
 def write_control(path, time_grid: TimeGrid, u: ContinuousControl) -> None:
+    samples = u.samples if u.samples.ndim == 1 else u.samples.mean(axis=(1, 2, 3))
     with open(path, "w", newline="") as fh:
         fh.write("t,u\n")
-        samples = u.samples if u.samples.ndim == 1 else u.samples.mean(axis=(1, 2, 3))
-        for t, val in zip(time_grid.mid_times, samples):
-            fh.write(f"{_fmt(t)},{_fmt(val)}\n")
+        _write_points(fh, [_key(t) for t in time_grid.mid_times], samples)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +338,11 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
         section, _, name = key.rpartition(".")
         return _number((cfg[section] if section else cfg)[name], key, kind, expected)
 
+    def per_candidate(key: str) -> np.ndarray:
+        """The values at ``key``, a number standing for one value per candidate pulse time."""
+        values = num(key, _floats)
+        return np.full(tg.n_candidates, values) if values.ndim == 0 else values
+
     if m["pulse_times"] is not None:
         tg = TimeGrid(num("model.t_end"), num("model.step"),
                       num("model.pulse_times", lambda ts: tuple(float(t) for t in ts)))
@@ -385,16 +388,14 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
     if cfg["control"]["pulse_values"] is None:
         strategy = PulseStrategy.no_intervention(tg)
     else:
-        strategy = PulseStrategy(num("control.pulse_values", _floats))
+        strategy = PulseStrategy(per_candidate("control.pulse_values"))
 
     c = cfg["cost"]
     if isinstance(c["pulse_unit"], str):
         field = _field_from_spec("cost.pulse_unit", c["pulse_unit"], base_dir, grid)
         pulse = np.broadcast_to(field.values, (tg.n_candidates, *grid.dims)).copy()
     else:
-        pulse = num("cost.pulse_unit", _floats)
-        if pulse.ndim == 0:
-            pulse = np.full(tg.n_candidates, pulse)
+        pulse = per_candidate("cost.pulse_unit")
     if isinstance(c["final"], str):
         final = _field_from_spec("cost.final", c["final"], base_dir, grid).values
     else:

@@ -73,7 +73,10 @@ class PulseCertificate:
     p_plus: float | np.ndarray
     unit_cost: float | np.ndarray
     applied: float | np.ndarray
-    margin: float | np.ndarray  # p_plus - unit_cost
+
+    @property
+    def margin(self) -> float | np.ndarray:
+        return self.p_plus - self.unit_cost
 
 
 @dataclass
@@ -147,8 +150,7 @@ def _sweep(prop, costs, realized_candidates=None, store_every=1):
 def _certificate(forward, adjoint, costs) -> list[PulseCertificate]:
     realized = {j.node_index for j in forward.jumps}
     c = costs.pulse_unit
-    return [PulseCertificate(aj.time, aj.candidate_index, aj.p_plus, c[aj.candidate_index],
-                             aj.applied, aj.p_plus - c[aj.candidate_index])
+    return [PulseCertificate(aj.time, aj.candidate_index, aj.p_plus, c[aj.candidate_index], aj.applied)
             for aj in adjoint.jumps if aj.node_index in realized]
 
 

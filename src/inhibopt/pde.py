@@ -342,14 +342,6 @@ def _rate(sigma: float, u_sample: np.ndarray | float, alpha: np.ndarray, unit_di
     return np.divide(alpha, 1.0 - sigma * u_sample, out=out)
 
 
-def _step_operator(problem: PdeProblem, u_sample: np.ndarray | float, alpha: np.ndarray,
-                   unit_divisor: bool = False, rate: np.ndarray | None = None) -> DiscreteOperator:
-    """M at a step whose midpoint pressure is ``alpha`` and chemical sample ``u_sample``,
-    with its rate from :func:`_rate` and a stencil of its own."""
-    rate = _rate(problem.chem.sigma, u_sample, alpha, unit_divisor, rate)
-    return DiscreteOperator(problem.diffusion, rate, problem.grid.spacing)
-
-
 def cn_step(
     theta: ScalarField,
     t: float,
@@ -364,7 +356,8 @@ def cn_step(
         raise ProblemError("field grid does not match problem grid")
     u_val = u_sample.values if isinstance(u_sample, ScalarField) else u_sample
     alpha = problem.pressure.field_at(t + h / 2.0)
-    op = _step_operator(problem, u_val, alpha, _unit_divisor(problem.chem.sigma, u_val))
+    rate = _rate(problem.chem.sigma, u_val, alpha, _unit_divisor(problem.chem.sigma, u_val))
+    op = DiscreteOperator(problem.diffusion, rate, problem.grid.spacing)
     return ScalarField(theta.grid, _cn_advance(theta.values, op, alpha, float(h)))
 
 

@@ -1,5 +1,6 @@
 import csv
 import filecmp
+import math
 from pathlib import Path
 
 import numpy as np
@@ -238,6 +239,23 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.yaml", {"model": {"kind": "averaged", "sigma": 1.4}})
         assert run_cli(["simulate-averaged", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("simulate-averaged", {"model": {"sigma": 1.0}, "control": {"u": 1.0}}),  # sigma*u = 1
+        ("simulate-averaged", PDE_CFG),  # the simulate kind check
+    ])
+    def test_a_failed_run_makes_no_output_directory(self, tmp_path, command, cfg):
+        path = write_config(tmp_path / "cfg.yaml", cfg)
+        out = tmp_path / "run"
+        assert run_cli([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error, code", [(1e-4, 0), (math.nextafter(1e-4, 1.0), 2), (math.nan, 2)])
+    def test_gradient_check_exits_0_iff_its_error_is_within_tolerance(self, tmp_path, monkeypatch,
+                                                                      error, code):
+        monkeypatch.setattr(cli, "_task_gradient_check", lambda bundle, out: {"max_relative_error": error})
+        assert run_cli(["gradient-check", "--out", str(tmp_path)]) == code
+        assert iomod.config_from_manifest(tmp_path / "manifest")[1]["task"] == "gradient-check"
+
     def test_unknown_config_key_rejected(self, tmp_path):
         # at any depth: preset configs are partial and rely on this check too
         for bad in ({"modle": {"kind": "averaged"}}, {"cost": {"pulse_unti": 0.5}},
@@ -315,7 +333,7 @@ class TestPresets:
                  "optimize-pulse": "_task_optimize_pulse", "optimize-mixed": "_task_optimize_mixed"}
         for task, name in tasks.items():
             monkeypatch.setattr(cli, name, lambda bundle, out, *rest, _task=task:
-                                calls.append((_task, bundle.kind, rest)))
+                                calls.append((_task, bundle.kind, rest)) or {})
         for preset in PRESETS.values():
             for run in preset.runs:
                 bundle = iomod.resolve_bundle(run.config)
@@ -335,7 +353,7 @@ class TestPresets:
         monkeypatch.setitem(PRESETS, "broken", broken)
         assert run_cli(["preset", "broken", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "broken/bad: sigma out of [0,1]: 2.0\n"
-        assert not any((tmp_path / "bad").iterdir())
+        assert not (tmp_path / "bad").exists()
         assert {p.name for p in (tmp_path / "good").iterdir()} == {"trajectory.csv", "cost.csv",
                                                                    "manifest"}
 
@@ -393,6 +411,18 @@ def test_field_csv_mistakes_are_validation_failures(tmp_path, capsys, edit, mess
     err = capsys.readouterr().err
     assert err.startswith("validation: config key initial.path:")
     assert f"rho.csv: {message}" in err
+
+
+@pytest.mark.parametrize("cfg, command", [(AVERAGED_CFG, "simulate-averaged"), (PDE_CFG, "simulate-pde")])
+def test_scalar_pulse_values_stand_for_one_value_per_candidate(tmp_path, cfg, command):
+    m = iomod.resolve_bundle(cfg).problem.time_grid.n_candidates
+    for name, values in (("scalar", 0.5), ("list", [0.5] * m)):
+        path = write_config(tmp_path / f"{name}.yaml", {**cfg, "control": {"u": 0.2, "pulse_values": values}})
+        assert run_cli([command, "--config", str(path), "--out", str(tmp_path / name)]) == 0
+    names = sorted(p.name for p in (tmp_path / "list").glob("*.csv"))
+    assert names and names == sorted(p.name for p in (tmp_path / "scalar").glob("*.csv"))
+    for name in names:
+        assert filecmp.cmp(tmp_path / "scalar" / name, tmp_path / "list" / name, shallow=False), name
 
 
 def test_random_amplitude_seed_override(tmp_path):

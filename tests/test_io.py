@@ -5,6 +5,7 @@ loop the writers must reproduce byte for byte; the writers themselves format
 a block of rows per call and must never hold a history-sized copy.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,8 @@ from inhibopt.core import Trajectory
 
 # signed zero, exponent switch points of repr, and the smallest subnormal
 SPECIAL = [-0.0, 1e-05, 1e16, 9.999999999999999e15, 5e-324]
+# what a scalar-row writer may meet besides (a field file rejects these)
+NONFINITE = [math.nan, math.inf, -math.inf]
 
 
 def _fmt(x) -> str:
@@ -83,6 +86,35 @@ def ref_control_certificate(path, cert):
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
+def ref_gradient_check(path, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write("quantity,adjoint,finite_difference,relative_error\n")
+        for name, values in rows.items():
+            fh.write(name + "".join(f",{float(x)!r}" for x in values) + "\n")
+
+
+def ref_cost(path, cost):
+    with open(path, "w", newline="") as fh:
+        fh.write("component,value\n")
+        for name in ("running_state", "running_control", "pulse", "final", "total"):
+            fh.write(f"{name},{_fmt(getattr(cost, name))}\n")
+
+
+def ref_alpha_profile(path, times, values):
+    with open(path, "w", newline="") as fh:
+        fh.write("t,alpha\n")
+        for t, a in zip(times, values):
+            fh.write(f"{_fmt(t)},{_fmt(a)}\n")
+
+
+def ref_control(path, time_grid, u):
+    with open(path, "w", newline="") as fh:
+        fh.write("t,u\n")
+        samples = u.samples if u.samples.ndim == 1 else u.samples.mean(axis=(1, 2, 3))
+        for t, val in zip(time_grid.mid_times, samples):
+            fh.write(f"{_fmt(t)},{_fmt(val)}\n")
+
+
 def assert_same_bytes(tmp_path, writer, reference, *args):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     writer(got, *args)
@@ -90,11 +122,11 @@ def assert_same_bytes(tmp_path, writer, reference, *args):
     assert got.read_bytes() == want.read_bytes()
 
 
-def with_specials(values: np.ndarray) -> np.ndarray:
+def with_specials(values: np.ndarray, specials=SPECIAL) -> np.ndarray:
     out = np.array(values, dtype=float)
     flat = out.reshape(-1)
-    flat[: len(SPECIAL)] = SPECIAL
-    flat[-len(SPECIAL):] = [-x for x in SPECIAL]
+    flat[: len(specials)] = specials
+    flat[-len(specials):] = [-x for x in specials]
     return out
 
 
@@ -173,12 +205,13 @@ def test_special_values_and_per_point_strategy(tmp_path, rng):
     assert iomod.read_field_csv(tmp_path / "got.csv", prob.grid).values.tobytes() == field.values.tobytes()
 
     certificate = [
-        ib.PulseCertificate(0.25, 0, with_specials(rng.random(dims)), 0.4, with_specials(rng.random(dims)),
-                            with_specials(rng.standard_normal(dims))),
-        ib.PulseCertificate(0.5, 1, rng.random(dims), np.full(dims, 1e16), np.ones(dims), rng.random(dims)),
+        ib.PulseCertificate(0.25, 0, with_specials(rng.random(dims)), 0.4, with_specials(rng.random(dims))),
+        ib.PulseCertificate(0.5, 1, rng.random(dims), np.full(dims, 1e16), np.ones(dims)),
+        # a zero unit cost: the margin column is p_plus, specials included
+        ib.PulseCertificate(0.75, 2, with_specials(rng.standard_normal(dims)), 0.0, rng.random(dims)),
     ]
     assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, certificate)
-    scalar_cert = [ib.PulseCertificate(t, i, x, 0.4, 1.0, x - 0.4) for i, (t, x) in enumerate(zip(
+    scalar_cert = [ib.PulseCertificate(t, i, x, 0.4, 1.0) for i, (t, x) in enumerate(zip(
         [0.1, 0.2, 0.3, 0.4, 0.5], SPECIAL))]
     assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, scalar_cert)
 
@@ -186,6 +219,27 @@ def test_special_values_and_per_point_strategy(tmp_path, rng):
 def test_empty_certificate_is_the_header(tmp_path):
     assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, [])
     assert (tmp_path / "got.csv").read_text() == "tau_i,p_plus,c_i,v_i,margin\n"
+
+
+def test_scalar_row_writers_match_the_reference_loops(tmp_path, rng):
+    specials = SPECIAL + NONFINITE
+    for values in (specials[:5], specials[3:]):
+        assert_same_bytes(tmp_path, iomod.write_cost, ref_cost, ib.CostBreakdown(*values))
+    rows = {"pulse": (math.nan, math.inf, -0.0), "chemical": (-math.inf, 1e16, 5e-324),
+            "numpy": tuple(np.float64(x) for x in rng.standard_normal(3))}
+    assert_same_bytes(tmp_path, iomod.write_gradient_check, ref_gradient_check, rows)
+    # more rows than one write takes, ending in a partial block
+    times = np.linspace(0.0, 1.0, 1041)
+    assert_same_bytes(tmp_path, iomod.write_alpha_profile, ref_alpha_profile, times,
+                      with_specials(rng.random(1041), specials))
+
+    prob = reference_pde(cells=(2, 2, 1), t_end=0.1)
+    tg = prob.time_grid
+    scalar_u = ib.ContinuousControl(with_specials(rng.random(tg.n_steps), specials))
+    assert_same_bytes(tmp_path, iomod.write_control, ref_control, tg, scalar_u)
+    field_u = rng.random((tg.n_steps, *prob.grid.dims))
+    field_u[: len(specials)] = np.reshape(specials, (-1, 1, 1, 1))  # one value per row: its mean
+    assert_same_bytes(tmp_path, iomod.write_control, ref_control, tg, ib.ContinuousControl(field_u))
 
 
 @pytest.mark.parametrize("kind", ["averaged", "pde"])

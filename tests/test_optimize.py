@@ -926,8 +926,7 @@ class TestCertificateCheck:
         bad = ib.StrategyResult(
             v_bad, None, ib.cost_averaged(forward, v_bad, None, costs),
             [ib.PulseCertificate(j.time, j.candidate_index, j.p_plus,
-                                 costs.pulse_unit[j.candidate_index], j.applied,
-                                 j.p_plus - costs.pulse_unit[j.candidate_index])
+                                 costs.pulse_unit[j.candidate_index], j.applied)
              for j in adjoint.jumps],
             forward, adjoint,
         )
@@ -980,8 +979,8 @@ class TestCertificateCheck:
             adjoint = ib.solve_adjoint_averaged(prob, None, v, costs, forward)
             res = ib.StrategyResult(
                 v, None, ib.cost_averaged(forward, v, None, costs),
-                [ib.PulseCertificate(j.time, j.candidate_index, j.p_plus, 0.5, j.applied,
-                                     j.p_plus - 0.5) for j in adjoint.jumps],
+                [ib.PulseCertificate(j.time, j.candidate_index, j.p_plus, 0.5, j.applied)
+                 for j in adjoint.jumps],
                 forward, adjoint,
             )
             assert ib.certificate_check(res, prob, costs) == []

@@ -117,10 +117,9 @@ class TestStencilOracle:
         prob = reference_pde(cells=(3, 3, 2))
         alpha, u = rng.random(grid.dims), rng.random(grid.dims)
         buffer = np.empty(grid.dims)
-        op = pde_mod._step_operator(prob, u, alpha, rate=buffer)
-        assert op.rate is buffer
+        assert pde_mod._rate(prob.chem.sigma, u, alpha, False, buffer) is buffer
         assert buffer.tobytes() == (alpha / (1.0 - prob.chem.sigma * u)).tobytes()
-        assert buffer.tobytes() == pde_mod._step_operator(prob, u, alpha).rate.tobytes()
+        assert buffer.tobytes() == pde_mod._rate(prob.chem.sigma, u, alpha, False).tobytes()
 
     def test_propagator_takes_either_rate_path_to_the_same_bits(self):
         prob = reference_pde(cells=(3, 3, 2), t_end=0.05)
