@@ -4,8 +4,10 @@ Subcommands: simulate-averaged, simulate-pde, optimize-pulse, optimize-mixed,
 brute-force, gradient-check, preset.  Every run reads one YAML config (all
 keys optional; defaults reproduce the bundled reference scenario), writes CSV
 outputs plus a ``manifest`` of key=value lines into --out, and exits 0 on
-success, 1 on validation failure (having written nothing), 2 on solver
-failure, 64 on usage errors.
+success, 1 on validation failure, 2 on solver failure, 64 on usage errors.
+A run that exits 1 or 2 writes nothing, except that gradient-check writes its
+report before it exits 2 on a tolerance miss.  A preset member that fails in
+any way prints ``<preset>/<label>: msg``, and the other members still run.
 """
 
 from __future__ import annotations
@@ -71,93 +73,84 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load(args) -> iomod.Bundle:
-    if args.config is not None:
-        cfg = iomod.load_config(args.config)
-        base = Path(args.config).parent
-    else:
-        cfg = iomod.normalize_config(None)
-        base = Path(".")
-    return iomod.resolve_bundle(cfg, base_dir=base, seed_override=args.seed)
+def _trajectory_files(traj, fields: bool = False) -> list:
+    """A forward record's files: trajectory.csv, or a field's summary.csv (and fields.csv)."""
+    if traj.grid is None:
+        return [(iomod.write_averaged_trajectory, "trajectory.csv", traj)]
+    return [(iomod.write_pde_summary, "summary.csv", traj),
+            *[(iomod.write_field_snapshots, "fields.csv", traj)] * fields]
 
 
-def _task_simulate(bundle: iomod.Bundle, out: Path, store_every: int) -> dict:
+def _task_simulate(bundle: iomod.Bundle, store_every: int) -> tuple[dict, list]:
     if bundle.kind == "averaged":
         traj = simulate_averaged(bundle.problem, bundle.u, bundle.strategy)
         cost = cost_averaged(traj, bundle.strategy, bundle.u, bundle.costs)
-        iomod.write_averaged_trajectory(out / "trajectory.csv", traj)
     else:
         traj = simulate_pde(bundle.problem, bundle.u, bundle.strategy, store_every=store_every)
         cost = cost_pde(traj, bundle.strategy, bundle.u, bundle.costs, bundle.problem)
-        iomod.write_pde_summary(out / "summary.csv", traj)
-        iomod.write_field_snapshots(out / "fields.csv", traj)
-    iomod.write_cost(out / "cost.csv", cost)
-    return {"store_every": traj.store_every}
+    return {"store_every": traj.store_every}, [*_trajectory_files(traj, fields=True),
+                                               (iomod.write_cost, "cost.csv", cost)]
 
 
-def _export_result(bundle: iomod.Bundle, out: Path, result) -> dict:
-    """Write a strategy result's CSV files; return the optimizers' common manifest entries."""
-    tg = bundle.problem.time_grid
-    iomod.write_strategy(out / "strategy.csv", tg, result.strategy)
-    iomod.write_certificate(out / "certificate.csv", result.certificate)
-    iomod.write_cost(out / "cost.csv", result.cost)
-    if bundle.kind == "averaged":
-        iomod.write_averaged_trajectory(out / "trajectory.csv", result.forward)
-    else:
-        iomod.write_pde_summary(out / "summary.csv", result.forward)
+def _export_result(bundle: iomod.Bundle, result) -> tuple[dict, list]:
+    """A strategy result's files and the optimizers' common manifest entries."""
+    files = [(iomod.write_strategy, "strategy.csv", bundle.problem.time_grid, result.strategy),
+             (iomod.write_certificate, "certificate.csv", result.certificate),
+             (iomod.write_cost, "cost.csv", result.cost), *_trajectory_files(result.forward)]
     if result.adjoint is not None:
-        iomod.write_adjoint(out / "adjoint.csv", result.adjoint)
+        files.append((iomod.write_adjoint, "adjoint.csv", result.adjoint))
     return {
         "iterations": result.iterations,
         "converged": result.converged,
         "total_cost": result.cost.total,
         "realized_pulses": len(result.forward.jumps),
         **{f"cg_{k}": v for k, v in result.diagnostics.get("cg", {}).items()},
-    }
+    }, files
 
 
-def _task_optimize_pulse(bundle: iomod.Bundle, out: Path, store_every: int) -> dict:
+def _task_optimize_pulse(bundle: iomod.Bundle, store_every: int) -> tuple[dict, list]:
     # optimal_pulse at sigma_star = 0
     result = fixed_point_pulse(bundle.problem, bundle.u, bundle.costs, store_every=store_every)
-    return {**_export_result(bundle, out, result), "store_every": result.forward.store_every}
+    entries, files = _export_result(bundle, result)
+    return {**entries, "store_every": result.forward.store_every}, files
 
 
-def _task_optimize_mixed(bundle: iomod.Bundle, out: Path) -> dict:
+def _task_optimize_mixed(bundle: iomod.Bundle) -> tuple[dict, list]:
     result = projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
-    iomod.write_control(out / "control.csv", bundle.problem.time_grid, result.control)
-    iomod.write_control_certificate(out / "control_certificate.csv", result.continuous_certificate)
+    entries, files = _export_result(bundle, result)
+    files += [(iomod.write_control, "control.csv", bundle.problem.time_grid, result.control),
+              (iomod.write_control_certificate, "control_certificate.csv",
+               result.continuous_certificate)]
     return {
-        **_export_result(bundle, out, result),
+        **entries,
         "certificate_agreement": result.continuous_certificate.agreement_fraction(),
         "stop_reason": result.diagnostics["stop_reason"],
         "line_search_halvings": result.diagnostics["line_search_halvings"],
-    }
+    }, files
 
 
-def _task_brute_force(bundle: iomod.Bundle, out: Path, max_pulses: int,
-                      interior_samples: int) -> dict:
+def _task_brute_force(bundle: iomod.Bundle, max_pulses: int, interior_samples: int) -> tuple[dict, list]:
     result = brute_force_pulse(
         bundle.problem, bundle.u, bundle.costs,
         max_pulses=max_pulses, interior_samples=interior_samples, seed=bundle.seed,
     )
-    _export_result(bundle, out, result)  # the enumeration records entries of its own
+    files = _export_result(bundle, result)[1]  # the enumeration records entries of its own
     return {"enumerated": result.iterations, "interior_best": result.diagnostics.get("interior_best"),
-            "total_cost": result.cost.total}
+            "total_cost": result.cost.total}, files
 
 
-def emit_alpha_profile(bundle: iomod.Bundle, out: Path) -> dict:
-    """Sample the pressure profile at round(t_end/step) + 1 evenly spaced times into alpha.csv."""
+def emit_alpha_profile(bundle: iomod.Bundle) -> tuple[dict, list]:
+    """The pressure profile at round(t_end/step) + 1 evenly spaced times, for alpha.csv."""
     tg = bundle.problem.time_grid
     times = np.linspace(0.0, tg.t_end, max(1, round(tg.t_end / tg.step)) + 1)
     if bundle.kind == "averaged":
         values = np.asarray(bundle.problem.alpha(times), dtype=float)
     else:
         values = bundle.problem.pressure.mean_profile()(times)
-    iomod.write_alpha_profile(out / "alpha.csv", times, values)
-    return {}
+    return {}, [(iomod.write_alpha_profile, "alpha.csv", times, values)]
 
 
-def _task_gradient_check(bundle: iomod.Bundle, out: Path) -> dict:
+def _task_gradient_check(bundle: iomod.Bundle) -> tuple[dict, list]:
     """Max relative adjoint-vs-finite-difference error over pulse and chemical gradients."""
     problem, costs = bundle.problem, bundle.costs
     tg = problem.time_grid
@@ -192,44 +185,56 @@ def _task_gradient_check(bundle: iomod.Bundle, out: Path) -> dict:
     print(f"chemical gradient:  adjoint={adjoint_u:.10e} fd={fd_u:.10e} rel_err={err_u:.3e}")
     print(f"max relative adjoint-vs-fd error: {max(err_v, err_u):.3e} "
           f"(tolerance {GRADIENT_CHECK_TOL:.0e})")
-    iomod.write_gradient_check(out / "gradient_check.csv", {"pulse": (adjoint_v, fd_v, err_v),
-                                                            "chemical": (adjoint_u, fd_u, err_u)})
-    return {"max_relative_error": max(err_v, err_u)}
+    rows = {"pulse": (adjoint_v, fd_v, err_v), "chemical": (adjoint_u, fd_u, err_u)}
+    return {"max_relative_error": max(err_v, err_u)}, [(iomod.write_gradient_check, "gradient_check.csv", rows)]
 
 
-def _run(task: str, bundle: iomod.Bundle, out: Path, where: str, store_every: int = 1,
-         **options) -> int:
-    """Run one command or preset member; validation messages print as ``where: msg``.
+def _run(task: str, config, seed: int | None, out: Path, where: str | None = None,
+         store_every: int = 1, **options) -> int:
+    """Run one command or preset member from ``config``: a --config path, a member's
+    partial config, or None for the defaults.
 
-    A run that fails validation or the simulate kind check writes nothing; a task writes its
-    CSV files and returns its manifest entries.  A field run keeps every ``store_every``-th
-    node, an averaged run every node.
+    Loading, validation, the simulate kind check and the task run before anything is
+    written: a ProblemError exits 1 and a SolverError 2, printed as ``where: msg`` (a
+    command's ``where`` is None: ``validation:`` or ``solver failure:``), and create no
+    ``out``.  A task returns its manifest entries and ``(writer, file name, data...)``
+    list.  A field run keeps every ``store_every``-th node, an averaged run every node.
     """
-    report = validate(bundle.problem, bundle.u, bundle.strategy, bundle.costs)
-    for msg in report:
-        print(f"{where}: {msg}", file=sys.stderr)
-    if not report.ok:
+    try:
+        if isinstance(config, Path):
+            bundle = iomod.resolve_bundle(iomod.load_config(config), config.parent, seed)
+        else:
+            bundle = iomod.resolve_bundle(config, seed_override=seed)
+        report = validate(bundle.problem, bundle.u, bundle.strategy, bundle.costs)
+        for msg in report:
+            print(f"{where or 'validation'}: {msg}", file=sys.stderr)
+        if not report.ok:
+            return 1
+        if task.startswith("simulate-") and task != f"simulate-{bundle.kind}":
+            article = "an" if bundle.kind == "averaged" else "a"
+            print(f"config describes {article} {bundle.kind} model; use simulate-{bundle.kind}",
+                  file=sys.stderr)
+            return 1
+        if bundle.kind == "averaged":
+            store_every = 1
+        name = "simulate" if task.startswith("simulate") else task
+        entries, files = {
+            "alpha-profile": lambda: emit_alpha_profile(bundle),
+            "simulate": lambda: _task_simulate(bundle, store_every),
+            "optimize-pulse": lambda: _task_optimize_pulse(bundle, store_every),
+            "optimize-mixed": lambda: _task_optimize_mixed(bundle),
+            "brute-force": lambda: _task_brute_force(bundle, **options),
+            "gradient-check": lambda: _task_gradient_check(bundle),
+        }[name]()
+    except ProblemError as exc:
+        print(f"{where or 'validation'}: {exc}", file=sys.stderr)
         return 1
-    if task.startswith("simulate-") and task != f"simulate-{bundle.kind}":
-        article = "an" if bundle.kind == "averaged" else "a"
-        print(f"config describes {article} {bundle.kind} model; use simulate-{bundle.kind}",
-              file=sys.stderr)
-        return 1
-    if bundle.kind == "averaged":
-        store_every = 1
-    name = "simulate" if task.startswith("simulate") else task
-    run = {
-        "alpha-profile": lambda: emit_alpha_profile(bundle, out),
-        "simulate": lambda: _task_simulate(bundle, out, store_every),
-        "optimize-pulse": lambda: _task_optimize_pulse(bundle, out, store_every),
-        "optimize-mixed": lambda: _task_optimize_mixed(bundle, out),
-        "brute-force": lambda: _task_brute_force(bundle, out, **options),
-        "gradient-check": lambda: _task_gradient_check(bundle, out),
-    }.get(name)
-    if run is None:
-        raise ProblemError(f"unknown task {task}")
+    except SolverError as exc:
+        print(f"{where or 'solver failure'}: {exc}", file=sys.stderr)
+        return 2
     out.mkdir(parents=True, exist_ok=True)
-    entries = run()
+    for write, file_name, *data in files:
+        write(out / file_name, *data)
     iomod.write_manifest(out / "manifest", bundle.config, {"task": name, **entries})
     if name == "gradient-check" and not entries["max_relative_error"] <= GRADIENT_CHECK_TOL:
         return 2  # a NaN error fails too
@@ -247,25 +252,12 @@ def run_cli(argv) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_EXIT
-
-    try:
-        if args.command == "preset":
-            codes = []
-            for run in PRESETS[args.name].runs:
-                bundle = iomod.resolve_bundle(run.config, seed_override=args.seed)
-                codes.append(_run(run.task, bundle, args.out / run.label, f"{args.name}/{run.label}", 50))
-            return max(codes)
-
-        bundle = _load(args)
-        options = {k: v for k, v in vars(args).items()
-                   if k in ("store_every", "max_pulses", "interior_samples")}
-        return _run(args.command, bundle, args.out, "validation", **options)
-    except ProblemError as exc:
-        print(f"validation: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+    if args.command == "preset":
+        return max(_run(run.task, run.config, args.seed, args.out / run.label,
+                        f"{args.name}/{run.label}", 50) for run in PRESETS[args.name].runs)
+    options = {k: v for k, v in vars(args).items()
+               if k in ("store_every", "max_pulses", "interior_samples")}
+    return _run(args.command, args.config, args.seed, args.out, **options)
 
 
 def main() -> None:

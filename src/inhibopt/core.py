@@ -313,8 +313,8 @@ class Propagator:
     def backward(self, costs: CostSpec, realized, decide, store_every: int = 1):
         """Costate sweep from p(T) = C_f with source +1 under the forward step operator.
 
-        At each realized candidate k (all if ``realized`` is None) v_k =
-        ``decide(k, p_plus)`` and p(tau_k) = v_k*p(tau_k^+) + c_k*(1-v_k).
+        At each candidate k in ``realized`` v_k = ``decide(k, p_plus)`` and
+        p(tau_k) = v_k*p(tau_k^+) + c_k*(1-v_k).
         Only the nodes a forward run at ``store_every`` stores are kept: every
         m-th node, every candidate node and the final node.  Returns the
         costate Trajectory; each jump record's ``applied`` is the ``decide``
@@ -324,8 +324,6 @@ class Propagator:
         tg = self.time_grid
         last = tg.n_steps
         walk = _walk(tg, store_every)
-        if realized is None:
-            realized = range(tg.n_candidates)
         pulse_at = {tg.candidate_indices[k]: k for k in realized}
         c = _rows(costs.pulse_unit)
         unit = [1.0] * last

@@ -65,7 +65,7 @@ def read_field_csv(path, grid: SpaceGrid) -> ScalarField:
     are ProblemErrors that name the file and the line (or the point).
     """
     values = np.full(grid.dims, np.nan)  # nan until the point's row is read
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["i", "j", "k", "value"]:
@@ -303,11 +303,19 @@ def _cells(value) -> list[int]:
 
 
 def load_config(path) -> dict:
-    with open(path) as fh:
-        raw = yaml.safe_load(fh) or {}
+    """The partial config in YAML file ``path``; an unreadable or malformed file is a ProblemError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh) or {}
+    except OSError as exc:
+        raise ProblemError(f"cannot read {path}: {exc.strerror}") from None
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        mark = getattr(exc, "problem_mark", None)  # where a YAML parse stopped
+        problem = getattr(exc, "problem", None) or str(exc).splitlines()[0]
+        raise ProblemError(f"{path}: {f'line {mark.line + 1}: ' if mark else ''}{problem}") from None
     if not isinstance(raw, dict):
         raise ProblemError(f"{path}: config must be a mapping")
-    return _merge(DEFAULT_CONFIG, raw)
+    return raw
 
 
 def normalize_config(cfg: dict | None) -> dict:
@@ -328,7 +336,7 @@ class Bundle:
 
 
 def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) -> Bundle:
-    """Build model objects from a (normalized) config mapping."""
+    """Build model objects from a config mapping; a key it leaves out takes its default."""
     cfg = normalize_config(cfg)
     m = cfg["model"]
     seed = _number(cfg["seed"] if seed_override is None else seed_override, "seed", int)
@@ -421,6 +429,8 @@ def _field_csv(key: str, path, base_dir, grid: SpaceGrid) -> ScalarField:
         return read_field_csv(Path(base_dir) / path, grid)
     except OSError as exc:
         raise ProblemError(f"config key {key}: cannot read {exc.filename}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ProblemError(f"config key {key}: {Path(base_dir) / path}: {exc}") from None
     except ProblemError as exc:
         raise ProblemError(f"config key {key}: {exc}") from None
 

@@ -127,15 +127,15 @@ class StrategyResult:
 # backward bang-bang sweep
 
 
-def _sweep(prop, costs, realized_candidates=None, store_every=1):
-    """Backward costate sweep deciding v at each (realized) candidate.
+def _sweep(prop, costs, realized_candidates, store_every=1):
+    """Backward costate sweep deciding v at each realized candidate.
 
     v_i = 0 where p(tau_i^+) > c_i + TIE_TOL, else 1: the adjoint sweep with
     the bang-bang rule as its decision.  Returns (strategy values,
     costate Trajectory storing the nodes of ``store_every``).
-    ``realized_candidates`` restricts the jump set; None means every
-    candidate pulses.  v depends on the realized set alone, never on the
-    state, so two sweeps on one set decide the same v bit for bit.
+    ``realized_candidates`` is the jump set.  v depends on the realized set
+    alone, never on the state, so two sweeps on one set decide the same v
+    bit for bit.
     """
     c = _rows(costs.pulse_unit)
     v = np.ones((prop.time_grid.n_candidates, *prop.shape))  # 1 where unrealized

@@ -239,20 +239,37 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.yaml", {"model": {"kind": "averaged", "sigma": 1.4}})
         assert run_cli(["simulate-averaged", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("command, cfg", [
-        ("simulate-averaged", {"model": {"sigma": 1.0}, "control": {"u": 1.0}}),  # sigma*u = 1
-        ("simulate-averaged", PDE_CFG),  # the simulate kind check
+    @pytest.mark.parametrize("command, cfg", [  # cfg: the config and the start of the message
+        ("simulate-averaged", ({"model": {"sigma": 1.0}, "control": {"u": 1.0}},
+                               "validation: sigma * u reaches 1.0")),
+        ("simulate-averaged", (PDE_CFG, "config describes a pde model")),  # the simulate kind check
+        ("brute-force", ({}, "validation: 51 candidate pulses exceed max_pulses=20")),
+        ("brute-force", (PDE_CFG, "validation: brute_force_pulse enumerates the averaged model only")),
+        ("optimize-mixed", ({"model": {"sigma": 0.0}}, "validation: projected_gradient_mixed needs sigma > 0")),
+        # the config file itself: missing, a directory, not UTF-8, not YAML
+        ("simulate-averaged", (None, "validation: cannot read <path>: No such file or directory")),
+        ("simulate-averaged", ("directory", "validation: cannot read <path>: Is a directory")),
+        ("simulate-averaged", (b"model: {t_end: \xff}\n", "validation: <path>: 'utf-8' codec can't decode")),
+        ("simulate-averaged", (b"model: {t_end: 1\n", "validation: <path>: line 2: expected ',' or '}'")),
     ])
-    def test_a_failed_run_makes_no_output_directory(self, tmp_path, command, cfg):
-        path = write_config(tmp_path / "cfg.yaml", cfg)
+    def test_a_failed_run_makes_no_output_directory(self, tmp_path, capsys, command, cfg):
+        (cfg, message), path = cfg, tmp_path / "cfg.yaml"
+        if isinstance(cfg, dict):
+            write_config(path, cfg)
+        elif isinstance(cfg, bytes):
+            path.write_bytes(cfg)
+        elif cfg == "directory":
+            path.mkdir()
         out = tmp_path / "run"
         assert run_cli([command, "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(message.replace("<path>", str(path))) and err.count("\n") == 1
 
     @pytest.mark.parametrize("error, code", [(1e-4, 0), (math.nextafter(1e-4, 1.0), 2), (math.nan, 2)])
     def test_gradient_check_exits_0_iff_its_error_is_within_tolerance(self, tmp_path, monkeypatch,
                                                                       error, code):
-        monkeypatch.setattr(cli, "_task_gradient_check", lambda bundle, out: {"max_relative_error": error})
+        monkeypatch.setattr(cli, "_task_gradient_check", lambda bundle: ({"max_relative_error": error}, []))
         assert run_cli(["gradient-check", "--out", str(tmp_path)]) == code
         assert iomod.config_from_manifest(tmp_path / "manifest")[1]["task"] == "gradient-check"
 
@@ -332,13 +349,13 @@ class TestPresets:
         tasks = {"alpha-profile": "emit_alpha_profile", "simulate": "_task_simulate",
                  "optimize-pulse": "_task_optimize_pulse", "optimize-mixed": "_task_optimize_mixed"}
         for task, name in tasks.items():
-            monkeypatch.setattr(cli, name, lambda bundle, out, *rest, _task=task:
-                                calls.append((_task, bundle.kind, rest)) or {})
+            monkeypatch.setattr(cli, name, lambda bundle, *rest, _task=task:
+                                calls.append((_task, bundle.kind, rest)) or ({}, []))
         for preset in PRESETS.values():
             for run in preset.runs:
                 bundle = iomod.resolve_bundle(run.config)
                 assert ib.validate(bundle.problem, bundle.u, bundle.strategy, bundle.costs).ok
-                assert cli._run(run.task, bundle, tmp_path, f"{preset.name}/{run.label}", 50) == 0
+                assert cli._run(run.task, run.config, None, tmp_path, f"{preset.name}/{run.label}", 50) == 0
                 task, kind, rest = calls.pop()
                 assert task == run.task
                 if task in ("simulate", "optimize-pulse"):  # the one store-every rule
@@ -346,14 +363,27 @@ class TestPresets:
         assert not calls
 
     def test_invalid_member_fails_and_the_others_still_run(self, tmp_path, monkeypatch, capsys):
-        broken = ExperimentPreset("broken", "one invalid member, one valid", (
+        # members that fail validation, resolution, their task's checks and their solver
+        broken = ExperimentPreset("broken", "four failing members, one valid", (
             PresetRun("bad", "simulate", {"model": {"sigma": 2.0}}),
+            PresetRun("t_end", "simulate", {"model": {"t_end": "abc"}}),
+            PresetRun("sigma-0", "optimize-mixed", {"model": {"sigma": 0.0}}),
+            PresetRun("solver", "optimize-pulse", {}),
             PresetRun("good", "simulate", {"model": {"t_end": 0.05}}),
         ))
         monkeypatch.setitem(PRESETS, "broken", broken)
-        assert run_cli(["preset", "broken", "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "broken/bad: sigma out of [0,1]: 2.0\n"
-        assert not (tmp_path / "bad").exists()
+
+        def stalled(*args):
+            raise ib.LinearSolverError(1.0, 5)
+
+        monkeypatch.setattr(cli, "_task_optimize_pulse", stalled)
+        assert run_cli(["preset", "broken", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "broken/bad: sigma out of [0,1]: 2.0\n"
+            "broken/t_end: config key model.t_end: expected a number, got 'abc'\n"
+            "broken/sigma-0: projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)\n"
+            "broken/solver: conjugate gradient stalled: relative residual 1.000e+00 after 5 iterations\n")
+        assert {p.name for p in tmp_path.iterdir()} == {"good"}
         assert {p.name for p in (tmp_path / "good").iterdir()} == {"trajectory.csv", "cost.csv",
                                                                    "manifest"}
 
@@ -400,12 +430,14 @@ def test_csv_initial_condition_config(tmp_path):
     ({3: "0,1,1,nan"}, "line 5: value nan at (0, 1, 1) is not finite"),
     ({5: "0,1,1,0.3"}, "line 7: point (0, 1, 1) given twice"),
     ({17: None}, "1 missing grid point(s), the first (2, 2, 1)"),
+    ({3: "0,1,1,0.\udcff"}, "'utf-8' codec can't decode byte 0xff"),  # the byte 0xff: not UTF-8
 ])
 def test_field_csv_mistakes_are_validation_failures(tmp_path, capsys, edit, message):
     # one row per point of the 3x3x2 points of cells [2, 2, 1], then one row replaced or dropped
     rows = [f"{i},{j},{k},0.{i + j + k + 1}" for i in range(3) for j in range(3) for k in range(2)]
     rows = [edit.get(n, row) for n, row in enumerate(rows)]
-    (tmp_path / "rho.csv").write_text("\n".join(["i,j,k,value", *filter(None, rows)]) + "\n")
+    (tmp_path / "rho.csv").write_text("\n".join(["i,j,k,value", *filter(None, rows)]) + "\n",
+                                      encoding="utf-8", errors="surrogateescape")
     cfg = write_config(tmp_path / "cfg.yaml", {**PDE_CFG, "initial": {"mode": "csv", "path": "rho.csv"}})
     assert run_cli(["simulate-pde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err

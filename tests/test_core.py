@@ -83,8 +83,6 @@ def reference_backward(prop, costs, realized, decide, store_every=1):
     tg = prop.time_grid
     last = tg.n_steps
     rows, keep = _stored(tg, store_every)
-    if realized is None:
-        realized = range(tg.n_candidates)
     pulse_at = {tg.candidate_indices[k]: k for k in realized}
     c = _rows(costs.pulse_unit)
     values = np.empty((len(rows), *prop.shape))
