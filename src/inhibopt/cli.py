@@ -4,10 +4,12 @@ Subcommands: simulate-averaged, simulate-pde, optimize-pulse, optimize-mixed,
 brute-force, gradient-check, preset.  Every run reads one YAML config (all
 keys optional; defaults reproduce the bundled reference scenario), writes CSV
 outputs plus a ``manifest`` of key=value lines into --out, and exits 0 on
-success, 1 on validation failure, 2 on solver failure, 64 on usage errors.
-A run that exits 1 or 2 writes nothing, except that gradient-check writes its
-report before it exits 2 on a tolerance miss.  A preset member that fails in
-any way prints ``<preset>/<label>: msg``, and the other members still run.
+success, 1 on validation failure or an --out that cannot be created or
+written, 2 on solver failure, 64 on usage errors.  A run that exits 1 or 2
+writes nothing, except that gradient-check writes its report before it exits
+2 on a tolerance miss and a write that fails part-way leaves the files written
+before it.  A preset member that fails in any way prints
+``<preset>/<label>: msg``, and the other members still run.
 """
 
 from __future__ import annotations
@@ -198,7 +200,9 @@ def _run(task: str, config, seed: int | None, out: Path, where: str | None = Non
     written: a ProblemError exits 1 and a SolverError 2, printed as ``where: msg`` (a
     command's ``where`` is None: ``validation:`` or ``solver failure:``), and create no
     ``out``.  A task returns its manifest entries and ``(writer, file name, data...)``
-    list.  A field run keeps every ``store_every``-th node, an averaged run every node.
+    list.  An ``out`` that cannot be created or written exits 1 with
+    ``where: cannot write <path>: reason``.  A field run keeps every
+    ``store_every``-th node, an averaged run every node.
     """
     try:
         if isinstance(config, Path):
@@ -232,10 +236,15 @@ def _run(task: str, config, seed: int | None, out: Path, where: str | None = Non
     except SolverError as exc:
         print(f"{where or 'solver failure'}: {exc}", file=sys.stderr)
         return 2
-    out.mkdir(parents=True, exist_ok=True)
-    for write, file_name, *data in files:
-        write(out / file_name, *data)
-    iomod.write_manifest(out / "manifest", bundle.config, {"task": name, **entries})
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for write, file_name, *data in files:
+            write(out / file_name, *data)
+        iomod.write_manifest(out / "manifest", bundle.config, {"task": name, **entries})
+    except OSError as exc:
+        print(f"{where or 'validation'}: cannot write {exc.filename or out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     if name == "gradient-check" and not entries["max_relative_error"] <= GRADIENT_CHECK_TOL:
         return 2  # a NaN error fails too
     return 0

@@ -94,9 +94,7 @@ def read_field_csv(path, grid: SpaceGrid) -> ScalarField:
 
 
 def write_field_csv(path, field: ScalarField) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("i,j,k,value\n")
-        _write_points(fh, [""], field.values[np.newaxis])
+    _write_table(path, "i,j,k,value", [""], field.values[np.newaxis])
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +138,13 @@ def _write_points(fh, keys: list[str], table: np.ndarray, columns: int = 1) -> N
         fh.write(row_template * len(chunk) % tuple(args))
 
 
+def _write_table(path, header: str, keys: list[str], table: np.ndarray, columns: int = 1) -> None:
+    """The CSV file ``path``: the ``header`` line, then ``table`` by :func:`_write_points`."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        _write_points(fh, keys, table, columns)
+
+
 def _jump_rows(traj) -> dict[int, object]:
     return {j.node_index: j for j in traj.jumps}
 
@@ -167,32 +172,25 @@ def write_pde_summary(path, traj: Trajectory) -> None:
 
 
 def write_field_snapshots(path, traj: Trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,i,j,k,theta\n")
-        _write_points(fh, [_key(t) for t in traj.times], traj.fields)
+    _write_table(path, "t,i,j,k,theta", [_key(t) for t in traj.times], traj.fields)
 
 
 def write_adjoint(path, adj: Trajectory) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,p\n" if adj.values.ndim == 1 else "t,i,j,k,p\n")
-        _write_points(fh, [_key(t) for t in adj.times], adj.values)
+    _write_table(path, "t,p" if adj.values.ndim == 1 else "t,i,j,k,p",
+                 [_key(t) for t in adj.times], adj.values)
 
 
 def write_strategy(path, time_grid: TimeGrid, strategy: PulseStrategy) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("tau_i,v_i\n" if strategy.values.ndim == 1 else "tau_i,i,j,k,v\n")
-        _write_points(fh, [_key(t) for t in time_grid.candidate_pulse_times], strategy.values)
+    _write_table(path, "tau_i,v_i" if strategy.values.ndim == 1 else "tau_i,i,j,k,v",
+                 [_key(t) for t in time_grid.candidate_pulse_times], strategy.values)
 
 
 def write_certificate(path, certificate) -> None:
-    shape = np.shape(certificate[0].p_plus) if certificate else ()
-    with open(path, "w", newline="") as fh:
-        fh.write("tau_i,p_plus,c_i,v_i,margin\n" if shape == () else "tau_i,i,j,k,p_plus,c_i,v_i,margin\n")
-        if not certificate:
-            return
-        table = np.stack([np.stack(np.broadcast_arrays(c.p_plus, c.unit_cost, c.applied, c.margin), axis=-1)
-                          for c in certificate])  # (m, *shape, 4)
-        _write_points(fh, [_key(c.time) for c in certificate], table, columns=4)
+    """One row per realized candidate; a run with none writes the scalar header alone."""
+    table = np.stack([np.stack(np.broadcast_arrays(c.p_plus, c.unit_cost, c.applied, c.margin), axis=-1)
+                      for c in certificate]) if certificate else np.empty((0, 4))  # (m, *shape, 4)
+    header = "tau_i,p_plus,c_i,v_i,margin" if table.ndim == 2 else "tau_i,i,j,k,p_plus,c_i,v_i,margin"
+    _write_table(path, header, [_key(c.time) for c in certificate], table, columns=4)
 
 
 def write_control_certificate(path, cert) -> None:
@@ -203,38 +201,29 @@ def write_control_certificate(path, cert) -> None:
 
     table = np.stack([flat(a) for a in (cert.unit_cost, cert.switch_level, cert.control, cert.margin,
                                         cert.consistent.astype(float))], axis=-1)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,unit_cost,switch_level,u,margin,consistent\n")
-        _write_points(fh, [_key(t) for t in cert.mid_times], table, columns=5)
+    _write_table(path, "t,unit_cost,switch_level,u,margin,consistent",
+                 [_key(t) for t in cert.mid_times], table, columns=5)
 
 
 def write_gradient_check(path, rows: dict) -> None:
     """``rows`` maps a quantity name to its (adjoint, finite difference, relative error)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("quantity,adjoint,finite_difference,relative_error\n")
-        _write_points(fh, [f"{name}," for name in rows], np.array(list(rows.values()), dtype=float),
-                      columns=3)
+    _write_table(path, "quantity,adjoint,finite_difference,relative_error",
+                 [f"{name}," for name in rows], np.array(list(rows.values()), dtype=float), columns=3)
 
 
 def write_cost(path, cost: CostBreakdown) -> None:
     names = ("running_state", "running_control", "pulse", "final", "total")
-    with open(path, "w", newline="") as fh:
-        fh.write("component,value\n")
-        _write_points(fh, [f"{name}," for name in names],
-                      np.array([getattr(cost, name) for name in names], dtype=float))
+    _write_table(path, "component,value", [f"{name}," for name in names],
+                 np.array([getattr(cost, name) for name in names], dtype=float))
 
 
 def write_alpha_profile(path, times: np.ndarray, values: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,alpha\n")
-        _write_points(fh, [_key(t) for t in times], np.asarray(values, dtype=float))
+    _write_table(path, "t,alpha", [_key(t) for t in times], np.asarray(values, dtype=float))
 
 
 def write_control(path, time_grid: TimeGrid, u: ContinuousControl) -> None:
     samples = u.samples if u.samples.ndim == 1 else u.samples.mean(axis=(1, 2, 3))
-    with open(path, "w", newline="") as fh:
-        fh.write("t,u\n")
-        _write_points(fh, [_key(t) for t in time_grid.mid_times], samples)
+    _write_table(path, "t,u", [_key(t) for t in time_grid.mid_times], samples)
 
 
 # ---------------------------------------------------------------------------

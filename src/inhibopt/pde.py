@@ -26,19 +26,20 @@ same operator with source +1), sensitivities and cost are the shared loops
 of :mod:`inhibopt.core`.
 
 A stencil built once per (diffusion, spacing) keeps the face coefficients
-contiguous and holds every flux and CG work array, so stencil applies and CG
-iterations allocate nothing.  It also builds, once, the shifted flat views
-with which the divergence of CG's direction into its image runs, and those of
-any other (phi, out) pair it is bound to; :class:`FieldPropagator` binds its
-two span states into the residual, where each step's right-hand-side apply
-goes, and builds its one :class:`DiscreteOperator` on its rate buffer.  Every
-apply still enters through :meth:`DiscreteOperator.apply`.  The propagator
-also owns the step's pressure and rate and the two states that the steps
-inside a span write in turn: such a step allocates nothing, and only a span's
-end state (with the jump records) and ``cn_step``'s result are fresh.  CG
-starts from theta, so its first residual b - (I - h/2 M) theta = h*source +
-h*M theta reuses the M theta of the right-hand side: a CN step costs one
-stencil apply plus one per CG iteration.  Every reduction (CG inner products,
+contiguous and holds every flux and CG work array and the one state that the
+steps inside a span overwrite in place, so stencil applies, CG iterations and
+those steps allocate nothing.  It also builds, once, the shifted flat views
+with which its two fixed applies run: CG's direction into its image, and the
+state into the residual, where each step's right-hand-side apply goes.
+:class:`FieldPropagator` builds its one :class:`DiscreteOperator` on its rate
+buffer; every apply still enters through :meth:`DiscreteOperator.apply`.
+Kernel calls write into buffers their caller owns: the propagator owns the
+step's pressure and rate, a span's end state is fresh (as are the jump
+records), and ``cn_step`` passes buffers of its own.  A CN step may overwrite
+its input state, which CG reads once, before it writes.  CG starts from
+theta, so its first residual b - (I - h/2 M) theta = h*source + h*M theta
+reuses the M theta of the right-hand side: a CN step costs one stencil apply
+plus one per CG iteration.  Every reduction (CG inner products,
 norms, grid sums) runs in numpy's own loops and never in BLAS, so results do
 not depend on the BLAS thread count and reruns are byte-identical; the CG
 inner products call the kernel of ``np.einsum("i,i->")`` on flat views.
@@ -103,10 +104,11 @@ class _Stencil:
     shift wraps into the next row (a "crossing"), so every flux and update
     is one contiguous numpy call.  An axis whose interior faces all hold one
     coefficient keeps that float instead (None when it is 1.0: no multiply),
-    which gives the same products.  The flux, the CN right-hand side and the
-    CG vectors live in arrays allocated once here, and the views with which
-    the divergence runs are built once for every (phi, out) pair that
-    :meth:`bind` names: CG's direction into its image from the start.
+    which gives the same products.  The flux, the CN right-hand side, the CG
+    vectors and the span state live in arrays allocated once here, and the
+    views with which the divergence runs are built here for its two fixed
+    (phi, out) pairs: CG's direction into its image and the state into the
+    residual.
     """
 
     def __init__(self, diffusion: DiffusionField, spacing: float):
@@ -128,15 +130,12 @@ class _Stencil:
             crossings = self.flux[(slice(None),) * axis + (-1,)] if axis else None
             self.axes.append((offset, weight, self.flux.reshape(-1)[:size - offset], crossings))
         # CN right-hand side; residual; CG direction and its image; a product that
-        # every apply overwrites (rate*phi), so no caller keeps it across one
-        self.rhs, self.residual, self.direction, self.image, self.tmp = (
-            np.empty(shape) for _ in range(5))
-        self.bound = []  # (phi, out, views)
-        self.bind(self.direction, self.image)
-
-    def bind(self, phi: np.ndarray, out: np.ndarray) -> None:
-        """Build, once, the views with which every later ``divergence(phi, out)`` runs."""
-        self.bound.append((phi, out, self._views(phi, out)))
+        # every apply overwrites (rate*phi), so no caller keeps it across one; the
+        # state that the steps inside a span overwrite
+        self.rhs, self.residual, self.direction, self.image, self.tmp, self.state = (
+            np.empty(shape) for _ in range(6))
+        self.bound = [(phi, out, self._views(phi, out))
+                      for phi, out in ((self.direction, self.image), (self.state, self.residual))]
 
     def _views(self, phi: np.ndarray, out: np.ndarray) -> list:
         """Per axis: phi's upper and lower shifts, the flux and face weight, the
@@ -242,49 +241,39 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(_c_einsum("i,i->", a, b))
 
 
-def _apply_system(op: DiscreteOperator, half_h: float, x: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-    """(I - half_h*M) x into ``out``."""
-    op.apply(x, out)
-    out *= half_h
-    return np.subtract(x, out, out)
-
-
-def _cg(op: DiscreteOperator, half_h: float, b: np.ndarray, x0: np.ndarray,
-        r0: np.ndarray | None = None, counters: CGCounters | None = None,
-        out: np.ndarray | None = None) -> np.ndarray:
+def _cg(op: DiscreteOperator, half_h: float, b: np.ndarray, x0: np.ndarray, r: np.ndarray,
+        counters: CGCounters, out: np.ndarray) -> np.ndarray:
     """Solve (I - half_h*M) x = b by matrix-free conjugate gradient from x0.
 
-    ``r0``, if given, is the first residual b - (I - half_h*M) x0 and is
-    overwritten.  The solution goes into ``out`` (a fresh array when None;
-    x0 is read once, before ``out`` is written); every other vector is a work
-    array of the operator's stencil.  A b of non-finite norm (say, from a rate
-    alpha/(1 - sigma*u) with sigma*u = 1 somewhere) raises LinearSolverError.
+    ``r`` is the first residual b - (I - half_h*M) x0 and is overwritten.  The
+    solution goes into ``out`` (x0 is read once, before ``out`` is written, so
+    ``out`` may be x0); every other vector is a work array of the operator's
+    stencil.  A b of non-finite norm (say, from a rate alpha/(1 - sigma*u)
+    with sigma*u = 1 somewhere) raises LinearSolverError.
     """
     work = op.stencil
     b_flat = b.reshape(-1)
     bnorm = math.sqrt(_dot(b_flat, b_flat))
     if not math.isfinite(bnorm):
         raise LinearSolverError(math.nan, 0, "got a right-hand side of non-finite norm")
-    x = np.empty_like(b) if out is None else out
+    x = out
     if bnorm == 0.0:
-        if counters is not None:
-            counters.record(0, 0.0)
+        counters.record(0, 0.0)
         x.fill(0.0)
         return x
     tol = CG_RTOL * bnorm
     maxiter = CG_ITER_FACTOR * b.size
     np.copyto(x, x0)
-    r, d, ad, tmp = r0, work.direction, work.image, work.tmp
-    if r is None:
-        r = np.subtract(b, _apply_system(op, half_h, x, work.residual), work.residual)
+    d, ad, tmp = work.direction, work.image, work.tmp
     r_flat, d_flat, ad_flat = r.reshape(-1), d.reshape(-1), ad.reshape(-1)
     rs = _dot(r_flat, r_flat)
     iteration = 0
     if math.sqrt(rs) > tol:
         np.copyto(d, r)
         for iteration in range(1, maxiter + 1):
-            _apply_system(op, half_h, d, ad)
+            op.apply(d, ad)  # (I - half_h*M) d into ad
+            ad *= half_h
+            np.subtract(d, ad, ad)
             alpha = rs / _dot(d_flat, ad_flat)
             x += np.multiply(d, alpha, tmp)
             r -= np.multiply(ad, alpha, tmp)
@@ -295,8 +284,7 @@ def _cg(op: DiscreteOperator, half_h: float, b: np.ndarray, x0: np.ndarray,
             d += r
         else:
             raise LinearSolverError(math.sqrt(rs) / bnorm, maxiter)
-    if counters is not None:
-        counters.record(iteration, math.sqrt(rs) / bnorm)
+    counters.record(iteration, math.sqrt(rs) / bnorm)
     return x
 
 
@@ -305,14 +293,14 @@ def _cn_advance(
     op: DiscreteOperator,
     source: np.ndarray | float,
     h: float,
-    counters: CGCounters | None = None,
-    out: np.ndarray | None = None,
+    counters: CGCounters,
+    out: np.ndarray,
 ) -> np.ndarray:
     """One Crank-Nicolson step: solve (I - h/2 M) x = h*source + (I + h/2 M) theta.
 
     CG starts from x0 = theta, whose residual h*source + h*M theta reuses the
     right-hand side's M theta: one stencil apply fewer than applying the system.
-    The new state goes into ``out`` (a fresh array when None).
+    The new state goes into ``out``, which may be theta.
     """
     work = op.stencil
     half_h = h / 2.0
@@ -331,12 +319,12 @@ def _unit_divisor(sigma: float, u: np.ndarray | float) -> bool:
 
 
 def _rate(sigma: float, u_sample: np.ndarray | float, alpha: np.ndarray, unit_divisor: bool,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """alpha/(1 - sigma*u) into ``out`` (a fresh array when None); ``alpha``
-    itself when the caller knows the divisor is exactly 1."""
+          out: np.ndarray) -> np.ndarray:
+    """alpha/(1 - sigma*u) into ``out``; ``alpha`` itself when the caller knows
+    the divisor is exactly 1."""
     if unit_divisor:
         return alpha
-    if out is not None and np.ndim(u_sample):  # a field u: all in out
+    if np.ndim(u_sample):  # a field u: all in out
         np.subtract(1.0, np.multiply(u_sample, sigma, out), out)
         return np.divide(alpha, out, out)
     return np.divide(alpha, 1.0 - sigma * u_sample, out=out)
@@ -356,20 +344,21 @@ def cn_step(
         raise ProblemError("field grid does not match problem grid")
     u_val = u_sample.values if isinstance(u_sample, ScalarField) else u_sample
     alpha = problem.pressure.field_at(t + h / 2.0)
-    rate = _rate(problem.chem.sigma, u_val, alpha, _unit_divisor(problem.chem.sigma, u_val))
+    rate = _rate(problem.chem.sigma, u_val, alpha, _unit_divisor(problem.chem.sigma, u_val),
+                 np.empty(theta.grid.dims))
     op = DiscreteOperator(problem.diffusion, rate, problem.grid.spacing)
-    return ScalarField(theta.grid, _cn_advance(theta.values, op, alpha, float(h)))
+    return ScalarField(theta.grid, _cn_advance(theta.values, op, alpha, float(h), CGCounters(),
+                                               np.empty(theta.grid.dims)))
 
 
 class FieldPropagator(Propagator):
     """Crank-Nicolson steps of the space-dependent model for one chemical control.
 
-    One stencil, with its work arrays, and one operator on the rate buffer
-    serve every step.  The propagator owns the step's pressure and rate and
-    the two states that alternate inside a span, whose stencil applies into
-    the residual run on views bound once, so one propagator must not step
-    from two threads at once and a step inside a span allocates nothing;
-    ``cg`` counts the CG solves of all its steps.
+    One stencil, with its work arrays and the state that the steps inside a
+    span overwrite in place, and one operator on the rate buffer serve every
+    step.  The propagator owns the step's pressure and rate, so one propagator
+    must not step from two threads at once, and a step inside a span allocates
+    nothing; ``cg`` counts the CG solves of all its steps.
     """
 
     def __init__(self, problem: PdeProblem, u: ContinuousControl | None = None):
@@ -386,10 +375,7 @@ class FieldPropagator(Propagator):
         self.stencil = _Stencil(problem.diffusion, problem.grid.spacing)
         self.cg = CGCounters()
         self.unit_divisor = _unit_divisor(self.sigma, self.u_samples)
-        # the step's rate and the states of the steps inside a span
-        self.rate, *self.iterates = (np.empty(self.shape) for _ in range(3))
-        for x in self.iterates:
-            self.stencil.bind(x, self.stencil.residual)  # a step's right-hand-side apply
+        self.rate = np.empty(self.shape)  # the step's rate
         # the array every step's pressure lands in: this buffer, or a constant
         # pressure's own field, which field_at returns whatever out is
         self.alpha = problem.pressure.field_at(0.0, out=np.empty(self.shape))
@@ -399,10 +385,9 @@ class FieldPropagator(Propagator):
     def state(self, a) -> np.ndarray:
         return np.broadcast_to(a, self.shape).astype(float)
 
-    def _step(self, x: np.ndarray, n: int, source: list | None,
-              out: np.ndarray | None = None) -> np.ndarray:
-        """One CN step n into ``out`` (a fresh array when None); the source is the
-        step's pressure when ``source`` is None."""
+    def _step(self, x: np.ndarray, n: int, source: list | None, out: np.ndarray) -> np.ndarray:
+        """One CN step n into ``out``, which may be x; the source is the step's
+        pressure when ``source`` is None."""
         alpha = self.problem.pressure.field_at(self.mid_times[n], out=self.alpha)
         _rate(self.sigma, self._u[n], alpha, self.unit_divisor, self.rate)
         return _cn_advance(x, self.op, alpha if source is None else source[n], self.dt[n],
@@ -412,19 +397,19 @@ class FieldPropagator(Propagator):
              skipped: list | None) -> np.ndarray:
         """Walk one span one CN step at a time, writing each stored node into its
         row as it is reached; see :mod:`inhibopt.core`.  The steps inside the
-        span write the two iterates in turn; only the span's end state is fresh."""
+        span overwrite the stencil's state in place; only the span's end state is fresh."""
         steps = range(self.time_grid.n_steps)[span.steps]
         out = out[span.rows]
         kept = [True] * len(out) if span.kept is None else span.kept
-        r = 0
-        for i, (n, store) in enumerate(zip(steps, kept)):  # every step but the last
-            x = self._step(x, n, source, self.iterates[i % 2])
+        state, r = self.stencil.state, 0
+        for n, store in zip(steps, kept):  # every step but the last
+            x = self._step(x, n, source, state)
             if store:
                 out[r] = x
                 r += 1
             elif skipped is not None:
                 skipped.append(np.sum(x))
-        return self._step(x, steps[-1], source)
+        return self._step(x, steps[-1], source, np.empty(self.shape))
 
     def diagnostics(self) -> dict:
         return {"cg": asdict(self.cg)}

@@ -239,7 +239,7 @@ class TestExitCodes:
         cfg = write_config(tmp_path / "cfg.yaml", {"model": {"kind": "averaged", "sigma": 1.4}})
         assert run_cli(["simulate-averaged", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
-    @pytest.mark.parametrize("command, cfg", [  # cfg: the config and the start of the message
+    @pytest.mark.parametrize("command, cfg", [  # cfg: the config, the start of the message, --out
         ("simulate-averaged", ({"model": {"sigma": 1.0}, "control": {"u": 1.0}},
                                "validation: sigma * u reaches 1.0")),
         ("simulate-averaged", (PDE_CFG, "config describes a pde model")),  # the simulate kind check
@@ -251,20 +251,27 @@ class TestExitCodes:
         ("simulate-averaged", ("directory", "validation: cannot read <path>: Is a directory")),
         ("simulate-averaged", (b"model: {t_end: \xff}\n", "validation: <path>: 'utf-8' codec can't decode")),
         ("simulate-averaged", (b"model: {t_end: 1\n", "validation: <path>: line 2: expected ',' or '}'")),
+        ("simulate-averaged", ({"model": {"pulse_times": [0.5, 0.25]}},
+                               "validation: candidate pulse times must be strictly increasing")),
+        # an --out below a regular file
+        ("simulate-averaged", (AVERAGED_CFG, "validation: cannot write <out>: Not a directory",
+                               "afile/x")),
     ])
     def test_a_failed_run_makes_no_output_directory(self, tmp_path, capsys, command, cfg):
-        (cfg, message), path = cfg, tmp_path / "cfg.yaml"
+        (cfg, message, *out), path = cfg, tmp_path / "cfg.yaml"
         if isinstance(cfg, dict):
             write_config(path, cfg)
         elif isinstance(cfg, bytes):
             path.write_bytes(cfg)
         elif cfg == "directory":
             path.mkdir()
-        out = tmp_path / "run"
+        (tmp_path / "afile").touch()
+        out = tmp_path.joinpath(*out or ["run"])
         assert run_cli([command, "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith(message.replace("<path>", str(path))) and err.count("\n") == 1
+        message = message.replace("<path>", str(path)).replace("<out>", str(out))
+        assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("error, code", [(1e-4, 0), (math.nextafter(1e-4, 1.0), 2), (math.nan, 2)])
     def test_gradient_check_exits_0_iff_its_error_is_within_tolerance(self, tmp_path, monkeypatch,
@@ -363,14 +370,17 @@ class TestPresets:
         assert not calls
 
     def test_invalid_member_fails_and_the_others_still_run(self, tmp_path, monkeypatch, capsys):
-        # members that fail validation, resolution, their task's checks and their solver
-        broken = ExperimentPreset("broken", "four failing members, one valid", (
+        # members that fail validation, resolution, their task's checks, their solver
+        # and the making of their output directory (a regular file stands in its place)
+        broken = ExperimentPreset("broken", "five failing members, one valid", (
             PresetRun("bad", "simulate", {"model": {"sigma": 2.0}}),
             PresetRun("t_end", "simulate", {"model": {"t_end": "abc"}}),
             PresetRun("sigma-0", "optimize-mixed", {"model": {"sigma": 0.0}}),
             PresetRun("solver", "optimize-pulse", {}),
+            PresetRun("blocked", "simulate", {"model": {"t_end": 0.05}}),
             PresetRun("good", "simulate", {"model": {"t_end": 0.05}}),
         ))
+        (tmp_path / "blocked").touch()
         monkeypatch.setitem(PRESETS, "broken", broken)
 
         def stalled(*args):
@@ -382,8 +392,10 @@ class TestPresets:
             "broken/bad: sigma out of [0,1]: 2.0\n"
             "broken/t_end: config key model.t_end: expected a number, got 'abc'\n"
             "broken/sigma-0: projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)\n"
-            "broken/solver: conjugate gradient stalled: relative residual 1.000e+00 after 5 iterations\n")
-        assert {p.name for p in tmp_path.iterdir()} == {"good"}
+            "broken/solver: conjugate gradient stalled: relative residual 1.000e+00 after 5 iterations\n"
+            f"broken/blocked: cannot write {tmp_path / 'blocked'}: File exists\n")
+        assert {p.name for p in tmp_path.iterdir()} == {"blocked", "good"}
+        assert (tmp_path / "blocked").is_file()
         assert {p.name for p in (tmp_path / "good").iterdir()} == {"trajectory.csv", "cost.csv",
                                                                    "manifest"}
 
@@ -420,6 +432,35 @@ def test_csv_initial_condition_config(tmp_path):
     }
     bundle = iomod.resolve_bundle(cfg, base_dir=tmp_path)
     assert np.array_equal(bundle.problem.initial.values, rho.values)
+
+
+def test_csv_cost_fields_config(tmp_path):
+    # the default grid, cells [10, 10, 3]: 11 x 11 x 4 points and 51 candidate pulse times
+    grid = ib.SpaceGrid.from_cells(10, 10, 3)
+    rng = np.random.default_rng(4)
+    final, unit = (ib.ScalarField(grid, rng.random(grid.dims)) for _ in range(2))
+    iomod.write_field_csv(tmp_path / "final.csv", final)
+    iomod.write_field_csv(tmp_path / "unit.csv", unit)
+    cfg = {"model": {"kind": "pde"}, "cost": {"final": "csv:final.csv", "pulse_unit": "csv:unit.csv"}}
+    costs = iomod.resolve_bundle(cfg, base_dir=tmp_path).costs
+    assert costs.final.shape == (11, 11, 4) and costs.pulse_unit.shape == (51, 11, 11, 4)
+    assert np.array_equal(costs.final, final.values)
+    assert all(np.array_equal(row, unit.values) for row in costs.pulse_unit)
+
+
+def test_pulse_times_config_sets_the_candidates():
+    # a decreasing list is a validation failure: see test_a_failed_run_makes_no_output_directory
+    bundle = iomod.resolve_bundle({"model": {"pulse_times": [0.25, 0.5, 0.75]}})
+    assert list(bundle.problem.time_grid.candidate_pulse_times) == [0.25, 0.5, 0.75]
+
+
+def test_alpha_profile_of_a_field_model_is_the_averaged_one(tmp_path):
+    # a uniform amplitude: the field's mean profile is the averaged model's
+    for kind in ("averaged", "pde"):
+        assert cli._run("alpha-profile", {"model": {"kind": kind}}, None, tmp_path / kind) == 0
+    assert filecmp.cmp(tmp_path / "averaged" / "alpha.csv", tmp_path / "pde" / "alpha.csv",
+                       shallow=False)
+    assert len((tmp_path / "pde" / "alpha.csv").read_text().splitlines()) == 1002
 
 
 @pytest.mark.parametrize("edit, message", [

@@ -18,13 +18,13 @@ from inhibopt.core import AdjointJump, Jump, Trajectory, _cost, _rows
 
 def _state_step(prop, x, n):
     if prop.shape:
-        return prop._step(x, n, None)
+        return prop._step(x, n, None, np.empty(prop.shape))
     return prop.attr[n] + (x - prop.attr[n]) * prop.decay[n]
 
 
 def _linear_step(prop, x, n, source):
     if prop.shape:
-        return prop._step(x, n, {n: source})
+        return prop._step(x, n, {n: source}, np.empty(prop.shape))
     return prop.decay[n] * x + prop.w[n] * source
 
 

@@ -626,11 +626,17 @@ class TestProjectedGradientMixed:
         assert res.diagnostics["stop_reason"] == "stationary"
 
     def test_capped_run_names_the_cap(self):
+        # and a run that one of the tolerances stops names that tolerance
         prob = reference_averaged()
         costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
-        res = ib.projected_gradient_mixed(prob, costs, max_iterations=2)
-        assert res.diagnostics["stop_reason"] == "iteration cap"
-        assert res.iterations == 2 and not res.converged
+        for options, stop, iterations, converged in [
+            ({"max_iterations": 2}, "iteration cap", 2, False),
+            ({"tol_control": 1e10}, "step tolerance", 1, True),
+            ({"tol_cost": 1e10}, "cost tolerance", 1, True),
+        ]:
+            res = ib.projected_gradient_mixed(prob, costs, **options)
+            assert res.diagnostics["stop_reason"] == stop
+            assert res.iterations == iterations and res.converged == converged
 
     @pytest.mark.parametrize("rejected, max_halvings, stop", [
         (2, 40, "iteration cap"),  # the third trial step is accepted
