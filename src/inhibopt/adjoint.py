@@ -35,10 +35,10 @@ from .core import (  # noqa: F401  (AdjointJump and AdjointTrajectory are re-exp
     Propagator,
     Trajectory,
     _as_direction_array,
+    _control_inner,
     _cost,
     _per_point,
     _rows,
-    _space_integral,
     _span_midpoints,
 )
 from .model import (
@@ -94,13 +94,15 @@ class GradientReport:
     ``pulse_gradient`` holds (p(tau_i^+) - c_i) * theta(tau_i) per realized
     pulse (scalar or field); ``continuous_gradient`` holds the per-step
     steepest-ascent density C - sigma*alpha*p*theta/(1-sigma*u)^2.
+    ``space_weight`` is the forward record's (ds^3 for fields, 1 for the
+    averaged model), with which ``directional_value`` integrates over space.
     """
 
     candidate_indices: list[int]
     pulse_gradient: list
     continuous_gradient: np.ndarray | None
     directional_value: float | None
-    space_weight: float  # ds^3 for fields, 1 for the averaged model
+    space_weight: float
 
 
 def gradient_pulse(
@@ -108,9 +110,9 @@ def gradient_pulse(
     adjoint: Trajectory,
     costs: CostSpec,
     direction=None,
-    space_weight: float = 1.0,
 ) -> GradientReport:
-    """Adjoint pulse gradient; inner product against ``direction`` if given."""
+    """Adjoint pulse gradient; inner product against ``direction`` if given, in the
+    space quadrature of ``forward``."""
     adj_by_node = {j.node_index: j for j in adjoint.jumps}
     indices: list[int] = []
     coeffs: list = []
@@ -122,12 +124,12 @@ def gradient_pulse(
         coeffs.append((aj.p_plus - costs.pulse_unit[j.candidate_index]) * j.pre)
     if len(adj_by_node) != len(forward.jumps):
         raise ProblemError("forward and adjoint pulse sets differ")
+    space_weight = forward.space_weight
     directional = None
     if direction is not None:
         d = _as_direction_array(direction)
-        directional = float(
-            sum(np.sum(c * d[k]) * space_weight for k, c in zip(indices, coeffs))
-        )
+        directional = float(sum(np.sum(c * d[k]) * space_weight
+                                for k, c in zip(indices, coeffs)))
     return GradientReport(indices, coeffs, None, directional, space_weight)
 
 
@@ -162,7 +164,7 @@ def gradient_continuous(
     directional = None
     if direction is not None:
         d = _per_point(_as_direction_array(direction), ubar.ndim)
-        directional = float(np.sum(_space_integral(ubar * d, prop.space_weight) * tg.dt))
+        directional = _control_inner(ubar, d, prop.space_weight, tg.dt)
     return GradientReport([], [], ubar, directional, prop.space_weight)
 
 
@@ -173,15 +175,14 @@ def gradient_continuous(
 def sensitivity_continuous(
     problem: AveragedProblem | PdeProblem,
     u_base: ContinuousControl | None,
-    v_base: PulseStrategy,
     direction: ContinuousControl | np.ndarray,
     forward: Trajectory,
 ):
     """State derivative z in the direction of a chemical-control perturbation.
 
-    z(0) = 0, z(tau_i^+) = v_i * z(tau_i), and between pulses z decays at the
-    state rate with source -sigma*alpha*d(t)*theta/(1-sigma*u)^2 where d is
-    the perturbation direction.
+    z(0) = 0, z(tau_i^+) = v_i * z(tau_i) with v_i the value that ``forward``
+    applied, and between pulses z decays at the state rate with source
+    -sigma*alpha*d(t)*theta/(1-sigma*u)^2 where d is the perturbation direction.
     """
     prop = _propagator(problem, u_base)
     ndim = 1 + len(prop.shape)
@@ -194,11 +195,11 @@ def sensitivity_continuous(
 def sensitivity_pulse_pde(
     problem: PdeProblem,
     u: ContinuousControl | None,
-    v_base: PulseStrategy,
     direction: PulseStrategy | np.ndarray,
     forward: Trajectory,
 ) -> Trajectory:
-    """Space-dependent analogue of the pulse sensitivity (verification oracle)."""
+    """Space-dependent analogue of the pulse sensitivity (verification oracle); the
+    strategy is the one ``forward`` applied."""
     d = _rows(_as_direction_array(direction))
     return FieldPropagator(problem, u).linear(
         forward, lambda j, z: d[j.candidate_index] * j.pre + j.applied * z)
@@ -214,33 +215,31 @@ def variational_pulse_value(
     v_base: PulseStrategy,
     direction,
     costs: CostSpec,
-    space_weight: float = 1.0,
 ) -> float:
     """Directional dJ from the pulse sensitivity z (independent of the adjoint).
 
     J_v = C_f z(T) + integral(z) + sum_i c_i [ (1-v_i) z(tau_i) - d_i theta(tau_i) ].
-    The first three terms are the cost functional evaluated on z.
+    The first three terms are the cost functional evaluated on z, in z's
+    space quadrature.
     """
     d = _as_direction_array(direction)
-    z_cost = _cost(z_traj, v_base, None, costs, space_weight, np.diff(z_traj.times))
+    space_weight = z_traj.space_weight
+    z_cost = _cost(z_traj, v_base, None, costs, np.diff(z_traj.times))
     state_term = sum(float(np.sum(costs.pulse_unit[j.candidate_index] * d[j.candidate_index]
                                   * j.pre)) * space_weight for j in forward.jumps)
     return z_cost.total - state_term
 
 
 def variational_continuous_value(
-    forward,
     z_traj,
     v_base: PulseStrategy,
     direction,
     costs: CostSpec,
-    time_grid,
-    space_weight: float = 1.0,
 ) -> float:
     """Directional dJ from the chemical sensitivity z (independent of the adjoint).
 
     J_u = integral(z + C*d) + sum_i c_i (1-v_i) z(tau_i) + C_f z(T): the cost
-    functional evaluated on z with control d.
+    functional evaluated on z with control d, on z's steps and in its space quadrature.
     """
     d = ContinuousControl(_as_direction_array(direction))
-    return _cost(z_traj, v_base, d, costs, space_weight, time_grid.dt).total
+    return _cost(z_traj, v_base, d, costs, np.diff(z_traj.times)).total

@@ -73,7 +73,6 @@ class AveragedPropagator(Propagator):
     """Exact exponential steps of the scalar model for one chemical control."""
 
     shape = ()
-    space_weight = 1.0
     zero = 0.0
 
     def __init__(self, problem: AveragedProblem, u: ContinuousControl | None = None):
@@ -177,7 +176,7 @@ def cost_averaged(
     """
     if not traj.complete:
         raise ProblemError("cost_averaged needs every node stored (its steps are the stored spans)")
-    return _cost(traj, v, u, costs, 1.0, np.diff(traj.times))
+    return _cost(traj, v, u, costs, np.diff(traj.times))
 
 
 def sensitivity_pulse_averaged(

@@ -97,7 +97,7 @@ def _task_simulate(bundle: iomod.Bundle, store_every: int) -> tuple[dict, list]:
 def _export_result(bundle: iomod.Bundle, result) -> tuple[dict, list]:
     """A strategy result's files and the optimizers' common manifest entries."""
     files = [(iomod.write_strategy, "strategy.csv", bundle.problem.time_grid, result.strategy),
-             (iomod.write_certificate, "certificate.csv", result.certificate),
+             (iomod.write_certificate, "certificate.csv", result.strategy, result.certificate),
              (iomod.write_cost, "cost.csv", result.cost), *_trajectory_files(result.forward)]
     if result.adjoint is not None:
         files.append((iomod.write_adjoint, "adjoint.csv", result.adjoint))
@@ -172,7 +172,7 @@ def _task_gradient_check(bundle: iomod.Bundle) -> tuple[dict, list]:
         return p.cost(p.forward(v), v, u, costs).total
 
     d_v = rng.random(v_base.values.shape) - 0.5
-    adjoint_v = gradient_pulse(forward, adj, costs, direction=d_v, space_weight=prop.space_weight).directional_value
+    adjoint_v = gradient_pulse(forward, adj, costs, direction=d_v).directional_value
     fd_v = (j_of(u_base, PulseStrategy(np.clip(v_base.values + eps * d_v, 0, 1)))
             - j_of(u_base, PulseStrategy(np.clip(v_base.values - eps * d_v, 0, 1)))) / (2 * eps)
     err_v = abs(adjoint_v - fd_v) / max(abs(fd_v), 1e-14)

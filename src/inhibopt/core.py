@@ -12,8 +12,11 @@ node it does not store to ``skipped`` (unless that is None, as for the
 costate) and returns the state at the span's end.  A propagator also
 supplies the record itself (``record(n)``: a list of floats for the averaged
 model, converted once when the run ends, or a preallocated array), the
-threshold ``gate(x)``, ``alpha_mid()`` for every step and a
-``space_weight`` for the per-row space integral (1, or ds^3 for fields).
+threshold ``gate(x)`` and ``alpha_mid()`` for every step.  A propagator and
+each record it writes carry their ``grid`` (None for the averaged model), and
+their ``space_weight``, the weight of a point in the space quadrature, is
+read from it by one rule: ds^3 on a grid, 1 where there is none.  So costs,
+gradients and inner products take the weight of what they integrate.
 
 :class:`Propagator` writes each algorithm once over that interface: the gated
 forward run, the backward costate sweep with a per-candidate decision rule,
@@ -64,8 +67,20 @@ class AdjointJump(NamedTuple):
         return self.p_plus
 
 
+class _OnGrid:
+    """What carries a space ``grid`` (None for the averaged model) and integrates
+    over it: ``space_weight`` is the weight of one point in the space quadrature."""
+
+    grid = None
+
+    @property
+    def space_weight(self) -> float:
+        """ds^3 on a grid, 1 without one: the one rule of the space quadrature."""
+        return 1.0 if self.grid is None else self.grid.cell_volume
+
+
 @dataclass
-class Trajectory:
+class Trajectory(_OnGrid):
     """State, tangent or costate per stored node (left limits), with every jump recorded.
 
     One record for both models and every run.  ``node_indices`` maps stored
@@ -73,7 +88,7 @@ class Trajectory:
     every candidate node and the final node.  ``skipped_sums`` holds a state
     run's grid sum of each node not stored, in node order, so the cost is
     that of the whole run.  ``grid`` is the field's space grid (None for the
-    averaged model).
+    averaged model and for a spatial average), from which ``space_weight`` is read.
     """
 
     times: np.ndarray
@@ -114,6 +129,11 @@ def _per_point(a: np.ndarray, ndim: int) -> np.ndarray:
 def _space_integral(rows: np.ndarray, space_weight: float) -> np.ndarray:
     """Grid quadrature of each row: the value itself for 1-D rows, sum * ds^3 for fields."""
     return np.sum(rows, axis=tuple(range(1, rows.ndim))) * space_weight
+
+
+def _control_inner(a: np.ndarray, b: np.ndarray, space_weight: float, dt: np.ndarray) -> float:
+    """The dt- and ds^3-weighted inner product of two per-step arrays."""
+    return float(np.sum(_space_integral(a * b, space_weight) * dt))
 
 
 def _node_integrals(traj: Trajectory, space_weight: float) -> np.ndarray:
@@ -202,51 +222,51 @@ def _as_direction_array(direction) -> np.ndarray:
 
 
 def _cost(traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec,
-          space_weight: float, dt: np.ndarray) -> CostBreakdown:
+          dt: np.ndarray) -> CostBreakdown:
     """Cost functional of a run (state or tangent), as documented in
-    :func:`inhibopt.averaged.cost_averaged`; space integrals use ``space_weight``
-    and ``dt`` is the full step grid, so storage never changes the value."""
+    :func:`inhibopt.averaged.cost_averaged`; space integrals use the record's
+    ``space_weight`` and ``dt`` is the full step grid, so storage never changes the value."""
     if costs.pulse_unit.shape[0] != len(v):
         raise ProblemError(
             f"{costs.pulse_unit.shape[0]} pulse unit costs for a strategy of length {len(v)}"
         )
     if traj.jumps and max(j.candidate_index for j in traj.jumps) >= len(v):
         raise ProblemError("trajectory jumps refer to candidates beyond the strategy length")
-    right = _node_integrals(traj, space_weight)
+    w = traj.space_weight
+    right = _node_integrals(traj, w)
     left = right.copy()  # post-jump integrals start the spans
     if traj.jumps:
-        posts = _space_integral(np.array([j.post for j in traj.jumps]), space_weight)
+        posts = _space_integral(np.array([j.post for j in traj.jumps]), w)
         left[[j.node_index for j in traj.jumps]] = posts
     running_state = float(np.sum(dt * (left[:-1] + right[1:]) / 2.0))
 
     running_control = 0.0
     if u is not None and u.samples.size:
-        cu = _per_point(costs.continuous_unit, u.samples.ndim) * u.samples
-        if cu.ndim == 1:  # uniform in space
-            running_control = float(np.sum(cu * dt) * np.size(traj.values[0]) * space_weight)
+        unit = _per_point(costs.continuous_unit, u.samples.ndim)
+        if u.samples.ndim == 1:  # uniform in space
+            running_control = float(np.sum(unit * u.samples * dt) * np.size(traj.values[0]) * w)
         else:
-            running_control = float(np.sum(_space_integral(cu, space_weight) * dt))
+            running_control = _control_inner(unit, u.samples, w, dt)
 
     pulse = 0.0
     for j in traj.jumps:
         term = costs.pulse_unit[j.candidate_index] * (1.0 - j.applied) * j.pre
         if isinstance(term, np.ndarray):  # a field: integrate over space
             term = np.sum(term)
-        pulse += float(term * space_weight)
-    final = float(np.sum(costs.final * traj.values[-1]) * space_weight)
+        pulse += float(term * w)
+    final = float(np.sum(costs.final * traj.values[-1]) * w)
     return CostBreakdown.assemble(running_state, running_control, pulse, final)
 
 
-class Propagator:
+class Propagator(_OnGrid):
     """Model-independent algorithms over a model's span flow, gate and pressure.
 
-    Subclasses set ``time_grid``, ``sigma``, ``shape``, ``space_weight``,
-    ``u_samples``, ``initial`` and ``zero`` and implement ``state``, ``flow``,
-    ``gate`` and ``alpha_mid``; field propagators also set ``grid`` and
-    report their solver counters through ``diagnostics``.
+    Subclasses set ``time_grid``, ``sigma``, ``shape``, ``u_samples``,
+    ``initial`` and ``zero`` and implement ``state``, ``flow``, ``gate`` and
+    ``alpha_mid``; field propagators also set ``grid``, from which
+    ``space_weight`` is read, and report their solver counters through
+    ``diagnostics``.
     """
-
-    grid = None
 
     def record(self, n: int):
         """Storage for n rows, written by index and slice and read back by ``np.asarray``."""
@@ -355,7 +375,7 @@ class Propagator:
         return self.backward(costs, realized, lambda k, p_plus: v[k], store_every)
 
     def cost(self, traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec):
-        return _cost(traj, v, u, costs, self.space_weight, self.time_grid.dt)
+        return _cost(traj, v, u, costs, self.time_grid.dt)
 
     def chemical_rate(self, forward, factor: np.ndarray) -> np.ndarray:
         """sigma * alpha * factor * theta at every step midpoint, shaped (n_steps, *shape)."""

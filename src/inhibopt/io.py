@@ -161,13 +161,12 @@ def write_averaged_trajectory(path, traj: Trajectory) -> None:
 
 def write_pde_summary(path, traj: Trajectory) -> None:
     jumps = _jump_rows(traj)
-    w = traj.grid.cell_volume
     with open(path, "w", newline="") as fh:
         fh.write("t,mean_theta,l2_norm,is_pulse\n")
         for row, t in enumerate(traj.times):
             node = int(traj.node_indices[row])
             f = traj.fields[row]
-            l2 = float(np.sqrt(np.sum(f**2) * w))
+            l2 = traj.grid.l2_norm(f)
             fh.write(f"{_fmt(t)},{_fmt(f.mean())},{_fmt(l2)},{int(node in jumps)}\n")
 
 
@@ -185,11 +184,13 @@ def write_strategy(path, time_grid: TimeGrid, strategy: PulseStrategy) -> None:
                  [_key(t) for t in time_grid.candidate_pulse_times], strategy.values)
 
 
-def write_certificate(path, certificate) -> None:
-    """One row per realized candidate; a run with none writes the scalar header alone."""
+def write_certificate(path, strategy: PulseStrategy, certificate) -> None:
+    """One row per realized candidate at each point of the strategy's shape; a run
+    with none writes the header alone, for a field with the point columns."""
+    shape = strategy.values.shape[1:]
     table = np.stack([np.stack(np.broadcast_arrays(c.p_plus, c.unit_cost, c.applied, c.margin), axis=-1)
-                      for c in certificate]) if certificate else np.empty((0, 4))  # (m, *shape, 4)
-    header = "tau_i,p_plus,c_i,v_i,margin" if table.ndim == 2 else "tau_i,i,j,k,p_plus,c_i,v_i,margin"
+                      for c in certificate]) if certificate else np.empty((0, *shape, 4))
+    header = "tau_i,i,j,k,p_plus,c_i,v_i,margin" if shape else "tau_i,p_plus,c_i,v_i,margin"
     _write_table(path, header, [_key(c.time) for c in certificate], table, columns=4)
 
 

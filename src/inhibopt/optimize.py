@@ -28,7 +28,7 @@ import numpy as np
 
 from .adjoint import _propagator, _ubar
 from .averaged import AveragedPropagator
-from .core import Trajectory, _per_point, _rows, _space_integral, _span_midpoints
+from .core import Trajectory, _control_inner, _per_point, _rows, _span_midpoints
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -378,22 +378,18 @@ def _realized(result: StrategyResult) -> list[int]:
     return [j.candidate_index for j in result.forward.jumps]
 
 
-def _control_inner(prop, a: np.ndarray, b: np.ndarray) -> float:
-    """The dt- and ds^3-weighted inner product of two chemical-control arrays."""
-    return float(np.sum(_space_integral(a * b, prop.space_weight) * prop.time_grid.dt))
-
-
 def _control_norm(prop, du: np.ndarray) -> float:
-    return float(np.sqrt(_control_inner(prop, du, du)))
+    return float(np.sqrt(_control_inner(du, du, prop.space_weight, prop.time_grid.dt)))
 
 
 def _spectral_step(prop, s: np.ndarray, y: np.ndarray) -> float:
     """Barzilai-Borwein step <s, s> / <s, y> clipped to [GAMMA_MIN, GAMMA_MAX];
     GAMMA_MAX when <s, y> <= 0, where the gradient gives no curvature to scale by."""
-    sy = _control_inner(prop, s, y)
+    w, dt = prop.space_weight, prop.time_grid.dt
+    sy = _control_inner(s, y, w, dt)
     if not sy > 0:
         return GAMMA_MAX
-    return min(max(_control_inner(prop, s, s) / sy, GAMMA_MIN), GAMMA_MAX)
+    return min(max(_control_inner(s, s, w, dt) / sy, GAMMA_MIN), GAMMA_MAX)
 
 
 def projected_gradient_mixed(

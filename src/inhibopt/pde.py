@@ -365,7 +365,6 @@ class FieldPropagator(Propagator):
         tg = problem.time_grid
         self.problem, self.time_grid, self.sigma = problem, tg, problem.chem.sigma
         self.grid, self.shape = problem.grid, problem.grid.dims
-        self.space_weight = problem.grid.cell_volume
         self.u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
         self._u = _rows(self.u_samples)
         self.threshold = problem.chem.sigma_star * problem.grid.volume
@@ -416,7 +415,7 @@ class FieldPropagator(Propagator):
 
     def gate(self, x: np.ndarray) -> bool:
         """Grid-quadrature L2 threshold ||theta|| >= sigma_star * |Omega|."""
-        return float(np.sqrt(np.sum(x**2) * self.space_weight)) >= self.threshold
+        return self.grid.l2_norm(x) >= self.threshold
 
     def alpha_mid(self) -> np.ndarray:
         pressure = self.problem.pressure
@@ -430,7 +429,8 @@ def simulate_pde(
     v: PulseStrategy | None = None,
     store_every: int = 1,
 ) -> FieldTrajectory:
-    """Step the field with cn_step, applying threshold-gated multiplicative pulses."""
+    """Run the field forward by :class:`FieldPropagator` spans of CN steps, applying
+    threshold-gated multiplicative pulses (``cn_step`` is the separate one-step API)."""
     return FieldPropagator(problem, u).forward(v, store_every)
 
 
@@ -441,12 +441,13 @@ def cost_pde(
     costs: CostSpec,
     problem: PdeProblem,
 ) -> CostBreakdown:
-    """Cost functional with space integrals by grid quadrature sum(.) * ds^3.
+    """Cost functional with space integrals by the record's grid quadrature sum(.) * ds^3.
 
-    The value is that of the whole run: nodes the trajectory did not store
-    enter through their recorded grid sums, so ``store_every`` never changes it.
+    The value is that of the whole run on ``problem``'s step grid: nodes the
+    trajectory did not store enter through their recorded grid sums, so
+    ``store_every`` never changes it.
     """
-    return _cost(traj, v, u, costs, problem.grid.cell_volume, problem.time_grid.dt)
+    return _cost(traj, v, u, costs, problem.time_grid.dt)
 
 
 def spatial_average(traj: Trajectory) -> Trajectory:

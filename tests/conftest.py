@@ -20,9 +20,9 @@ def reference_averaged(h=1e-3, t_end=1.0, sigma=REF_SIGMA, sigma_star=0.0, theta
 
 
 def reference_pde(h=1e-3, t_end=1.0, cells=(10, 10, 3), diffusion=1.0, sigma=REF_SIGMA,
-              sigma_star=0.0, initial=0.4, amplitude=None):
+              sigma_star=0.0, initial=0.4, amplitude=None, spacing=1.0):
     tg = ib.TimeGrid.regular(t_end, h, WEEK)
-    grid = ib.SpaceGrid.from_cells(*cells)
+    grid = ib.SpaceGrid.from_cells(*cells, spacing=spacing)
     amp = amplitude if amplitude is not None else ib.ScalarField.uniform(grid, REF_AMPLITUDE)
     return ib.PdeProblem(
         tg,

@@ -189,8 +189,8 @@ class TestGradientContinuous:
         d = rng.random(tg.n_steps) - 0.5
         adj_val = ib.gradient_continuous(prob, forward, adjoint, u, costs,
                                          direction=d).directional_value
-        z = ib.sensitivity_continuous(prob, u, v, d, forward)
-        var_val = ib.variational_continuous_value(forward, z, v, d, costs, tg)
+        z = ib.sensitivity_continuous(prob, u, d, forward)
+        var_val = ib.variational_continuous_value(z, v, d, costs)
         assert rel_err(var_val, adj_val) < 1e-6
 
     def test_division_guard(self, rng):
@@ -208,7 +208,7 @@ class TestGradientContinuous:
 class TestSensitivityContinuous:
     def test_zero_direction(self, rng):
         prob, tg, costs, v, u, forward, _ = averaged_setup(rng)
-        z = ib.sensitivity_continuous(prob, u, v, np.zeros(tg.n_steps), forward)
+        z = ib.sensitivity_continuous(prob, u, np.zeros(tg.n_steps), forward)
         assert np.all(z.values == 0.0)
 
     def test_impotent_control_when_sigma_zero(self, rng):
@@ -217,18 +217,19 @@ class TestSensitivityContinuous:
         v = ib.PulseStrategy.no_intervention(tg)
         u = ib.ContinuousControl.constant(tg, 0.5)
         forward = ib.simulate_averaged(prob, u, v)
-        z = ib.sensitivity_continuous(prob, u, v, rng.random(tg.n_steps), forward)
+        z = ib.sensitivity_continuous(prob, u, rng.random(tg.n_steps), forward)
         assert np.all(z.values == 0.0)
 
 
 class TestPdeGradients:
-    """Space-dependent analogues on a small grid with non-uniform data."""
+    """Space-dependent analogues on a small grid with non-uniform data, at two
+    spacings: the oracles integrate over space in the records' own quadrature."""
 
-    @pytest.fixture
-    def setup(self, rng):
-        grid = ib.SpaceGrid.from_cells(2, 2, 1)
+    @pytest.fixture(params=[1.0, 0.5], ids=["ds=1", "ds=0.5"])
+    def setup(self, request, rng):
+        grid = ib.SpaceGrid.from_cells(2, 2, 1, spacing=request.param)
         amp = ib.build_random_amplitude(grid, 1.2, seed=11)
-        prob = reference_pde(cells=(2, 2, 1), t_end=0.3, amplitude=amp,
+        prob = reference_pde(cells=(2, 2, 1), t_end=0.3, amplitude=amp, spacing=request.param,
                          initial=ib.ScalarField(grid, 0.2 + 0.5 * rng.random(grid.dims)))
         tg = prob.time_grid
         costs = ib.CostSpec(np.full(tg.n_candidates, 0.4), np.full(tg.n_steps, 0.3),
@@ -246,15 +247,13 @@ class TestPdeGradients:
 
     def test_pulse_gradient_fd_and_duality(self, setup, rng):
         prob, tg, grid, costs, v, u, forward, adjoint = setup
-        w = grid.cell_volume
         d = rng.random((tg.n_candidates, *grid.dims)) - 0.5
-        adj_val = ib.gradient_pulse(forward, adjoint, costs, direction=d,
-                                    space_weight=w).directional_value
+        adj_val = ib.gradient_pulse(forward, adjoint, costs, direction=d).directional_value
         fd = (self.cost_of(prob, costs, u, ib.PulseStrategy(v.values + FD_EPS * d))
               - self.cost_of(prob, costs, u, ib.PulseStrategy(v.values - FD_EPS * d))) / (2 * FD_EPS)
         assert rel_err(adj_val, fd) < 1e-4
-        z = ib.sensitivity_pulse_pde(prob, u, v, d, forward)
-        var_val = ib.variational_pulse_value(forward, z, v, d, costs, space_weight=w)
+        z = ib.sensitivity_pulse_pde(prob, u, d, forward)
+        var_val = ib.variational_pulse_value(forward, z, v, d, costs)
         assert rel_err(var_val, adj_val) < 1e-6
 
     def test_continuous_gradient_fd_and_duality(self, setup, rng):
@@ -265,7 +264,16 @@ class TestPdeGradients:
         fd = (self.cost_of(prob, costs, ib.ContinuousControl(np.clip(u.samples + FD_EPS * d, 0, 1)), v)
               - self.cost_of(prob, costs, ib.ContinuousControl(np.clip(u.samples - FD_EPS * d, 0, 1)), v)) / (2 * FD_EPS)
         assert rel_err(adj_val, fd) < 1e-4
-        z = ib.sensitivity_continuous(prob, u, v, d, forward)
-        var_val = ib.variational_continuous_value(forward, z, v, d, costs, tg,
-                                                  space_weight=grid.cell_volume)
+        z = ib.sensitivity_continuous(prob, u, d, forward)
+        var_val = ib.variational_continuous_value(z, v, d, costs)
         assert rel_err(var_val, adj_val) < 1e-6
+
+    def test_records_carry_the_space_weight(self, setup, rng):
+        prob, tg, grid, costs, v, u, forward, adjoint = setup
+        tangent = ib.sensitivity_pulse_pde(prob, u, rng.random(v.values.shape), forward)
+        report = ib.gradient_pulse(forward, adjoint, costs)
+        for weighted in (forward, adjoint, tangent, report):
+            assert weighted.space_weight == grid.spacing**3
+        averaged = reference_averaged(t_end=0.3)
+        for scalar in (ib.simulate_averaged(averaged), ib.spatial_average(forward)):
+            assert scalar.space_weight == 1.0

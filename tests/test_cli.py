@@ -104,6 +104,15 @@ class TestOptimizeCommands:
         adj = read_rows(out / "adjoint.csv")
         assert list(adj[0]) == ["t", "p"]
 
+    def test_field_run_without_pulses_writes_the_field_certificate_header(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.yaml", {"model": {"kind": "pde", "sigma_star": 0.99,
+                                                             "t_end": 0.1}})
+        out = tmp_path / "run"
+        assert run_cli(["optimize-pulse", "--config", str(cfg), "--out", str(out)]) == 0
+        assert iomod.config_from_manifest(out / "manifest")[1]["realized_pulses"] == 0
+        assert (out / "strategy.csv").read_text().startswith("tau_i,i,j,k,v\n")
+        assert (out / "certificate.csv").read_text() == "tau_i,i,j,k,p_plus,c_i,v_i,margin\n"
+
     def test_optimize_pulse_writes_the_stored_nodes(self, tmp_path):
         for name, cfg in (("pde", PDE_CFG), ("avg", AVERAGED_CFG)):
             path = write_config(tmp_path / f"{name}.yaml", cfg)

@@ -195,9 +195,8 @@ def test_span_loops_match_the_per_step_loop(model, grid_name, store_every):
         tangent = prop.linear(forward, rule_v)
         want_tangent = reference_linear(prop, want, rule_v)
         assert_same_record(tangent, want_tangent, ("pre", "post", "applied"))
-        assert (_cost(tangent, v, None, costs, prop.space_weight, np.diff(tangent.times))
-                == _cost(want_tangent, v, None, costs, prop.space_weight,
-                         np.diff(want_tangent.times)))
+        assert (_cost(tangent, v, None, costs, np.diff(tangent.times))
+                == _cost(want_tangent, v, None, costs, np.diff(want_tangent.times)))
         sources = np.random.default_rng(5).uniform(-1.0, 1.0, (prob.time_grid.n_steps, *prop.shape))
         rule_u = lambda j, z: j.applied * z  # noqa: E731
         assert_same_record(prop.linear(forward, rule_u, sources),

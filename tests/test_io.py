@@ -56,8 +56,8 @@ def ref_strategy(path, time_grid, strategy):
             _ref_rows(fh, _fmt(tau), v)
 
 
-def ref_certificate(path, certificate):
-    shape = np.shape(certificate[0].p_plus) if certificate else ()
+def ref_certificate(path, strategy, certificate):
+    shape = strategy.values.shape[1:]
     with open(path, "w", newline="") as fh:
         fh.write("tau_i,p_plus,c_i,v_i,margin\n" if shape == () else "tau_i,i,j,k,p_plus,c_i,v_i,margin\n")
         for c in certificate:
@@ -148,7 +148,8 @@ def test_result_writers_match_the_reference_loops(tmp_path, request, run):
     assert res.certificate  # the certificate carries one row per realized pulse
     assert_same_bytes(tmp_path, iomod.write_adjoint, ref_adjoint, res.adjoint)
     assert_same_bytes(tmp_path, iomod.write_strategy, ref_strategy, prob.time_grid, res.strategy)
-    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, res.certificate)
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, res.strategy,
+                      res.certificate)
     if run == "field_run":
         assert_same_bytes(tmp_path, iomod.write_field_snapshots, ref_field_snapshots, res.forward)
 
@@ -210,15 +211,19 @@ def test_special_values_and_per_point_strategy(tmp_path, rng):
         # a zero unit cost: the margin column is p_plus, specials included
         ib.PulseCertificate(0.75, 2, with_specials(rng.standard_normal(dims)), 0.0, rng.random(dims)),
     ]
-    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, certificate)
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, per_point, certificate)
     scalar_cert = [ib.PulseCertificate(t, i, x, 0.4, 1.0) for i, (t, x) in enumerate(zip(
         [0.1, 0.2, 0.3, 0.4, 0.5], SPECIAL))]
-    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, scalar_cert)
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate,
+                      ib.PulseStrategy(np.ones(len(scalar_cert))), scalar_cert)
 
 
 def test_empty_certificate_is_the_header(tmp_path):
-    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, [])
+    scalar, field = ib.PulseStrategy(np.ones(3)), ib.PulseStrategy(np.ones((3, 2, 2, 1)))
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, scalar, [])
     assert (tmp_path / "got.csv").read_text() == "tau_i,p_plus,c_i,v_i,margin\n"
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, field, [])
+    assert (tmp_path / "got.csv").read_text() == "tau_i,i,j,k,p_plus,c_i,v_i,margin\n"
 
 
 def test_scalar_row_writers_match_the_reference_loops(tmp_path, rng):
