@@ -128,6 +128,7 @@ def _task_optimize_mixed(bundle: iomod.Bundle) -> tuple[dict, list]:
         "certificate_agreement": result.continuous_certificate.agreement_fraction(),
         "stop_reason": result.diagnostics["stop_reason"],
         "line_search_halvings": result.diagnostics["line_search_halvings"],
+        "fixed_points": result.diagnostics["fixed_points"],
     }, files
 
 

@@ -10,9 +10,14 @@ state or the strategy.  Ties p(tau_i^+) = c_i (within TIE_TOL) choose v_i = 1.
 For sigma_star > 0 the realized pulse set depends on the state, so the sweep
 is alternated with forward runs until a forward run realizes the set its
 sweep used (fixed_point_pulse; optimal_pulse is that loop from every
-candidate).  brute_force_pulse enumerates all vertex strategies of the
-averaged model as an exact oracle.  The mixed problem is handled by projected
-gradient on u with the pulses recomputed by the fixed point after each update.
+candidate).  A forward run reads v only where it pulses, so a sweep whose v
+equals what the run before applied there ends the loop on that run instead
+of running it again.  brute_force_pulse enumerates all vertex strategies of
+the averaged model as an exact oracle.  The mixed problem is handled by
+projected gradient on u with the pulses recomputed by the fixed point after
+each update; its line search starts no further than twice the step past
+which the projection no longer moves, and runs no fixed point for a trial
+control that repeats the one before.
 
 Every optimizer builds one propagator per (problem, u) with
 :func:`inhibopt.adjoint._propagator` and runs the shared loops of
@@ -46,6 +51,7 @@ BRUTE_FORCE_CAP = 20
 VERTEX_CHUNK = 2**13  # strategies costed per array pass of brute_force_pulse
 CERT_BLOCK_VALUES = 2**16  # values per array pass of certificate_check (a block of pulses)
 GAMMA_MIN, GAMMA_MAX = 1e-10, 1e10  # bounds of the spectral step of projected_gradient_mixed
+SAT_BLOCK_VALUES = 2**16  # values per array pass of the line search's saturating step
 
 
 class PulseCycleError(SolverError):
@@ -170,18 +176,34 @@ def _result(prop, strategy, u, costs, forward=None, adjoint=None, store_every=1,
     return result
 
 
-def _pulse_loop(prop, u, costs, realized: frozenset, max_iterations: int, store_every: int):
-    """The loop of fixed_point_pulse (see there) from the realized set ``realized``."""
+def _repeats(v: np.ndarray, forward) -> bool:
+    """Whether a forward run of ``v`` would repeat ``forward`` bit for bit: a run reads v
+    only at the pulses it realizes, so it does when v equals what ``forward`` applied there."""
+    applied = _per_point(np.array([j.applied for j in forward.jumps]), v.ndim)
+    return bool((v[[j.candidate_index for j in forward.jumps]] == applied).all())
+
+
+def _pulse_loop(prop, u, costs, forward, max_iterations: int, store_every: int):
+    """The loop of fixed_point_pulse (see there) after ``forward``, the run before the
+    first sweep, or from every candidate realized when ``forward`` is None."""
     if max_iterations < 1:
         raise ProblemError("max_iterations must be >= 1")
+    realized = frozenset(range(prop.time_grid.n_candidates) if forward is None
+                         else (j.candidate_index for j in forward.jumps))
     swept: list[frozenset] = []
     converged = False
     while not converged and len(swept) < max_iterations:
         swept.append(realized)
-        forward = adjoint = None  # only the new costate and its forward run are alive
+        adjoint = None  # only the new costate and the last forward run are alive
         v, adjoint = _sweep(prop, costs, realized, store_every)
         strategy = PulseStrategy(v)
-        forward = prop.forward(strategy, store_every)
+        if forward is not None and _repeats(v, forward):
+            rows = _rows(strategy.values)  # the run of v is ``forward``, with a fresh run's decisions
+            forward = replace(forward, jumps=[j._replace(applied=rows[j.candidate_index])
+                                              for j in forward.jumps])
+        else:
+            forward = None  # the run before goes before the new one is built
+            forward = prop.forward(strategy, store_every)
         realized = frozenset(j.candidate_index for j in forward.jumps)
         converged = realized == swept[-1]
         if not converged and realized in swept:
@@ -210,8 +232,7 @@ def optimal_pulse(
     """
     if problem.chem.sigma_star > 0:
         raise ProblemError("optimal_pulse requires sigma_star = 0; use fixed_point_pulse")
-    every = frozenset(range(problem.time_grid.n_candidates))
-    return _pulse_loop(_propagator(problem, u), u, costs, every, 1, store_every)
+    return _pulse_loop(_propagator(problem, u), u, costs, None, 1, store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +377,20 @@ def fixed_point_pulse(
     the set the run without intervention realizes; each iteration sweeps on R
     and runs the decided v forward, which realizes R'.  The costate between
     pulses does not depend on the state, so v is a function of R alone: R' = R
-    converges, and that sweep's costate is the result's.  An R' swept on
-    before raises PulseCycleError(R', R); at the cap the last iterate is
-    returned unconverged, its costate computed on the final set.
-    ``iterations`` counts the sweeps; every run keeps the nodes of
-    ``store_every`` (see optimal_pulse), and the result is the same for any.
+    converges, and that sweep's costate is the result's.  A run reads v only
+    at the pulses it realizes, so when v equals, bit for bit on R, what the
+    run that realized R applied there, that run is the run of v: R' = R
+    without another forward run, and the result keeps that run with v's rows
+    as its decisions.  An R' swept on before raises PulseCycleError(R', R); at
+    the cap the last iterate is returned unconverged, its costate computed on
+    the final set.  ``iterations`` counts the sweeps; every run keeps the
+    nodes of ``store_every`` (see optimal_pulse), and the result is the same
+    for any.
     """
     if problem.chem.sigma_star == 0:
         return optimal_pulse(problem, u, costs, store_every)
-    prop = _propagator(problem, u)
-    unforced = frozenset(j.candidate_index for j in prop.forward(None, store_every).jumps)
-    return _pulse_loop(prop, u, costs, unforced, max_iterations, store_every)
+    prop = _propagator(problem, u)  # only the loop holds the unforced run, so it can drop it
+    return _pulse_loop(prop, u, costs, prop.forward(None, store_every), max_iterations, store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +416,21 @@ def _spectral_step(prop, s: np.ndarray, y: np.ndarray) -> float:
     return min(max(_control_inner(s, s, w, dt) / sy, GAMMA_MIN), GAMMA_MAX)
 
 
+def _saturating_step(u: np.ndarray, ubar: np.ndarray) -> float:
+    """The last breakpoint of the projected path clip(u - gamma*ubar, 0, 1), past which no
+    sample moves: the largest u/ubar where ubar > 0 and (u - 1)/ubar where ubar < 0, or 0
+    when no sample can move.  Taken ``SAT_BLOCK_VALUES`` at a time, so no temporary is the
+    size of u."""
+    rows = max(1, SAT_BLOCK_VALUES // (u.size // len(u)))
+    sat = 0.0
+    for start in range(0, len(u), rows):
+        a, b = u[start:start + rows], ubar[start:start + rows]
+        for side, bound in ((b > 0, 0.0), (b < 0, 1.0)):
+            if side.any():
+                sat = max(sat, float(np.max((a[side] - bound) / b[side])))
+    return sat
+
+
 def projected_gradient_mixed(
     problem: AveragedProblem | PdeProblem,
     costs: CostSpec,
@@ -409,7 +448,13 @@ def projected_gradient_mixed(
     until the total cost strictly decreases, the pulse strategy being
     recomputed by fixed_point_pulse after every control update; a trial whose
     fixed point cycles or stops at its cap is rejected like one that does not
-    lower J.  ubar = C - S/(1-sigma*u)^2, from the switching function
+    lower J.  Each line search starts at min(gamma, 2*gamma_sat), gamma_sat
+    being the last breakpoint of the projected path (the largest u/ubar where
+    ubar > 0 and (u - 1)/ubar where ubar < 0): every larger step gives the
+    same clipped control as 2*gamma_sat, whose samples with ubar != 0 all
+    land on their bound.  A trial whose clipped control equals the trial
+    before it is halved without a fixed point, as it would be rejected
+    again.  ubar = C - S/(1-sigma*u)^2, from the switching function
     S = sigma*alpha*p*theta computed once for u0 and each accepted control, is
     the exact gradient only while the realized pulse set stays fixed: J(u) is
     piecewise smooth under a threshold.  The first trial step is gamma0;
@@ -423,9 +468,11 @@ def projected_gradient_mixed(
     ``diagnostics["stop_reason"]`` names the stop: stationary, step tolerance,
     cost tolerance, line search failed or iteration cap;
     ``diagnostics["line_search_halvings"]`` counts the step halvings over all
-    iterations, ``"fixed_point_rejections"`` the rejected fixed points among
-    them and ``"realized_set_changes"`` the accepted iterations whose fixed
-    point realized another pulse set than the iterate before.  For fields
+    iterations, ``"fixed_points"`` the fixed points run (the one at u0 and
+    every trial's, rejected ones included), ``"fixed_point_rejections"`` those
+    that cycled or stopped at their cap and ``"realized_set_changes"`` the
+    accepted iterations whose fixed point realized another pulse set than the
+    iterate before.  For fields
     ``diagnostics["cg"]`` sums the CG counters of every fixed point, rejected
     ones included.  The certificate keeps the final S and records, per time
     sample, whether u meets the bang-bang condition.  Needs 0 < sigma < 1.
@@ -445,6 +492,8 @@ def projected_gradient_mixed(
 
     def fixed_point(control):
         """fixed_point_pulse at ``control``; its CG counters, a cycle's too, add to ``cg``."""
+        nonlocal fixed_points
+        fixed_points += 1
         try:
             res = fixed_point_pulse(problem, control, costs)
         except PulseCycleError as err:
@@ -458,6 +507,7 @@ def projected_gradient_mixed(
     def ubar(switching, control):
         return _ubar(switching, prop.sigma, control.samples, costs)
 
+    fixed_points = 0
     current = fixed_point(u)
     switching = prop.chemical_rate(current.forward, _span_midpoints(current.adjoint))
     j_history = [current.cost.total]
@@ -469,21 +519,26 @@ def projected_gradient_mixed(
     while iterations < max_iterations:
         iterations += 1
         accepted = stationary = False
+        gamma = min(gamma, 2.0 * _saturating_step(u.samples, ubar(switching, u)))
+        tried = None  # the clipped control of the trial before
         for _ in range(max_halvings + 1):
             u_new = ContinuousControl(np.clip(u.samples - gamma * ubar(switching, u), 0.0, 1.0))
             if np.array_equal(u_new.samples, u.samples):
                 stationary = True  # projection fixed point: no admissible descent
                 break
-            trial = None  # a rejected trial's records go before the next trial runs
-            try:
-                trial = fixed_point(u_new)
-            except PulseCycleError:
-                pass
-            if trial is None or not trial.converged:
-                rejections += 1
-            elif trial.cost.total < j_history[-1]:
-                accepted = True
-                break
+            repeat = tried is not None and np.array_equal(u_new.samples, tried)
+            tried = u_new.samples
+            if not repeat:  # a repeated control would be rejected again
+                trial = None  # a rejected trial's records go before the next trial runs
+                try:
+                    trial = fixed_point(u_new)
+                except PulseCycleError:
+                    pass
+                if trial is None or not trial.converged:
+                    rejections += 1
+                elif trial.cost.total < j_history[-1]:
+                    accepted = True
+                    break
             gamma *= shrink
             halvings += 1
         if not accepted:
@@ -511,7 +566,8 @@ def projected_gradient_mixed(
                for a in (costs.continuous_unit, u.samples))
     cont_cert = ContinuousCertificate(tg.mid_times.copy(), cu, switching, prop.sigma, u_s)
     diag = {"cost_history": j_history, "stop_reason": stop_reason, "line_search_halvings": halvings,
-            "fixed_point_rejections": rejections, "realized_set_changes": set_changes}
+            "fixed_points": fixed_points, "fixed_point_rejections": rejections,
+            "realized_set_changes": set_changes}
     if cg is not None:
         diag["cg"] = asdict(cg)
     return replace(current, iterations=iterations, converged=converged,

@@ -201,7 +201,7 @@ class TestOptimizeCommands:
         _, extras = iomod.config_from_manifest(out / "manifest")
         realized = sum(int(r["is_pulse"]) for r in read_rows(out / "trajectory.csv"))
         assert extras["realized_pulses"] == realized == 5  # of 12 candidates, the rest below sigma*
-        assert "line_search_halvings" not in extras
+        assert "line_search_halvings" not in extras and "fixed_points" not in extras
 
         mixed = {**AVERAGED_CFG, "cost": {"pulse_unit": 0.4, "continuous_unit": 0.1}}
         out = tmp_path / "mixed"
@@ -213,6 +213,7 @@ class TestOptimizeCommands:
         bundle = iomod.resolve_bundle(mixed)
         res = ib.projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
         assert extras["line_search_halvings"] == res.diagnostics["line_search_halvings"]
+        assert extras["fixed_points"] == res.diagnostics["fixed_points"] >= 1
 
     def test_brute_force_small_instance(self, tmp_path):
         cfg = dict(AVERAGED_CFG)

@@ -482,6 +482,8 @@ def _threshold_cases():
     _, prob, costs = _spacing_case("field fixed_point_pulse")
     for m in (1, 7):
         yield f"field m={m}", prob, None, costs, m
+    # no pulse is worth its cost: the first sweep keeps the unforced run
+    yield "field, dear pulses", prob, None, ib.CostSpec.constant(prob.time_grid, 10.0), 1
 
 
 def test_fixed_point_matches_the_loop_with_a_confirming_pass():
@@ -527,18 +529,23 @@ def test_no_sweep_repeats_the_set_of_the_sweep_before_it(monkeypatch):
 
 def test_alternating_realized_sets_raise_a_cycle(monkeypatch):
     # the forward runs after the unforced one realize the odd, then the even,
-    # then the odd candidates again: the third sweep's set was swept before
+    # then the odd candidates again: the third sweep's set was swept before.
+    # Each run applies its strategy at the pulses it realizes.  Odd pulses cost
+    # more than even ones, so each sweep's v differs on its set from what the
+    # run before applied there, and every sweep is followed by a forward run
     make = optimize._propagator
+    runs = []
 
     def alternating(problem, u):
         prop = make(problem, u)
         forward = prop.forward
-        runs = []
 
         def fake(strategy, store_every=1):
             traj = forward(strategy, store_every)
             if runs:
-                traj.jumps = [j for j in runs[0].jumps if j.candidate_index % 2 == len(runs) % 2]
+                v = strategy.values.tolist()
+                traj.jumps = [j._replace(post=v[j.candidate_index] * j.pre, applied=v[j.candidate_index])
+                              for j in runs[0].jumps if j.candidate_index % 2 == len(runs) % 2]
             runs.append(traj)
             return traj
 
@@ -547,20 +554,36 @@ def test_alternating_realized_sets_raise_a_cycle(monkeypatch):
 
     monkeypatch.setattr(optimize, "_propagator", alternating)
     prob = reference_averaged(sigma_star=0.2)
+    tg = prob.time_grid
+    costs = ib.CostSpec(np.where(np.arange(tg.n_candidates) % 2, 0.5, 0.4), np.zeros(tg.n_steps), 0.0)
     with pytest.raises(ib.PulseCycleError) as info:
-        ib.fixed_point_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.4))
-    odd = {k for k in range(prob.time_grid.n_candidates) if k % 2}
+        ib.fixed_point_pulse(prob, None, costs)
+    odd = {k for k in range(tg.n_candidates) if k % 2}
     assert info.value.set_a and info.value.set_b
     assert info.value.set_a <= odd and not info.value.set_b & odd
+    assert len(runs) == 4  # the unforced run and one per sweep
 
 
 def test_field_fixed_point_computes_no_costate_again():
     # the unforced run, then a sweep and a forward run per iteration, one CG
-    # solve per step each: the converged sweep's costate is the result's
+    # solve per step each: the converged sweep's costate is the result's, and
+    # its v repeats the run before, which ends the loop without a forward run
     _, prob, costs = _spacing_case("field fixed_point_pulse")
     res = ib.fixed_point_pulse(prob, None, costs)
     assert res.converged and res.iterations >= 2
-    assert res.diagnostics["cg"]["solves"] == (1 + 2 * res.iterations) * prob.time_grid.n_steps
+    assert res.diagnostics["cg"]["solves"] == 2 * res.iterations * prob.time_grid.n_steps
+
+
+def test_field_first_sweep_that_keeps_the_unforced_run_ends_the_loop():
+    # the sweep decides v = 1 wherever the unforced run pulsed, so that run is
+    # the result's (the "dear pulses" case of the oracle comparison), its
+    # scalar decisions replaced by views of v's rows, as a fresh run of v has them
+    _, prob, _ = _spacing_case("field fixed_point_pulse")
+    res = ib.fixed_point_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 10.0))
+    assert res.converged and res.iterations == 1 and res.forward.jumps
+    assert res.diagnostics["cg"]["solves"] == 2 * prob.time_grid.n_steps
+    for j in res.forward.jumps:
+        assert j.applied.shape == prob.grid.dims and j.applied.base is res.strategy.values
 
 
 def test_iteration_cap_returns_a_consistent_unconverged_iterate():
@@ -801,6 +824,71 @@ class TestProjectedGradientMixed:
         assert optimize._spectral_step(prop, s, y) == pytest.approx(weighted, rel=1e-12)
         assert optimize._spectral_step(prop, s, 1e12 * y) == optimize.GAMMA_MIN
         assert optimize._spectral_step(prop, s, 1e-12 * y) == optimize.GAMMA_MAX
+
+    @pytest.mark.parametrize("block", [optimize.SAT_BLOCK_VALUES, 7])
+    def test_saturating_step_is_the_last_breakpoint(self, monkeypatch, block):
+        # past 2*gamma_sat every sample with ubar != 0 sits on its bound, so the
+        # clipped control is the one GAMMA_MAX gives; just below gamma_sat one
+        # sample has not reached its bound yet.  Blocks of rows give the same value
+        monkeypatch.setattr(optimize, "SAT_BLOCK_VALUES", block)
+        rng = np.random.default_rng(5)
+        u = rng.uniform(0.0, 1.0, (40, 3, 2))
+        ubar = rng.normal(size=u.shape)
+        u[:5], ubar[:5] = 0.0, np.abs(ubar[:5])  # pushed against their bounds
+        u[5:10], ubar[5:10] = 1.0, -np.abs(ubar[5:10])
+        ubar[::7] = 0.0
+        sat = optimize._saturating_step(u, ubar)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = np.max(np.where(ubar > 0, u / ubar, np.where(ubar < 0, (u - 1.0) / ubar, 0.0)))
+        assert sat == want > 0.0
+        far = np.clip(u - optimize.GAMMA_MAX * ubar, 0.0, 1.0)
+        assert np.array_equal(np.clip(u - 2.0 * sat * ubar, 0.0, 1.0), far)
+        assert not np.array_equal(np.clip(u - 0.99 * sat * ubar, 0.0, 1.0), far)
+        assert optimize._saturating_step(u[:10], ubar[:10]) == 0.0  # no sample can move
+
+    @pytest.mark.parametrize("sigma_star, cost_before, max_fixed_points, max_runs", [
+        (0.4166, 0.08484024929258857, 153, 612),
+        (0.41, 0.0843075941714144, 197, 788),
+    ])
+    def test_no_line_search_evaluates_one_control_twice(self, monkeypatch, sigma_star, cost_before,
+                                                        max_fixed_points, max_runs):
+        # a search that started at GAMMA_MAX tried one saturated control about
+        # 20 times running, each a fixed point: 253 and 324 of them, 1265 and
+        # 1620 runs, and a stop at "line search failed" with the J given here
+        cfg = {"model": {"t_end": 0.25, "sigma_star": sigma_star, "theta0": 0.3769},
+               "cost": {"pulse_unit": 0.0613, "continuous_unit": 0.002, "final": 0.3118}}
+        bundle = iomod.resolve_bundle(cfg)
+        real_fixed_point, real_saturating = optimize.fixed_point_pulse, optimize._saturating_step
+        real_forward, real_backward = core.Propagator.forward, core.Propagator.backward
+        searches, runs = [], []
+
+        def recording(problem, u, costs):
+            if searches:  # not the fixed point at u0
+                searches[-1].append(u.samples.tobytes())
+            return real_fixed_point(problem, u, costs)
+
+        def search_starts(u, ubar):
+            searches.append([])
+            return real_saturating(u, ubar)
+
+        def counted(real):
+            def run(*args, **kwargs):
+                runs.append(real)
+                return real(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(optimize, "fixed_point_pulse", recording)
+        monkeypatch.setattr(optimize, "_saturating_step", search_starts)
+        monkeypatch.setattr(core.Propagator, "forward", counted(real_forward))
+        monkeypatch.setattr(core.Propagator, "backward", counted(real_backward))
+        res = ib.projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
+        diag = res.diagnostics
+        assert len(searches) == res.iterations
+        assert all(len(set(trials)) == len(trials) for trials in searches)
+        assert diag["fixed_points"] == 1 + sum(map(len, searches)) <= max_fixed_points
+        assert len(runs) <= max_runs
+        assert diag["stop_reason"] == "step tolerance"
+        assert (res.cost.total - cost_before) / cost_before <= 1e-6
 
     def test_cheap_control_converges(self):
         # the capped reset-every-iteration step ended at J = 0.28877322 with max u = 0.384
