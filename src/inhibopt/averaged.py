@@ -51,16 +51,20 @@ from .model import (
 )
 
 
-def _exponential_coefficients(alpha: Callable, mids: np.ndarray, u_samples, sigma: float,
-                              dt: np.ndarray):
-    """Per-step alpha, attractor, rate and decay, alpha and u frozen at the step midpoints."""
+def _alpha_samples(alpha: Callable, mids: np.ndarray) -> np.ndarray:
+    """alpha at the step midpoints, each finite."""
     a = np.broadcast_to(np.asarray(alpha(mids), dtype=float), mids.shape)
     bad = ~np.isfinite(a)
     if bad.any():
         raise QuadratureError(float(mids[np.argmax(bad)]))
+    return a
+
+
+def _exponential_coefficients(a: np.ndarray, u_samples, sigma: float, dt: np.ndarray):
+    """Per-step attractor, rate and decay of the midpoint alpha samples ``a`` and the u samples."""
     attr = 1.0 - sigma * u_samples
     rate = a / attr
-    return a, attr, rate, np.exp(-rate * dt)
+    return attr, rate, np.exp(-rate * dt)
 
 
 def _source_weights(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
@@ -70,20 +74,26 @@ def _source_weights(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
 
 class AveragedPropagator(Propagator):
-    """Exact exponential steps of the scalar model for one chemical control."""
+    """Exact exponential steps of the scalar model for one chemical control (``at(u)``
+    keeps the alpha samples and recomputes each step's attractor, decay and weight)."""
 
     shape = ()
     zero = 0.0
 
     def __init__(self, problem: AveragedProblem, u: ContinuousControl | None = None):
         tg = problem.time_grid
-        if u is None:
-            u = ContinuousControl.constant(tg, 0.0)
-        self._alpha_mid, attr, rate, decay = _exponential_coefficients(
-            problem.alpha, tg.mid_times, u.samples, problem.chem.sigma, tg.dt)
-        self.time_grid, self.sigma, self.u_samples = tg, problem.chem.sigma, u.samples
+        self._alpha_mid = _alpha_samples(problem.alpha, tg.mid_times)
+        self.time_grid, self.sigma = tg, problem.chem.sigma
         self.initial = float(problem.theta0)
         self.threshold = problem.chem.sigma_star
+        self._aim(u)
+
+    def _aim(self, u: ContinuousControl | None) -> None:
+        tg = self.time_grid
+        if u is None:
+            u = ContinuousControl.constant(tg, 0.0)
+        self.u_samples = u.samples
+        attr, rate, decay = _exponential_coefficients(self._alpha_mid, u.samples, self.sigma, tg.dt)
         self.attr, self.decay = attr.tolist(), decay.tolist()
         self.w = _source_weights(rate, tg.dt).tolist()
 
@@ -140,7 +150,8 @@ def semiflow_step(
     edges = t_from + (t_to - t_from) * np.arange(n + 1) / n
     mids = (edges[:-1] + edges[1:]) / 2.0
     u_samples = np.broadcast_to(np.asarray(u(mids), dtype=float), mids.shape)
-    _, attr, _, decay = _exponential_coefficients(alpha, mids, u_samples, sigma, np.diff(edges))
+    attr, _, decay = _exponential_coefficients(_alpha_samples(alpha, mids), u_samples, sigma,
+                                               np.diff(edges))
     theta = float(theta_start)
     for a, d in zip(attr.tolist(), decay.tolist()):
         theta = a + (theta - a) * d

@@ -169,7 +169,7 @@ def _task_gradient_check(bundle: iomod.Bundle) -> tuple[dict, list]:
     adj = prop.adjoint(v_base, costs, forward)
 
     def j_of(u, v):
-        p = _propagator(problem, u)
+        p = prop.at(u)
         return p.cost(p.forward(v), v, u, costs).total
 
     d_v = rng.random(v_base.values.shape) - 0.5

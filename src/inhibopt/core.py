@@ -31,6 +31,7 @@ arrays.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -261,12 +262,21 @@ def _cost(traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec,
 class Propagator(_OnGrid):
     """Model-independent algorithms over a model's span flow, gate and pressure.
 
-    Subclasses set ``time_grid``, ``sigma``, ``shape``, ``u_samples``,
-    ``initial`` and ``zero`` and implement ``state``, ``flow``, ``gate`` and
-    ``alpha_mid``; field propagators also set ``grid``, from which
+    Subclasses set ``time_grid``, ``sigma``, ``shape``, ``threshold``,
+    ``initial`` and ``zero`` and implement ``state``, ``flow``, ``gate``,
+    ``alpha_mid`` and ``_aim(u)``, which sets ``u_samples`` and all else that
+    the chemical control u changes, so ``at(u)`` re-aims a propagator without
+    building another; field propagators also set ``grid``, from which
     ``space_weight`` is read, and report their solver counters through
     ``diagnostics``.
     """
+
+    def at(self, u: ContinuousControl | None) -> Propagator:
+        """A shallow copy aimed at ``u`` by ``_aim``, sharing all else (work arrays and
+        counters too): the two must not step at once."""
+        prop = copy.copy(self)
+        prop._aim(u)
+        return prop
 
     def record(self, n: int):
         """Storage for n rows, written by index and slice and read back by ``np.asarray``."""

@@ -19,15 +19,17 @@ each update; its line search starts no further than twice the step past
 which the projection no longer moves, and runs no fixed point for a trial
 control that repeats the one before.
 
-Every optimizer builds one propagator per (problem, u) with
+Every optimizer builds one propagator with
 :func:`inhibopt.adjoint._propagator` and runs the shared loops of
 :mod:`inhibopt.core` on it: the sweep is the costate sweep with the
-bang-bang rule as its decision.
+bang-bang rule as its decision.  The mixed optimizer runs the one fixed-point
+loop, :func:`_pulse_loop`, on that propagator re-aimed at each control it
+tries (``Propagator.at``), so its counters count every solve of the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,7 +46,6 @@ from .model import (
     PulseStrategy,
     SolverError,
 )
-from .pde import CGCounters
 
 TIE_TOL = 1e-12
 BRUTE_FORCE_CAP = 20
@@ -55,19 +56,14 @@ SAT_BLOCK_VALUES = 2**16  # values per array pass of the line search's saturatin
 
 
 class PulseCycleError(SolverError):
-    """Threshold fixed-point iteration entered a cycle of realized pulse sets.
+    """Threshold fixed-point iteration entered a cycle of realized pulse sets."""
 
-    ``diagnostics`` holds the propagator's counters up to the cycle (the
-    solver work of a field fixed point that did not converge).
-    """
-
-    def __init__(self, set_a, set_b, diagnostics: dict | None = None):
+    def __init__(self, set_a, set_b):
         super().__init__(
             f"realized pulse sets alternate without converging: {sorted(set_a)} <-> {sorted(set_b)}"
         )
         self.set_a = frozenset(set_a)
         self.set_b = frozenset(set_b)
-        self.diagnostics = diagnostics or {}
 
 
 @dataclass(frozen=True)
@@ -183,11 +179,10 @@ def _repeats(v: np.ndarray, forward) -> bool:
     return bool((v[[j.candidate_index for j in forward.jumps]] == applied).all())
 
 
-def _pulse_loop(prop, u, costs, forward, max_iterations: int, store_every: int):
-    """The loop of fixed_point_pulse (see there) after ``forward``, the run before the
-    first sweep, or from every candidate realized when ``forward`` is None."""
-    if max_iterations < 1:
-        raise ProblemError("max_iterations must be >= 1")
+def _pulse_loop(prop, u, costs, max_iterations: int = 50, store_every: int = 1):
+    """The loop of fixed_point_pulse (see there) on ``prop``, aimed at ``u``: from the set
+    the run without intervention realizes under a threshold, else from every candidate."""
+    forward = prop.forward(None, store_every) if prop.threshold > 0 else None
     realized = frozenset(range(prop.time_grid.n_candidates) if forward is None
                          else (j.candidate_index for j in forward.jumps))
     swept: list[frozenset] = []
@@ -207,7 +202,7 @@ def _pulse_loop(prop, u, costs, forward, max_iterations: int, store_every: int):
         realized = frozenset(j.candidate_index for j in forward.jumps)
         converged = realized == swept[-1]
         if not converged and realized in swept:
-            raise PulseCycleError(realized, swept[-1], prop.diagnostics())
+            raise PulseCycleError(realized, swept[-1])
     if not converged:
         adjoint = None  # it swept on the set before the last one
     return _result(prop, strategy, u, costs, forward, adjoint, store_every,
@@ -232,7 +227,7 @@ def optimal_pulse(
     """
     if problem.chem.sigma_star > 0:
         raise ProblemError("optimal_pulse requires sigma_star = 0; use fixed_point_pulse")
-    return _pulse_loop(_propagator(problem, u), u, costs, None, 1, store_every)
+    return _pulse_loop(_propagator(problem, u), u, costs, 1, store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +382,11 @@ def fixed_point_pulse(
     nodes of ``store_every`` (see optimal_pulse), and the result is the same
     for any.
     """
+    if max_iterations < 1:
+        raise ProblemError("max_iterations must be >= 1")
     if problem.chem.sigma_star == 0:
         return optimal_pulse(problem, u, costs, store_every)
-    prop = _propagator(problem, u)  # only the loop holds the unforced run, so it can drop it
-    return _pulse_loop(prop, u, costs, prop.forward(None, store_every), max_iterations, store_every)
+    return _pulse_loop(_propagator(problem, u), u, costs, max_iterations, store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +442,8 @@ def projected_gradient_mixed(
 
     Each iteration takes u <- clip(u - gamma*ubar, 0, 1) with gamma halved
     until the total cost strictly decreases, the pulse strategy being
-    recomputed by fixed_point_pulse after every control update; a trial whose
+    recomputed by the loop of fixed_point_pulse after every control update, on
+    the run's one propagator re-aimed at the control; a trial whose
     fixed point cycles or stops at its cap is rejected like one that does not
     lower J.  Each line search starts at min(gamma, 2*gamma_sat), gamma_sat
     being the last breakpoint of the projected path (the largest u/ubar where
@@ -472,10 +469,10 @@ def projected_gradient_mixed(
     every trial's, rejected ones included), ``"fixed_point_rejections"`` those
     that cycled or stopped at their cap and ``"realized_set_changes"`` the
     accepted iterations whose fixed point realized another pulse set than the
-    iterate before.  For fields
-    ``diagnostics["cg"]`` sums the CG counters of every fixed point, rejected
-    ones included.  The certificate keeps the final S and records, per time
-    sample, whether u meets the bang-bang condition.  Needs 0 < sigma < 1.
+    iterate before.  For fields ``diagnostics["cg"]`` counts the CG solves of
+    every fixed point, rejected ones included.  The certificate keeps the
+    final S and records, per time sample, whether u meets the bang-bang
+    condition.  Needs 0 < sigma < 1.
     """
     if not problem.chem.sigma > 0:
         raise ProblemError("projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)")
@@ -484,31 +481,16 @@ def projected_gradient_mixed(
                            "where 1 - sigma*u must stay > 0")
     tg = problem.time_grid
     u = u0 if u0 is not None else ContinuousControl.constant(tg, 0.0)
-    prop = _propagator(problem, u)  # only its u-independent parts are used below
+    prop = _propagator(problem, None)  # every fixed point re-aims it at its control
     full_shape = (tg.n_steps, *prop.shape)
     if u.samples.shape != full_shape:
         u = ContinuousControl(np.broadcast_to(_per_point(u.samples, len(full_shape)), full_shape))
-    cg = CGCounters() if "cg" in prop.diagnostics() else None  # a field's solves, all fixed points
-
-    def fixed_point(control):
-        """fixed_point_pulse at ``control``; its CG counters, a cycle's too, add to ``cg``."""
-        nonlocal fixed_points
-        fixed_points += 1
-        try:
-            res = fixed_point_pulse(problem, control, costs)
-        except PulseCycleError as err:
-            if cg is not None and "cg" in err.diagnostics:
-                cg.add(err.diagnostics["cg"])
-            raise
-        if cg is not None:
-            cg.add(res.diagnostics["cg"])
-        return res
 
     def ubar(switching, control):
         return _ubar(switching, prop.sigma, control.samples, costs)
 
-    fixed_points = 0
-    current = fixed_point(u)
+    current = _pulse_loop(prop.at(u), u, costs)
+    fixed_points = 1
     switching = prop.chemical_rate(current.forward, _span_midpoints(current.adjoint))
     j_history = [current.cost.total]
     iterations = 0
@@ -530,8 +512,9 @@ def projected_gradient_mixed(
             tried = u_new.samples
             if not repeat:  # a repeated control would be rejected again
                 trial = None  # a rejected trial's records go before the next trial runs
+                fixed_points += 1
                 try:
-                    trial = fixed_point(u_new)
+                    trial = _pulse_loop(prop.at(u_new), u_new, costs)
                 except PulseCycleError:
                     pass
                 if trial is None or not trial.converged:
@@ -567,9 +550,7 @@ def projected_gradient_mixed(
     cont_cert = ContinuousCertificate(tg.mid_times.copy(), cu, switching, prop.sigma, u_s)
     diag = {"cost_history": j_history, "stop_reason": stop_reason, "line_search_halvings": halvings,
             "fixed_points": fixed_points, "fixed_point_rejections": rejections,
-            "realized_set_changes": set_changes}
-    if cg is not None:
-        diag["cg"] = asdict(cg)
+            "realized_set_changes": set_changes, **prop.diagnostics()}
     return replace(current, iterations=iterations, converged=converged,
                    continuous_certificate=cont_cert, diagnostics=diag)
 

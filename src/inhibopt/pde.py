@@ -31,8 +31,8 @@ steps inside a span overwrite in place, so stencil applies, CG iterations and
 those steps allocate nothing.  It also builds, once, the shifted flat views
 with which its two fixed applies run: CG's direction into its image, and the
 state into the residual, where each step's right-hand-side apply goes.
-:class:`FieldPropagator` builds its one :class:`DiscreteOperator` on its rate
-buffer; every apply still enters through :meth:`DiscreteOperator.apply`.
+:class:`FieldPropagator` builds one :class:`DiscreteOperator` per control on
+its rate buffer; every apply still enters through :meth:`DiscreteOperator.apply`.
 Kernel calls write into buffers their caller owns: the propagator owns the
 step's pressure and rate, a span's end state is fresh (as are the jump
 records), and ``cn_step`` passes buffers of its own.  A CN step may overwrite
@@ -52,7 +52,7 @@ one coefficient multiplies by that float, and not at all when it is 1.0;
 the first axis writes 0.0 + flux instead of adding to a zero-filled output,
 and its crossings, which lie past its flux, are not zeroed;
 division by ds^2 happens only when ds^2 != 1.0; the rate is alpha itself when
-sigma = 0 or u = 0 everywhere (decided once per propagator), as
+sigma = 0 or u = 0 everywhere (decided once per propagator and control), as
 1 - sigma*u is then exactly 1; and CG tests convergence right after it
 updates the residual, so the last iteration does not update its direction.
 """
@@ -227,13 +227,6 @@ class CGCounters:
         self.max_iterations = max(self.max_iterations, iterations)
         self.worst_residual = max(self.worst_residual, residual)
 
-    def add(self, counts: dict) -> None:
-        """Add another propagator's counters (its ``diagnostics()["cg"]``)."""
-        self.solves += counts["solves"]
-        self.iterations += counts["iterations"]
-        self.max_iterations = max(self.max_iterations, counts["max_iterations"])
-        self.worst_residual = max(self.worst_residual, counts["worst_residual"])
-
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product of two flat arrays in the loop of ``np.einsum("i,i->", a, b)``,
@@ -358,28 +351,32 @@ class FieldPropagator(Propagator):
     span overwrite in place, and one operator on the rate buffer serve every
     step.  The propagator owns the step's pressure and rate, so one propagator
     must not step from two threads at once, and a step inside a span allocates
-    nothing; ``cg`` counts the CG solves of all its steps.
+    nothing; ``cg`` counts the CG solves of all its steps and of every copy
+    ``at(u)`` makes, which shares all but the u rows, unit divisor and operator.
     """
 
     def __init__(self, problem: PdeProblem, u: ContinuousControl | None = None):
         tg = problem.time_grid
         self.problem, self.time_grid, self.sigma = problem, tg, problem.chem.sigma
         self.grid, self.shape = problem.grid, problem.grid.dims
-        self.u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
-        self._u = _rows(self.u_samples)
         self.threshold = problem.chem.sigma_star * problem.grid.volume
         self.initial = problem.initial.values.copy()
         self.zero = np.zeros(self.shape)
         self.mid_times, self.dt = tg.mid_times, tg.dt.tolist()
         self.stencil = _Stencil(problem.diffusion, problem.grid.spacing)
         self.cg = CGCounters()
-        self.unit_divisor = _unit_divisor(self.sigma, self.u_samples)
         self.rate = np.empty(self.shape)  # the step's rate
         # the array every step's pressure lands in: this buffer, or a constant
         # pressure's own field, which field_at returns whatever out is
         self.alpha = problem.pressure.field_at(0.0, out=np.empty(self.shape))
-        self.op = DiscreteOperator(problem.diffusion, self.alpha if self.unit_divisor else self.rate,
-                                   problem.grid.spacing, self.stencil)
+        self._aim(u)
+
+    def _aim(self, u: ContinuousControl | None) -> None:
+        self.u_samples = u.samples if u is not None else np.zeros(self.time_grid.n_steps)
+        self._u = _rows(self.u_samples)
+        self.unit_divisor = _unit_divisor(self.sigma, self.u_samples)
+        rate = self.alpha if self.unit_divisor else self.rate
+        self.op = DiscreteOperator(self.problem.diffusion, rate, self.grid.spacing, self.stencil)
 
     def state(self, a) -> np.ndarray:
         return np.broadcast_to(a, self.shape).astype(float)

@@ -220,3 +220,31 @@ def test_field_jump_records_view_their_stored_rows(store_every):
             kept = getattr(j, name)
             assert np.shares_memory(kept, traj.values)
             assert np.array_equal(kept, traj.values[rows[j.node_index]])
+
+
+@pytest.mark.parametrize("model", ["averaged", "field"])
+def test_a_reaimed_propagator_runs_as_a_new_one(model):
+    # u = 0, then u != 0 (spatially varying on the field), then u = 0 again, so
+    # the field operator moves from the pressure to the rate buffer and back
+    prob, _, v, _, costs = _case(model, "gated")
+    tg = prob.time_grid
+    shape = prob.grid.dims if model == "field" else ()
+    varying = np.random.default_rng(3).uniform(0.0, 0.6, (tg.n_steps, *shape))
+    controls = [None, ib.ContinuousControl(varying), ib.ContinuousControl.constant(tg, 0.0)]
+    base = aimed = _propagator(prob, None)
+    fresh_solves = 0
+    for u in controls:
+        aimed, fresh = aimed.at(u), _propagator(prob, u)
+        forward, want = aimed.forward(v), fresh.forward(v)
+        assert_same_record(forward, want, ("pre", "post", "applied"))
+        assert aimed.cost(forward, v, u, costs) == fresh.cost(want, v, u, costs)
+        realized = [j.candidate_index for j in forward.jumps]
+        (v_got, got), (v_want, sweep) = (optimize._sweep(p, costs, realized) for p in (aimed, fresh))
+        assert v_got.tobytes() == v_want.tobytes()
+        assert_same_record(got, sweep, ("p_plus", "p_minus", "applied"))
+        if model == "field":
+            assert aimed.stencil is base.stencil and aimed.cg is base.cg
+            assert (aimed.op.rate is aimed.alpha) == (u is not controls[1])
+            fresh_solves += fresh.cg.solves
+    if model == "field":
+        assert base.cg.solves == fresh_solves > 0

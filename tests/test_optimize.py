@@ -10,6 +10,7 @@ from conftest import reference_alpha, reference_averaged, reference_pde
 from inhibopt import core
 from inhibopt import io as iomod
 from inhibopt import optimize
+from inhibopt import pde as pde_mod
 from inhibopt.presets import PRESETS
 
 
@@ -586,6 +587,15 @@ def test_field_first_sweep_that_keeps_the_unforced_run_ends_the_loop():
         assert j.applied.shape == prob.grid.dims and j.applied.base is res.strategy.values
 
 
+@pytest.mark.parametrize("sigma_star", [0.0, 0.42])
+def test_fixed_point_refuses_a_cap_below_one(sigma_star):
+    # at sigma* = 0 too, where the loop is that of optimal_pulse, capped at one sweep
+    prob = reference_averaged(t_end=0.5, sigma_star=sigma_star)
+    with pytest.raises(ib.ProblemError, match="max_iterations must be >= 1"):
+        ib.fixed_point_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.1),
+                             max_iterations=0)
+
+
 def test_iteration_cap_returns_a_consistent_unconverged_iterate():
     prob = reference_averaged(t_end=0.5, sigma_star=0.42)
     costs = ib.CostSpec.constant(prob.time_grid, 0.1)
@@ -670,18 +680,18 @@ class TestProjectedGradientMixed:
         # made to look worse by reporting a raised cost for them
         prob = reference_averaged(t_end=0.25)
         costs = ib.CostSpec.constant(prob.time_grid, 0.4, continuous_unit=0.005)
-        real = optimize.fixed_point_pulse
+        real = optimize._pulse_loop
         trials = []
 
-        def worse_trials(problem, u, costs):
-            res = real(problem, u, costs)
+        def worse_trials(prop, u, costs):
+            res = real(prop, u, costs)
             if u is not None and np.any(u.samples) and (rejected is None or len(trials) < rejected):
                 trials.append(u)
                 c = res.cost
                 res.cost = ib.CostBreakdown.assemble(c.running_state, c.running_control, c.pulse, c.final + 1.0)
             return res
 
-        monkeypatch.setattr(optimize, "fixed_point_pulse", worse_trials)
+        monkeypatch.setattr(optimize, "_pulse_loop", worse_trials)
         res = ib.projected_gradient_mixed(prob, costs, max_halvings=max_halvings, max_iterations=1)
         assert res.diagnostics["stop_reason"] == stop
         assert res.diagnostics["line_search_halvings"] == len(trials) == (rejected or max_halvings + 1)
@@ -690,11 +700,11 @@ class TestProjectedGradientMixed:
     def test_failed_fixed_points_are_rejected_trials(self, monkeypatch, failure):
         prob = reference_averaged(t_end=0.25)
         costs = ib.CostSpec.constant(prob.time_grid, 0.4, continuous_unit=0.005)
-        real = optimize.fixed_point_pulse
+        real = optimize._pulse_loop
         failed = []
 
-        def failing_trials(problem, u, costs):
-            res = real(problem, u, costs)
+        def failing_trials(prop, u, costs):
+            res = real(prop, u, costs)
             if np.any(u.samples) and len(failed) < 2:
                 failed.append(u)
                 if failure == "cycle":
@@ -702,14 +712,14 @@ class TestProjectedGradientMixed:
                 res.converged = False
             return res
 
-        monkeypatch.setattr(optimize, "fixed_point_pulse", failing_trials)
+        monkeypatch.setattr(optimize, "_pulse_loop", failing_trials)
         res = ib.projected_gradient_mixed(prob, costs, max_iterations=1)
         diag = res.diagnostics
         assert diag["line_search_halvings"] == diag["fixed_point_rejections"] == len(failed) == 2
         # the third trial, a quarter of the first step, is accepted
         assert diag["stop_reason"] == "iteration cap"
         u0 = ib.ContinuousControl.constant(prob.time_grid, 0.0)
-        start = real(prob, u0, costs)
+        start = real(optimize._propagator(prob, u0), u0, costs)
         ubar0 = ib.gradient_continuous(prob, start.forward, start.adjoint, u0, costs).continuous_gradient
         assert np.array_equal(res.control.samples, np.clip(-0.25 * ubar0, 0.0, 1.0))
 
@@ -778,6 +788,32 @@ class TestProjectedGradientMixed:
         del calls[:]
         assert ib.certificate_check(res, prob, costs) == []
         assert calls == []  # the check reads the certificate's switching function
+
+    def test_a_field_run_builds_one_stencil(self, monkeypatch):
+        built = []
+
+        class Counted(pde_mod._Stencil):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(pde_mod, "_Stencil", Counted)
+        prob = reference_pde(cells=(2, 2, 1), t_end=0.25)
+        res = ib.projected_gradient_mixed(prob, ib.CostSpec.constant(prob.time_grid, 0.5,
+                                                                     continuous_unit=0.005))
+        assert res.diagnostics["fixed_points"] >= 3 and len(built) == 1
+
+    def test_an_averaged_run_samples_alpha_once(self):
+        bundle = iomod.resolve_bundle({"cost": {"continuous_unit": 0.005}})
+        calls = []
+
+        def alpha(t):
+            calls.append(t)
+            return bundle.problem.alpha(t)
+
+        prob = dataclasses.replace(bundle.problem, alpha=alpha)
+        res = ib.projected_gradient_mixed(prob, bundle.costs)
+        assert res.diagnostics["fixed_points"] >= 3 and len(calls) == 1
 
     def test_field_run_holds_a_bounded_number_of_histories(self):
         prob = reference_pde(cells=(6, 6, 2), t_end=1.0)
@@ -858,14 +894,14 @@ class TestProjectedGradientMixed:
         cfg = {"model": {"t_end": 0.25, "sigma_star": sigma_star, "theta0": 0.3769},
                "cost": {"pulse_unit": 0.0613, "continuous_unit": 0.002, "final": 0.3118}}
         bundle = iomod.resolve_bundle(cfg)
-        real_fixed_point, real_saturating = optimize.fixed_point_pulse, optimize._saturating_step
+        real_fixed_point, real_saturating = optimize._pulse_loop, optimize._saturating_step
         real_forward, real_backward = core.Propagator.forward, core.Propagator.backward
         searches, runs = [], []
 
-        def recording(problem, u, costs):
+        def recording(prop, u, costs):
             if searches:  # not the fixed point at u0
                 searches[-1].append(u.samples.tobytes())
-            return real_fixed_point(problem, u, costs)
+            return real_fixed_point(prop, u, costs)
 
         def search_starts(u, ubar):
             searches.append([])
@@ -877,7 +913,7 @@ class TestProjectedGradientMixed:
                 return real(*args, **kwargs)
             return run
 
-        monkeypatch.setattr(optimize, "fixed_point_pulse", recording)
+        monkeypatch.setattr(optimize, "_pulse_loop", recording)
         monkeypatch.setattr(optimize, "_saturating_step", search_starts)
         monkeypatch.setattr(core.Propagator, "forward", counted(real_forward))
         monkeypatch.setattr(core.Propagator, "backward", counted(real_backward))
@@ -919,20 +955,20 @@ class TestProjectedGradientMixed:
 
     @staticmethod
     def _recording(monkeypatch, cycle_first_trial=False):
-        """Wrap fixed_point_pulse; record each call's (J, realized set, CG counters).
+        """Wrap the fixed-point loop; record each call's (J, realized set, CG counters).
         With ``cycle_first_trial`` the first trial raises PulseCycleError after its work."""
-        real = optimize.fixed_point_pulse
+        real = optimize._pulse_loop
         calls = []
 
-        def recorded(problem, u, costs):
-            res = real(problem, u, costs)
+        def recorded(prop, u, costs):
+            res = real(prop, u, costs)
             calls.append((res.cost.total, [j.candidate_index for j in res.forward.jumps],
                           res.diagnostics.get("cg")))
             if cycle_first_trial and len(calls) == 2:
-                raise ib.PulseCycleError({0}, {1}, res.diagnostics)
+                raise ib.PulseCycleError({0}, {1})
             return res
 
-        monkeypatch.setattr(optimize, "fixed_point_pulse", recorded)
+        monkeypatch.setattr(optimize, "_pulse_loop", recorded)
         return calls
 
     @staticmethod
@@ -973,11 +1009,13 @@ class TestProjectedGradientMixed:
         cg = res.diagnostics["cg"]
         counts = [c[2] for c in calls]
         assert len(counts) >= 3 and res.diagnostics["fixed_point_rejections"] == int(cycle)
+        # every fixed point runs on the one propagator, so its counters run on
+        # through all of them, the cycle's too: the last call's are the run's
+        assert cg == counts[-1]
         # sigma* = 0: each fixed point is one sweep and one forward run
-        assert cg["solves"] == sum(c["solves"] for c in counts) == 2 * prob.time_grid.n_steps * len(counts)
-        assert cg["iterations"] == sum(c["iterations"] for c in counts)
-        assert cg["max_iterations"] == max(c["max_iterations"] for c in counts)
-        assert cg["worst_residual"] == max(c["worst_residual"] for c in counts)
+        n = 2 * prob.time_grid.n_steps
+        assert [c["solves"] for c in counts] == [n * (k + 1) for k in range(len(counts))]
+        assert cg["solves"] == n * len(counts)
 
 
 class TestCertificateCheck:
