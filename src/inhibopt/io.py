@@ -5,10 +5,13 @@ README for the schema).  Field-valued entries can alternatively point at CSV
 files with one value per grid point and header ``i,j,k,value``.
 
 All CSV output is written with shortest round-trip float formatting, so a
-fixed config and seed produce byte-identical files.  The manifest (plain
-``key=value`` lines) records every resolved parameter plus the seed and
-package version; :func:`config_from_manifest` rebuilds a config from it, so a
-manifest alone suffices to re-run an experiment.
+fixed config and seed produce byte-identical files.  A block of rows formats
+each of its distinct values once, keyed by the value's bit pattern, not by the
+float: ``-0.0`` equals ``0.0`` but has its own ``repr``, and a NaN equals no
+float, itself included.  The manifest (plain ``key=value`` lines) records
+every resolved parameter plus the seed and package version;
+:func:`config_from_manifest` rebuilds a config from it, so a manifest alone
+suffices to re-run an experiment.
 """
 
 from __future__ import annotations
@@ -102,10 +105,29 @@ def write_field_csv(path, field: ScalarField) -> None:
 
 
 _LINES_PER_WRITE = 512
+_VALUES_PER_PASS = 2**16  # values per array pass of write_pde_summary
 
 
 def _key(t) -> str:
     return _fmt(t) + ","
+
+
+def _formatted(values: np.ndarray) -> list:
+    """One item per float64 in ``values`` whose ``%s`` format is the value's ``repr``.
+
+    Each distinct bit pattern is formatted once and its string gathered by
+    index, since rows often repeat one value; when all differ, the items are
+    the floats themselves (``str`` of a float is its ``repr``).  The key is
+    the bit pattern, not the float: ``-0.0 == 0.0`` but their reprs differ,
+    and NaN equals nothing.
+    """
+    bits = values.view(np.int64)
+    distinct = np.sort(bits)
+    distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+    if len(distinct) == len(bits):
+        return values.tolist()
+    strings = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return strings[np.searchsorted(distinct, bits)].tolist()
 
 
 def _write_points(fh, keys: list[str], table: np.ndarray, columns: int = 1) -> None:
@@ -115,13 +137,14 @@ def _write_points(fh, keys: list[str], table: np.ndarray, columns: int = 1) -> N
     when ``columns > 1``.  ``keys`` holds one string per row that carries its
     own trailing comma (an empty key starts the line at the point index); a
     scalar row is the ``shape == ()`` case, with no index.  Each block of
-    rows is formatted by one ``%``-template, ``%r`` on Python floats being
-    the shortest round-trip format.  A block is one row, or as many rows of a
-    scalar or small grid as fit in ``_LINES_PER_WRITE`` lines, so the writer
-    never holds a history-sized copy.
+    rows is formatted by one ``%``-template from :func:`_formatted`, which
+    formats each distinct bit pattern of the block once in shortest
+    round-trip format.  A block is one row, or as many rows of a scalar or
+    small grid as fit in ``_LINES_PER_WRITE`` lines, so the writer never
+    holds a history-sized copy.
     """
     shape = table.shape[1:table.ndim - (columns > 1)]
-    values = ",".join(["%r"] * columns)
+    values = ",".join(["%s"] * columns)
     row_template = "".join(
         "%s" + "".join(f"{i}," for i in idx) + values + "\n" for idx in np.ndindex(shape)
     )
@@ -129,8 +152,8 @@ def _write_points(fh, keys: list[str], table: np.ndarray, columns: int = 1) -> N
     block = max(1, _LINES_PER_WRITE // points)
     step = columns + 1
     for r0 in range(0, len(table), block):
-        chunk = table[r0:r0 + block]
-        flat = chunk.reshape(-1).tolist()
+        chunk = np.ascontiguousarray(table[r0:r0 + block], dtype=np.float64)
+        flat = _formatted(chunk.reshape(-1))
         args = [None] * (len(flat) // columns * step)
         args[::step] = list(chain.from_iterable(repeat(k, points) for k in keys[r0:r0 + block]))
         for c in range(columns):
@@ -160,14 +183,24 @@ def write_averaged_trajectory(path, traj: Trajectory) -> None:
 
 
 def write_pde_summary(path, traj: Trajectory) -> None:
+    """One line per stored node: its time, the field's mean and L2 norm, and a pulse flag.
+
+    The means and norms are array passes over blocks of ``_VALUES_PER_PASS``
+    values (at least one row), equal bit for bit to each row's ``mean()`` and
+    ``SpaceGrid.l2_norm``, so no temporary is history-sized.
+    """
     jumps = _jump_rows(traj)
+    fields, grid = traj.fields, traj.grid
+    block = max(1, _VALUES_PER_PASS // grid.npoints)
     with open(path, "w", newline="") as fh:
         fh.write("t,mean_theta,l2_norm,is_pulse\n")
-        for row, t in enumerate(traj.times):
-            node = int(traj.node_indices[row])
-            f = traj.fields[row]
-            l2 = traj.grid.l2_norm(f)
-            fh.write(f"{_fmt(t)},{_fmt(f.mean())},{_fmt(l2)},{int(node in jumps)}\n")
+        for r0 in range(0, len(fields), block):
+            rows = fields[r0:r0 + block]
+            means = rows.mean(axis=(1, 2, 3)).tolist()
+            norms = np.sqrt(np.sum(rows**2, axis=(1, 2, 3)) * grid.cell_volume).tolist()
+            for t, node, mean, l2 in zip(traj.times[r0:r0 + block],
+                                         traj.node_indices[r0:r0 + block].tolist(), means, norms):
+                fh.write(f"{_fmt(t)},{_fmt(mean)},{_fmt(l2)},{int(node in jumps)}\n")
 
 
 def write_field_snapshots(path, traj: Trajectory) -> None:

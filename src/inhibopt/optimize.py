@@ -17,7 +17,7 @@ the averaged model as an exact oracle.  The mixed problem is handled by
 projected gradient on u with the pulses recomputed by the fixed point after
 each update; its line search starts no further than twice the step past
 which the projection no longer moves, and runs no fixed point for a trial
-control that repeats the one before.
+control that an earlier trial had.
 
 Every optimizer builds one propagator with
 :func:`inhibopt.adjoint._propagator` and runs the shared loops of
@@ -29,6 +29,7 @@ tries (``Propagator.at``), so its counters count every solve of the run.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -449,9 +450,11 @@ def projected_gradient_mixed(
     being the last breakpoint of the projected path (the largest u/ubar where
     ubar > 0 and (u - 1)/ubar where ubar < 0): every larger step gives the
     same clipped control as 2*gamma_sat, whose samples with ubar != 0 all
-    land on their bound.  A trial whose clipped control equals the trial
-    before it is halved without a fixed point, as it would be rejected
-    again.  ubar = C - S/(1-sigma*u)^2, from the switching function
+    land on their bound.  A trial whose clipped control an earlier trial
+    had (a SHA-256 digest of each is kept) is halved without a fixed point:
+    a fixed point depends on its control alone and J only decreases, so that
+    control, rejected or since left behind, would be rejected now.
+    ubar = C - S/(1-sigma*u)^2, from the switching function
     S = sigma*alpha*p*theta computed once for u0 and each accepted control, is
     the exact gradient only while the realized pulse set stays fixed: J(u) is
     piecewise smooth under a threshold.  The first trial step is gamma0;
@@ -495,6 +498,7 @@ def projected_gradient_mixed(
     j_history = [current.cost.total]
     iterations = 0
     halvings = rejections = set_changes = 0
+    tried: set[bytes] = set()  # SHA-256 digests of the bytes of every trial control so far
     converged = False
     stop_reason = "iteration cap"
     gamma = gamma0
@@ -502,15 +506,14 @@ def projected_gradient_mixed(
         iterations += 1
         accepted = stationary = False
         gamma = min(gamma, 2.0 * _saturating_step(u.samples, ubar(switching, u)))
-        tried = None  # the clipped control of the trial before
         for _ in range(max_halvings + 1):
             u_new = ContinuousControl(np.clip(u.samples - gamma * ubar(switching, u), 0.0, 1.0))
             if np.array_equal(u_new.samples, u.samples):
                 stationary = True  # projection fixed point: no admissible descent
                 break
-            repeat = tried is not None and np.array_equal(u_new.samples, tried)
-            tried = u_new.samples
-            if not repeat:  # a repeated control would be rejected again
+            digest = hashlib.sha256(u_new.samples).digest()
+            if digest not in tried:  # a control tried before would be rejected now
+                tried.add(digest)
                 trial = None  # a rejected trial's records go before the next trial runs
                 fixed_points += 1
                 try:

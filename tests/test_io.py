@@ -7,6 +7,7 @@ a block of rows per call and must never hold a history-sized copy.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,14 @@ from inhibopt.averaged import AveragedPropagator
 from inhibopt.core import Trajectory
 
 # signed zero, exponent switch points of repr, and the smallest subnormal
-SPECIAL = [-0.0, 1e-05, 1e16, 9.999999999999999e15, 5e-324]
+SPECIAL = [-0.0, 1e-05, 1e16, 9999999999999998.0, 5e-324]
 # what a scalar-row writer may meet besides (a field file rejects these)
 NONFINITE = [math.nan, math.inf, -math.inf]
+# values a formatter keyed by float value would merge or miss: signed zeros,
+# NaNs with other payloads and signs, and repr's switch points
+TRAP = [0.0, -0.0, *np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001,
+                              -0x0008000000000000], dtype=np.int64).view(float).tolist(),
+        math.inf, -math.inf, 5e-324, -5e-324, 1e-05, 0.0001, 9999999999999998.0, 1e16]
 
 
 def _fmt(x) -> str:
@@ -68,6 +74,14 @@ def ref_certificate(path, strategy, certificate):
             for (i, j, k), p in np.ndenumerate(cols[0]):
                 values = [p] + [a[i, j, k] for a in cols[1:]]
                 fh.write(f"{_fmt(c.time)},{i},{j},{k}," + ",".join(_fmt(a) for a in values) + "\n")
+
+
+def ref_pde_summary(path, traj):
+    jumps = {j.node_index for j in traj.jumps}
+    with open(path, "w", newline="") as fh:
+        fh.write("t,mean_theta,l2_norm,is_pulse\n")
+        for t, node, f in zip(traj.times, traj.node_indices, traj.fields):
+            fh.write(f"{_fmt(t)},{_fmt(f.mean())},{_fmt(traj.grid.l2_norm(f))},{int(node in jumps)}\n")
 
 
 def ref_field_csv(path, field):
@@ -256,13 +270,64 @@ def test_control_certificate_matches_the_reference_loop(tmp_path, kind):
                       res.continuous_certificate)
 
 
+def _trap_rows(n_rows, shape):
+    """Rows that each repeat TRAP's values in their own order, so a block holds each many times."""
+    size = math.prod(shape)
+    return np.array([np.roll(np.resize(TRAP, size), r) for r in range(n_rows)]).reshape(n_rows, *shape)
+
+
+def test_one_format_per_bit_pattern_keeps_every_trap_apart(tmp_path):
+    bits = np.array(TRAP).view(np.int64)
+    assert len(set(bits.tolist())) == len(TRAP)  # every trap value its own bit pattern
+    dims = (3, 3, 2)  # 18 points: the 4 rows below are one block
+    rows = _trap_rows(4, dims)
+    rows[3] = (np.resize(bits, 18)[::-1] ^ np.int64(-2**63)).view(float).reshape(dims)  # signs flipped
+    assert_same_bytes(tmp_path, iomod.write_adjoint, ref_adjoint,
+                      Trajectory(np.linspace(0.0, 0.1, 4), rows, []))
+
+    tg = reference_pde(cells=(2, 2, 1), t_end=0.1).time_grid
+    strategy = ib.PulseStrategy(np.ones((tg.n_candidates, *dims)))
+    trap = _trap_rows(3, dims)
+    certificate = [
+        ib.PulseCertificate(0.25, 0, trap[0], -0.0, trap[1]),
+        ib.PulseCertificate(0.5, 1, trap[2], 0.0, np.full(dims, -0.0)),
+        ib.PulseCertificate(0.75, 2, np.full(dims, math.nan), math.inf, trap[0]),
+    ]
+    with np.errstate(invalid="ignore"):  # margins of NaNs and infinities
+        assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, strategy, certificate)
+
+    # more rows than one write takes, each value repeated in every block
+    times = np.linspace(0.0, 1.0, 1041)
+    assert_same_bytes(tmp_path, iomod.write_alpha_profile, ref_alpha_profile, times,
+                      np.resize(TRAP, 1041))
+
+
+@pytest.mark.parametrize("values_per_pass", [iomod._VALUES_PER_PASS, 100])
+@pytest.mark.parametrize("store_every", [1, 50])
+def test_pde_summary_matches_the_reference_loop(tmp_path, monkeypatch, rng, values_per_pass,
+                                                store_every):
+    prob = reference_pde(cells=(2, 2, 1), t_end=0.25, spacing=0.5)
+    grid = prob.grid
+    prob = replace(prob, initial=ib.ScalarField(grid, rng.uniform(0.3, 0.5, grid.dims)))
+    v = ib.PulseStrategy(rng.uniform(0.0, 1.0, (prob.time_grid.n_candidates, *grid.dims)))
+    traj = ib.simulate_pde(prob, None, v, store_every=store_every)
+    assert traj.jumps and len(traj.times) % (values_per_pass // grid.npoints) != 0
+    monkeypatch.setattr(iomod, "_VALUES_PER_PASS", values_per_pass)  # 5 rows a pass at 100
+    assert_same_bytes(tmp_path, iomod.write_pde_summary, ref_pde_summary, traj)
+    assert ",1\n" in (tmp_path / "got.csv").read_text()  # a pulse row
+
+
 def test_adjoint_writer_holds_no_history_copy(tmp_path, rng):
-    # a fig5-size costate: 1,041 nodes on the 11 x 11 x 4-point grid
-    adj = Trajectory(np.linspace(0.0, 1.0, 1041), rng.random((1041, 11, 11, 4)), [])
-    tracemalloc.start()
-    try:
-        iomod.write_adjoint(tmp_path / "adjoint.csv", adj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < adj.values.nbytes / 10
+    # a fig5-size costate: 1,041 nodes on the 11 x 11 x 4-point grid, its
+    # values all distinct, or every row one value as a scalar amplitude and
+    # scalar costs give
+    shape = (1041, 11, 11, 4)
+    for rows in (rng.random(shape), np.broadcast_to(rng.random((1041, 1, 1, 1)), shape).copy()):
+        adj = Trajectory(np.linspace(0.0, 1.0, 1041), rows, [])
+        tracemalloc.start()
+        try:
+            iomod.write_adjoint(tmp_path / "adjoint.csv", adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < adj.values.nbytes / 10
