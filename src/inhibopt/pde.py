@@ -28,7 +28,15 @@ of :mod:`inhibopt.core`.
 A stencil built once per (diffusion, spacing) keeps the face coefficients
 contiguous and holds every flux and CG work array and the one state that the
 steps inside a span overwrite in place, so stencil applies, CG iterations and
-those steps allocate nothing.  It also builds, once, the shifted flat views
+those steps allocate nothing.  Every array a step streams starts on a 64-byte
+cache line (numpy guarantees 16 bytes, so a wider vector load would straddle
+two lines at whatever offset the allocation history gave): the stencil's work
+arrays and non-uniform face weights, the propagator's pressure and rate, and
+each span's fresh end state.  Two pairs of work arrays whose contents never
+live at the same time share one array: the flux, which the divergence uses
+up, and the rate*phi product that the apply writes after it; and the CN
+right-hand side, which CG reads once for its norm, and CG's direction, which
+it writes only after that.  It also builds, once, the shifted flat views
 with which its two fixed applies run: CG's direction into its image, and the
 state into the residual, where each step's right-hand-side apply goes.
 :class:`FieldPropagator` builds one :class:`DiscreteOperator` per control on
@@ -86,6 +94,20 @@ CG_RTOL = 1e-10
 CG_ITER_FACTOR = 10
 
 
+def _aligned_empty(shape: tuple) -> np.ndarray:
+    """An uninitialized float array whose first element starts a 64-byte cache line.
+
+    numpy's allocator guarantees only 16 bytes, so an array's offset into its
+    cache line follows the allocation history; a vector load from an array that
+    does not start a line straddles two.  This over-allocates by one line and
+    slices at its first boundary.
+    """
+    nbytes = math.prod(shape) * 8
+    raw = np.empty(nbytes + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + nbytes].view(np.float64).reshape(shape)
+
+
 def _one_value(a: np.ndarray) -> float | None:
     """The value every entry of ``a`` holds bit for bit (+0.0 and -0.0 differ), or None."""
     if a.size == 0:
@@ -105,7 +127,10 @@ class _Stencil:
     is one contiguous numpy call.  An axis whose interior faces all hold one
     coefficient keeps that float instead (None when it is 1.0: no multiply),
     which gives the same products.  The flux, the CN right-hand side, the CG
-    vectors and the span state live in arrays allocated once here, and the
+    vectors and the span state live in arrays allocated once here, each on a
+    64-byte boundary, as are the non-uniform face weights; ``flux`` and
+    ``tmp`` name one array, as do ``rhs`` and ``direction``, because neither
+    pair's contents are ever needed at once (see the module docstring).  The
     views with which the divergence runs are built here for its two fixed
     (phi, out) pairs: CG's direction into its image and the state into the
     residual.
@@ -115,25 +140,28 @@ class _Stencil:
         shape = diffusion.grid.dims
         size = math.prod(shape)
         self.scale = spacing**2
-        self.flux = np.empty(shape)  # one axis at a time
+        # the flux (one axis at a time), and the rate*phi product that every apply
+        # writes after its divergence, so no caller keeps it across an apply
+        self.flux = self.tmp = _aligned_empty(shape)
         self.axes = []
         for axis, faces in enumerate(diffusion.interior_faces()):
             offset = math.prod(shape[axis + 1:])
             weight = _one_value(faces)
             if weight is None:
-                padded = np.zeros(shape)
+                padded = _aligned_empty(shape)
+                padded.fill(0.0)
                 padded[(slice(None),) * axis + (slice(0, shape[axis] - 1),)] = faces
-                weight = padded.ravel()[:size - offset].copy()
+                weight = padded.reshape(-1)[:size - offset]
             elif weight == 1.0:
                 weight = None  # flux * 1.0 is flux
             # axis 0's crossings (its last plane) lie past its flux view: none to zero
             crossings = self.flux[(slice(None),) * axis + (-1,)] if axis else None
             self.axes.append((offset, weight, self.flux.reshape(-1)[:size - offset], crossings))
-        # CN right-hand side; residual; CG direction and its image; a product that
-        # every apply overwrites (rate*phi), so no caller keeps it across one; the
-        # state that the steps inside a span overwrite
-        self.rhs, self.residual, self.direction, self.image, self.tmp, self.state = (
-            np.empty(shape) for _ in range(6))
+        # residual; CG direction (and, until CG has its norm, the CN right-hand
+        # side) and its image; the state that the steps inside a span overwrite
+        self.residual, self.direction, self.image, self.state = (
+            _aligned_empty(shape) for _ in range(4))
+        self.rhs = self.direction
         self.bound = [(phi, out, self._views(phi, out))
                       for phi, out in ((self.direction, self.image), (self.state, self.residual))]
 
@@ -203,7 +231,11 @@ class DiscreteOperator:
             object.__setattr__(self, "stencil", _Stencil(self.diffusion, self.spacing))
 
     def apply(self, phi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """M phi, into ``out`` when given (it must not be ``phi``)."""
+        """M phi, into ``out`` when given.
+
+        ``out`` must not be ``phi``, and neither may be the stencil's ``tmp``
+        (which is also its flux): the divergence and rate*phi are written there.
+        """
         if out is None:
             out = np.empty(phi.shape)
         stencil = self.stencil
@@ -241,8 +273,9 @@ def _cg(op: DiscreteOperator, half_h: float, b: np.ndarray, x0: np.ndarray, r: n
     ``r`` is the first residual b - (I - half_h*M) x0 and is overwritten.  The
     solution goes into ``out`` (x0 is read once, before ``out`` is written, so
     ``out`` may be x0); every other vector is a work array of the operator's
-    stencil.  A b of non-finite norm (say, from a rate alpha/(1 - sigma*u)
-    with sigma*u = 1 somewhere) raises LinearSolverError.
+    stencil.  b is read once, for its norm, before the direction is written,
+    so b may be the stencil's direction.  A b of non-finite norm (say, from a
+    rate alpha/(1 - sigma*u) with sigma*u = 1 somewhere) raises LinearSolverError.
     """
     work = op.stencil
     b_flat = b.reshape(-1)
@@ -292,17 +325,19 @@ def _cn_advance(
     """One Crank-Nicolson step: solve (I - h/2 M) x = h*source + (I + h/2 M) theta.
 
     CG starts from x0 = theta, whose residual h*source + h*M theta reuses the
-    right-hand side's M theta: one stencil apply fewer than applying the system.
+    right-hand side's M theta (one stencil apply fewer than applying the
+    system) and its h*source, which is formed once.
     The new state goes into ``out``, which may be theta.
     """
     work = op.stencil
     half_h = h / 2.0
     m_theta = op.apply(theta, work.residual)
     rhs = np.multiply(source, h, work.rhs)
-    rhs += theta
-    rhs += np.multiply(m_theta, half_h, work.tmp)
+    half_h_m_theta = np.multiply(m_theta, half_h, work.tmp)
     m_theta *= h
-    m_theta += np.multiply(source, h, work.tmp)
+    m_theta += rhs
+    rhs += theta
+    rhs += half_h_m_theta
     return _cg(op, half_h, rhs, theta, m_theta, counters, out)
 
 
@@ -365,10 +400,10 @@ class FieldPropagator(Propagator):
         self.mid_times, self.dt = tg.mid_times, tg.dt.tolist()
         self.stencil = _Stencil(problem.diffusion, problem.grid.spacing)
         self.cg = CGCounters()
-        self.rate = np.empty(self.shape)  # the step's rate
+        self.rate = _aligned_empty(self.shape)  # the step's rate
         # the array every step's pressure lands in: this buffer, or a constant
         # pressure's own field, which field_at returns whatever out is
-        self.alpha = problem.pressure.field_at(0.0, out=np.empty(self.shape))
+        self.alpha = problem.pressure.field_at(0.0, out=_aligned_empty(self.shape))
         self._aim(u)
 
     def _aim(self, u: ContinuousControl | None) -> None:
@@ -405,7 +440,7 @@ class FieldPropagator(Propagator):
                 r += 1
             elif skipped is not None:
                 skipped.append(np.sum(x))
-        return self._step(x, steps[-1], source, np.empty(self.shape))
+        return self._step(x, steps[-1], source, _aligned_empty(self.shape))
 
     def diagnostics(self) -> dict:
         return {"cg": asdict(self.cg)}

@@ -257,9 +257,9 @@ class TestPlainStepOracle:
     """cn_step and a propagator span, byte for byte against :func:`_plain_cn_step`."""
 
     @staticmethod
-    def _problem(faces, spacing):
+    def _problem(faces, spacing, cells=(4, 3, 2)):
         rng = np.random.default_rng(31)
-        grid = ib.SpaceGrid.from_cells(4, 3, 2, spacing=spacing)
+        grid = ib.SpaceGrid.from_cells(*cells, spacing=spacing)
         diffusion = {"one": ib.DiffusionField.isotropic(grid, 1.0),
                      "uniform": ib.DiffusionField.isotropic(grid, 2.5),
                      "random": random_diffusion(grid, rng, scale=3.0)}[faces]
@@ -347,6 +347,20 @@ class TestReusedBuffers:
         assert pairs[0][0] is work.direction and pairs[0][1] is work.image
         assert pairs[1][0] is work.state and pairs[1][1] is work.residual
         assert prop.op.stencil is work and prop.op.rate is prop.alpha  # unit divisor
+
+    def test_every_streamed_array_starts_a_cache_line(self):
+        prob, controls, _ = TestPlainStepOracle._problem("random", 1.0)
+        prop = pde_mod.FieldPropagator(prob, controls["scalar"])
+        n = prob.time_grid.n_steps
+        work = prop.stencil
+        assert work.flux is work.tmp and work.rhs is work.direction
+        weights = [w for _, w, _, _ in work.axes]
+        assert all(isinstance(w, np.ndarray) for w in weights)  # non-uniform faces
+        span = core._walk(prob.time_grid, 1).forward[0]
+        end = prop.flow(prop.initial, span, None, prop.record(n + 1), None)
+        arrays = [work.residual, work.direction, work.image, work.tmp, work.state, *weights,
+                  prop.alpha, prop.rate, prop.op.rate, end]
+        assert [a.ctypes.data % 64 for a in arrays] == [0] * len(arrays)
 
     @staticmethod
     def _outputs(forward, adjoint, end):
@@ -437,6 +451,44 @@ def test_dot_is_einsum_bit_for_bit(n):
         got = pde_mod._dot(x, y)
         assert type(got) is float
         assert np.float64(got).tobytes() == np.einsum("i,i->", x, y).tobytes()
+
+
+def _at_offset(a: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of the float array ``a`` that starts ``offset`` bytes past a 64-byte boundary."""
+    raw = np.empty(a.nbytes + 128, dtype=np.uint8)
+    start = -raw.ctypes.data % 64 + offset
+    out = raw[start:start + a.nbytes].view(np.float64).reshape(a.shape)
+    out[...] = a
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
+@pytest.mark.parametrize("n", [7, 484, 21_853])
+def test_dot_does_not_depend_on_where_its_inputs_sit(n):
+    rng = np.random.default_rng(n)
+    a, b = rng.normal(size=n), rng.normal(size=n) * 1e3
+    want = np.float64(pde_mod._dot(a, b)).tobytes()
+    for offset_a in (0, 16, 32, 48):
+        for offset_b in (0, 16, 32, 48):
+            got = pde_mod._dot(_at_offset(a, offset_a), _at_offset(b, offset_b))
+            assert np.float64(got).tobytes() == want
+
+
+def test_cn_step_does_not_depend_on_where_theta_sits():
+    """The solver's arrays start on cache lines; its input may start anywhere a
+    float can, and the step gives the same bytes wherever it sits."""
+    prob, _, rng = TestPlainStepOracle._problem("random", 1.0, cells=(12, 11, 5))
+    grid = prob.grid
+    values = rng.uniform(0.0, 1.0, grid.dims)
+    u = rng.uniform(0.0, 1.0, grid.dims)
+    steps = []
+    for offset in (0, 16, 32, 48):
+        theta = ib.ScalarField(grid, values)
+        # ScalarField copies its values wherever the allocator puts them: place them
+        object.__setattr__(theta, "values", _at_offset(values, offset))
+        steps.append(ib.cn_step(theta, 0.1, 1e-3, prob, u_sample=u).values.tobytes())
+    assert steps[1:] == steps[:1] * 3
+    assert steps[0] != values.tobytes()
 
 
 def test_results_do_not_depend_on_blas_thread_count():
