@@ -117,6 +117,22 @@ class Trajectory(_OnGrid):
 AveragedTrajectory = FieldTrajectory = AdjointTrajectory = Trajectory
 
 
+BLOCK_VALUES = 2**16  # values an array pass over a block of stacked rows may touch
+
+
+def _row_blocks(n: int, row_values: int, budget: int | None = None) -> list[slice]:
+    """Consecutive slices covering ``range(n)``, each of ``max(1, budget // row_values)``
+    rows but the last: the blocks of every pass over stacked rows, so no temporary is
+    the size of the stack.  ``budget`` defaults to ``BLOCK_VALUES``, read at call time."""
+    rows = max(1, (BLOCK_VALUES if budget is None else budget) // row_values)
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _row_means(a: np.ndarray) -> np.ndarray:
+    """The grid mean of each row of ``a``; a 1-D row is its own mean."""
+    return a if a.ndim == 1 else a.mean(axis=tuple(range(1, a.ndim)))
+
+
 def _rows(a: np.ndarray) -> list:
     """Per-candidate or per-step entries: Python floats for 1-D data, arrays otherwise."""
     return a.tolist() if a.ndim == 1 else list(a)

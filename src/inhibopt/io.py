@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .core import Trajectory
+from .core import Trajectory, _row_blocks, _row_means
 from .model import (
     AveragedProblem,
     ChemicalParams,
@@ -105,7 +105,6 @@ def write_field_csv(path, field: ScalarField) -> None:
 
 
 _LINES_PER_WRITE = 512
-_VALUES_PER_PASS = 2**16  # values per array pass of write_pde_summary
 
 
 def _key(t) -> str:
@@ -139,9 +138,9 @@ def _write_points(fh, keys: list[str], table: np.ndarray, columns: int = 1) -> N
     scalar row is the ``shape == ()`` case, with no index.  Each block of
     rows is formatted by one ``%``-template from :func:`_formatted`, which
     formats each distinct bit pattern of the block once in shortest
-    round-trip format.  A block is one row, or as many rows of a scalar or
-    small grid as fit in ``_LINES_PER_WRITE`` lines, so the writer never
-    holds a history-sized copy.
+    round-trip format.  The blocks are :func:`inhibopt.core._row_blocks` with a
+    budget of ``_LINES_PER_WRITE`` lines: one row, or as many rows of a scalar
+    or small grid as fit, so the writer never holds a history-sized copy.
     """
     shape = table.shape[1:table.ndim - (columns > 1)]
     values = ",".join(["%s"] * columns)
@@ -149,13 +148,12 @@ def _write_points(fh, keys: list[str], table: np.ndarray, columns: int = 1) -> N
         "%s" + "".join(f"{i}," for i in idx) + values + "\n" for idx in np.ndindex(shape)
     )
     points = math.prod(shape)
-    block = max(1, _LINES_PER_WRITE // points)
     step = columns + 1
-    for r0 in range(0, len(table), block):
-        chunk = np.ascontiguousarray(table[r0:r0 + block], dtype=np.float64)
+    for rows in _row_blocks(len(table), points, _LINES_PER_WRITE):
+        chunk = np.ascontiguousarray(table[rows], dtype=np.float64)
         flat = _formatted(chunk.reshape(-1))
         args = [None] * (len(flat) // columns * step)
-        args[::step] = list(chain.from_iterable(repeat(k, points) for k in keys[r0:r0 + block]))
+        args[::step] = list(chain.from_iterable(repeat(k, points) for k in keys[rows]))
         for c in range(columns):
             args[c + 1::step] = flat[c::columns]
         fh.write(row_template * len(chunk) % tuple(args))
@@ -178,28 +176,26 @@ def write_averaged_trajectory(path, traj: Trajectory) -> None:
         fh.write("t,theta,is_pulse,v_applied\n")
         for node, t, val in zip(traj.node_indices.tolist(), traj.times, traj.values):
             j = jumps.get(node)
-            v_str = _fmt(np.mean(j.applied)) if j is not None else ""
+            v_str = _fmt(j.applied) if j is not None else ""
             fh.write(f"{_fmt(t)},{_fmt(val)},{int(j is not None)},{v_str}\n")
 
 
 def write_pde_summary(path, traj: Trajectory) -> None:
     """One line per stored node: its time, the field's mean and L2 norm, and a pulse flag.
 
-    The means and norms are array passes over blocks of ``_VALUES_PER_PASS``
-    values (at least one row), equal bit for bit to each row's ``mean()`` and
-    ``SpaceGrid.l2_norm``, so no temporary is history-sized.
+    The means and norms are ``_row_means`` and ``SpaceGrid.l2_norm`` of the
+    blocks of :func:`inhibopt.core._row_blocks`, equal bit for bit to each
+    row's, so no temporary is history-sized.
     """
     jumps = _jump_rows(traj)
     fields, grid = traj.fields, traj.grid
-    block = max(1, _VALUES_PER_PASS // grid.npoints)
     with open(path, "w", newline="") as fh:
         fh.write("t,mean_theta,l2_norm,is_pulse\n")
-        for r0 in range(0, len(fields), block):
-            rows = fields[r0:r0 + block]
-            means = rows.mean(axis=(1, 2, 3)).tolist()
-            norms = np.sqrt(np.sum(rows**2, axis=(1, 2, 3)) * grid.cell_volume).tolist()
-            for t, node, mean, l2 in zip(traj.times[r0:r0 + block],
-                                         traj.node_indices[r0:r0 + block].tolist(), means, norms):
+        for rows in _row_blocks(len(fields), grid.npoints):
+            means = _row_means(fields[rows]).tolist()
+            norms = grid.l2_norm(fields[rows]).tolist()
+            for t, node, mean, l2 in zip(traj.times[rows], traj.node_indices[rows].tolist(),
+                                         means, norms):
                 fh.write(f"{_fmt(t)},{_fmt(mean)},{_fmt(l2)},{int(node in jumps)}\n")
 
 
@@ -229,12 +225,8 @@ def write_certificate(path, strategy: PulseStrategy, certificate) -> None:
 
 def write_control_certificate(path, cert) -> None:
     """Per-step chemical certificate; field entries are written as their grid means."""
-
-    def flat(a):
-        return a if a.ndim == 1 else a.mean(axis=tuple(range(1, a.ndim)))
-
-    table = np.stack([flat(a) for a in (cert.unit_cost, cert.switch_level, cert.control, cert.margin,
-                                        cert.consistent.astype(float))], axis=-1)
+    table = np.stack([_row_means(a) for a in (cert.unit_cost, cert.switch_level, cert.control,
+                                              cert.margin, cert.consistent.astype(float))], axis=-1)
     _write_table(path, "t,unit_cost,switch_level,u,margin,consistent",
                  [_key(t) for t in cert.mid_times], table, columns=5)
 
@@ -256,8 +248,7 @@ def write_alpha_profile(path, times: np.ndarray, values: np.ndarray) -> None:
 
 
 def write_control(path, time_grid: TimeGrid, u: ContinuousControl) -> None:
-    samples = u.samples if u.samples.ndim == 1 else u.samples.mean(axis=(1, 2, 3))
-    _write_table(path, "t,u", [_key(t) for t in time_grid.mid_times], samples)
+    _write_table(path, "t,u", [_key(t) for t in time_grid.mid_times], _row_means(u.samples))
 
 
 # ---------------------------------------------------------------------------

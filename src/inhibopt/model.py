@@ -97,9 +97,10 @@ class SpaceGrid:
         """Domain volume under the grid quadrature sum(.) * ds^3."""
         return self.npoints * self.cell_volume
 
-    def l2_norm(self, values: np.ndarray) -> float:
-        """Grid quadrature of the spatial L2 norm of ``values``: sqrt(sum(v^2) * ds^3)."""
-        return float(np.sqrt(np.sum(values**2) * self.cell_volume))
+    def l2_norm(self, values: np.ndarray) -> float | np.ndarray:
+        """Grid quadrature of the spatial L2 norm, sqrt(sum(v^2) * ds^3), summed over the
+        last three axes: of one field, or of each field of a stack."""
+        return np.sqrt(np.sum(values**2, axis=(-3, -2, -1)) * self.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -206,7 +207,7 @@ class ScalarField:
 
     def l2_norm(self) -> float:
         """Grid quadrature of the spatial L2 norm: sqrt(sum(v^2) * ds^3)."""
-        return self.grid.l2_norm(self.values)
+        return float(self.grid.l2_norm(self.values))
 
 
 def seasonal_profile(amplitude: float, peak_time: float, period: float) -> Callable:

@@ -29,14 +29,13 @@ tries (``Propagator.at``), so its counters count every solve of the run.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .adjoint import _propagator, _ubar
 from .averaged import AveragedPropagator
-from .core import Trajectory, _control_inner, _per_point, _rows, _span_midpoints
+from .core import Trajectory, _control_inner, _per_point, _row_blocks, _rows, _span_midpoints
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -51,9 +50,7 @@ from .model import (
 TIE_TOL = 1e-12
 BRUTE_FORCE_CAP = 20
 VERTEX_CHUNK = 2**13  # strategies costed per array pass of brute_force_pulse
-CERT_BLOCK_VALUES = 2**16  # values per array pass of certificate_check (a block of pulses)
 GAMMA_MIN, GAMMA_MAX = 1e-10, 1e10  # bounds of the spectral step of projected_gradient_mixed
-SAT_BLOCK_VALUES = 2**16  # values per array pass of the line search's saturating step
 
 
 class PulseCycleError(SolverError):
@@ -302,8 +299,9 @@ def brute_force_pulse(
     Optionally samples random interior strategies in [0,1]^m to confirm that
     no interior point beats the best vertex.  Ties between vertices are
     broken by lexicographic strategy order, so results are reproducible, and
-    a NaN cost never wins.  Vertices are costed ``VERTEX_CHUNK`` at a time as
-    arrays, their bits taken from their index in that order.
+    a NaN cost never wins.  Vertices are costed as arrays in the blocks of
+    :func:`inhibopt.core._row_blocks` with a budget of ``VERTEX_CHUNK`` (one
+    value a vertex), their bits taken from their index in that order.
     """
     if not isinstance(problem, AveragedProblem):
         raise ProblemError("brute_force_pulse enumerates the averaged model only")
@@ -327,12 +325,12 @@ def brute_force_pulse(
     shifts = range(m - 1, -1, -1)  # v_0 is the leading bit of a vertex's index
     best = None
     best_cost = np.inf
-    for start in range(0, 2**m, VERTEX_CHUNK):
-        index = np.arange(start, min(start + VERTEX_CHUNK, 2**m))
+    for block in _row_blocks(2**m, 1, VERTEX_CHUNK):
+        index = np.arange(block.start, block.stop)
         c = evaluate((((index >> s) & 1).astype(float) for s in shifts), index.size)
         i = _first_minimum(c)
         if c[i] < best_cost:
-            best_cost, best = c[i], start + i
+            best_cost, best = c[i], block.start + i
     best_v = None if best is None else [float((best >> s) & 1) for s in shifts]
 
     interior_best = None
@@ -340,8 +338,8 @@ def brute_force_pulse(
         # one (n, m) draw is the stream of n draws of m; like min(), keep the
         # first sample's cost if it is NaN, else the first smallest cost
         rng = np.random.default_rng(seed)
-        for start in range(0, interior_samples, VERTEX_CHUNK):
-            samples = rng.random((min(VERTEX_CHUNK, interior_samples - start), m))
+        for block in _row_blocks(interior_samples, 1, VERTEX_CHUNK):
+            samples = rng.random((block.stop - block.start, m))
             c = evaluate(samples.T, len(samples))
             if interior_best is None:
                 interior_best = c[0]
@@ -416,12 +414,11 @@ def _spectral_step(prop, s: np.ndarray, y: np.ndarray) -> float:
 def _saturating_step(u: np.ndarray, ubar: np.ndarray) -> float:
     """The last breakpoint of the projected path clip(u - gamma*ubar, 0, 1), past which no
     sample moves: the largest u/ubar where ubar > 0 and (u - 1)/ubar where ubar < 0, or 0
-    when no sample can move.  Taken ``SAT_BLOCK_VALUES`` at a time, so no temporary is the
-    size of u."""
-    rows = max(1, SAT_BLOCK_VALUES // (u.size // len(u)))
+    when no sample can move.  Taken in the blocks of :func:`inhibopt.core._row_blocks`, so
+    no temporary is the size of u."""
     sat = 0.0
-    for start in range(0, len(u), rows):
-        a, b = u[start:start + rows], ubar[start:start + rows]
+    for rows in _row_blocks(len(u), u.size // len(u)):
+        a, b = u[rows], ubar[rows]
         for side, bound in ((b > 0, 0.0), (b < 0, 1.0)):
             if side.any():
                 sat = max(sat, float(np.max((a[side] - bound) / b[side])))
@@ -477,6 +474,8 @@ def projected_gradient_mixed(
     final S and records, per time sample, whether u meets the bang-bang
     condition.  Needs 0 < sigma < 1.
     """
+    import hashlib  # here, not at module level: it adds ~5 ms to every CLI start-up
+
     if not problem.chem.sigma > 0:
         raise ProblemError("projected_gradient_mixed needs sigma > 0 (u has no effect otherwise)")
     if not problem.chem.sigma < 1:
@@ -593,9 +592,8 @@ def certificate_check(
     violations: list[str] = []
     certs = result.certificate
     theta_pre = {j.candidate_index: j.pre for j in result.forward.jumps}
-    block = max(1, CERT_BLOCK_VALUES // np.size(certs[0].p_plus)) if certs else 1
-    for start in range(0, len(certs), block):
-        rows = certs[start:start + block]
+    for block in _row_blocks(len(certs), np.size(certs[0].p_plus) if certs else 1):
+        rows = certs[block]
         n_bad = _sign_violations(rows, [theta_pre[c.candidate_index] for c in rows], tol)
         violations += [f"pulse at t={c.time:.6f}: {n} point(s) violate the sign condition"
                        for c, n in zip(rows, n_bad) if n]

@@ -77,7 +77,7 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core.multiarray import c_einsum as _c_einsum
 
-from .core import FieldTrajectory, Propagator, Span, Trajectory, _cost, _rows  # noqa: F401
+from .core import FieldTrajectory, Propagator, Span, Trajectory, _cost, _row_means, _rows  # noqa: F401
 from .model import (
     ContinuousControl,
     CostBreakdown,
@@ -484,7 +484,7 @@ def cost_pde(
 
 def spatial_average(traj: Trajectory) -> Trajectory:
     """Per-time grid mean of a field trajectory, its jump records and its unstored sums."""
-    values = traj.fields.mean(axis=(1, 2, 3))
+    values = _row_means(traj.fields)
     jumps = [j._replace(pre=float(np.mean(j.pre)), post=float(np.mean(j.post)),
                         applied=float(np.mean(j.applied))) for j in traj.jumps]
     return replace(traj, times=traj.times.copy(), values=values, jumps=jumps, grid=None,

@@ -1,6 +1,9 @@
 import csv
 import filecmp
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -521,3 +524,11 @@ def test_random_amplitude_seed_override(tmp_path):
     amp = lambda b: b.problem.pressure.amplitude_field.values  # noqa: E731
     assert np.array_equal(amp(b5), amp(b5_again))
     assert not np.array_equal(amp(b5), amp(b9))
+
+
+def test_cli_start_up_loads_no_hashlib():
+    # only the mixed optimizer's line search digests controls, and it imports hashlib itself
+    src = str(Path(ib.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, inhibopt.cli; sys.exit('hashlib' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -11,9 +11,9 @@ import pytest
 
 import inhibopt as ib
 from conftest import reference_alpha, reference_pde
-from inhibopt import optimize
+from inhibopt import core, optimize
 from inhibopt.adjoint import _propagator
-from inhibopt.core import AdjointJump, Jump, Trajectory, _cost, _rows
+from inhibopt.core import AdjointJump, Jump, Trajectory, _cost, _row_blocks, _row_means, _rows
 
 
 def _state_step(prop, x, n):
@@ -248,3 +248,38 @@ def test_a_reaimed_propagator_runs_as_a_new_one(model):
             fresh_solves += fresh.cg.solves
     if model == "field":
         assert base.cg.solves == fresh_solves > 0
+
+
+# ---------------------------------------------------------------------------
+# the block rule and the two grid reductions of every pass over stacked rows
+
+
+@pytest.mark.parametrize("n, row_values, budget, rows", [
+    (0, 10, 40, 4),  # nothing to cover
+    (5, 100, 40, 1),  # a row above the budget: one row a block
+    (12, 10, 40, 4),  # an exact multiple
+    (13, 10, 40, 4),  # a remainder
+    (13, 10, None, 3),  # the budget read from core.BLOCK_VALUES at call time
+])
+def test_row_blocks_cover_the_rows_once_in_order(monkeypatch, n, row_values, budget, rows):
+    monkeypatch.setattr(core, "BLOCK_VALUES", 30)
+    blocks = _row_blocks(n, row_values, budget)
+    assert [i for block in blocks for i in range(block.start, block.stop)] == list(range(n))
+    assert [block.stop - block.start for block in blocks] == (
+        [rows] * (n // rows) + [n % rows] * (n % rows > 0))
+    assert all(block.step is None for block in blocks)
+
+
+@pytest.mark.parametrize("dims, spacing", [((3, 4, 2), 1.0), ((1, 5, 1), 0.3), ((1, 1, 1), 2.5),
+                                           ((4, 1, 3), 0.7)])
+def test_stacked_grid_reductions_equal_each_rows(rng, dims, spacing):
+    grid = ib.SpaceGrid(dims, spacing)
+    stack = rng.normal(size=(7, *dims))
+    norms, means = grid.l2_norm(stack).tolist(), _row_means(stack).tolist()
+    for row, norm, mean in zip(stack, norms, means):
+        field = ib.ScalarField(grid, row)
+        assert norm == grid.l2_norm(row) == field.l2_norm() == np.sqrt(np.sum(row**2) * spacing**3)
+        assert mean == row.mean() == field.mean()
+        assert type(field.l2_norm()) is float
+    column = stack[:, 0, 0, 0].copy()
+    assert _row_means(column) is column  # a 1-D row is its own mean

@@ -14,6 +14,7 @@ import pytest
 
 import inhibopt as ib
 from conftest import reference_averaged, reference_pde
+from inhibopt import core
 from inhibopt import io as iomod
 from inhibopt.averaged import AveragedPropagator
 from inhibopt.core import Trajectory
@@ -302,7 +303,7 @@ def test_one_format_per_bit_pattern_keeps_every_trap_apart(tmp_path):
                       np.resize(TRAP, 1041))
 
 
-@pytest.mark.parametrize("values_per_pass", [iomod._VALUES_PER_PASS, 100])
+@pytest.mark.parametrize("values_per_pass", [core.BLOCK_VALUES, 100])
 @pytest.mark.parametrize("store_every", [1, 50])
 def test_pde_summary_matches_the_reference_loop(tmp_path, monkeypatch, rng, values_per_pass,
                                                 store_every):
@@ -312,7 +313,7 @@ def test_pde_summary_matches_the_reference_loop(tmp_path, monkeypatch, rng, valu
     v = ib.PulseStrategy(rng.uniform(0.0, 1.0, (prob.time_grid.n_candidates, *grid.dims)))
     traj = ib.simulate_pde(prob, None, v, store_every=store_every)
     assert traj.jumps and len(traj.times) % (values_per_pass // grid.npoints) != 0
-    monkeypatch.setattr(iomod, "_VALUES_PER_PASS", values_per_pass)  # 5 rows a pass at 100
+    monkeypatch.setattr(core, "BLOCK_VALUES", values_per_pass)  # 5 rows a pass at 100
     assert_same_bytes(tmp_path, iomod.write_pde_summary, ref_pde_summary, traj)
     assert ",1\n" in (tmp_path / "got.csv").read_text()  # a pulse row
 

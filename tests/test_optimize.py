@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import tracemalloc
 from types import SimpleNamespace
@@ -862,12 +863,12 @@ class TestProjectedGradientMixed:
         assert optimize._spectral_step(prop, s, 1e12 * y) == optimize.GAMMA_MIN
         assert optimize._spectral_step(prop, s, 1e-12 * y) == optimize.GAMMA_MAX
 
-    @pytest.mark.parametrize("block", [optimize.SAT_BLOCK_VALUES, 7])
+    @pytest.mark.parametrize("block", [core.BLOCK_VALUES, 7])
     def test_saturating_step_is_the_last_breakpoint(self, monkeypatch, block):
         # past 2*gamma_sat every sample with ubar != 0 sits on its bound, so the
         # clipped control is the one GAMMA_MAX gives; just below gamma_sat one
         # sample has not reached its bound yet.  Blocks of rows give the same value
-        monkeypatch.setattr(optimize, "SAT_BLOCK_VALUES", block)
+        monkeypatch.setattr(core, "BLOCK_VALUES", block)
         rng = np.random.default_rng(5)
         u = rng.uniform(0.0, 1.0, (40, 3, 2))
         ubar = rng.normal(size=u.shape)
@@ -897,7 +898,7 @@ class TestProjectedGradientMixed:
                "cost": {"pulse_unit": 0.0613, "continuous_unit": 0.002, "final": 0.3118}}
         bundle = iomod.resolve_bundle(cfg)
         with monkeypatch.context() as m:  # no digest matches: every trial runs its fixed point
-            m.setattr(optimize, "hashlib", SimpleNamespace(sha256=lambda a: SimpleNamespace(digest=object)))
+            m.setattr(hashlib, "sha256", lambda a: SimpleNamespace(digest=object))
             unrecorded = ib.projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
         real_fixed_point, real_saturating = optimize._pulse_loop, optimize._saturating_step
         real_forward, real_backward = core.Propagator.forward, core.Propagator.backward
@@ -1076,11 +1077,11 @@ class TestCertificateCheck:
         )
         assert len(ib.certificate_check(bad, prob, costs)) >= 1
 
-    @pytest.mark.parametrize("block", [optimize.CERT_BLOCK_VALUES, 40])
+    @pytest.mark.parametrize("block", [core.BLOCK_VALUES, 40])
     @pytest.mark.parametrize("model", ["averaged", "field"])
     def test_violation_messages_are_pinned(self, model, block, monkeypatch):
         # a block of 40 values judges two field pulses (18 points each) per pass
-        monkeypatch.setattr(optimize, "CERT_BLOCK_VALUES", block)
+        monkeypatch.setattr(core, "BLOCK_VALUES", block)
         if model == "averaged":
             prob = reference_averaged(t_end=10 / 52)
             costs = ib.CostSpec.constant(prob.time_grid, 0.2, final=0.1)
