@@ -526,9 +526,25 @@ def test_random_amplitude_seed_override(tmp_path):
     assert not np.array_equal(amp(b5), amp(b9))
 
 
-def test_cli_start_up_loads_no_hashlib():
-    # only the mixed optimizer's line search digests controls, and it imports hashlib itself
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A new interpreter that imports inhibopt from this source tree, its output captured."""
     src = str(Path(ib.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_start_up_loads_no_hashlib():
+    # only the mixed optimizer's line search digests controls, and it imports hashlib itself
     code = "import sys, inhibopt.cli; sys.exit('hashlib' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _fresh_python("-c", code).returncode == 0
+
+
+def test_the_entry_point_reports_an_unwritable_out_in_one_line(tmp_path):
+    # the module run as a program: exit 1, one stderr line and no traceback, nothing written
+    (tmp_path / "afile").touch()
+    out = tmp_path / "afile" / "x"
+    run = _fresh_python("-m", "inhibopt.cli", "simulate-averaged", "--out", str(out))
+    assert run.returncode == 1
+    assert run.stderr == f"validation: cannot write {out}: Not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").stat().st_size == 0

@@ -1,11 +1,14 @@
-"""Output fingerprints: every file that the bundled presets and the rerun configs of
-the CI workflow write, regenerated in process and compared with ``fingerprints.json``.
+"""Output fingerprints: every file that the bundled presets and the eight rerun configs
+of ``CONFIG_RUNS`` write, generated once in process and compared with
+``fingerprints.json``.  ``CONFIG_RUNS`` is the one copy of those configs: the CI step that
+reruns this file under two hash seeds and a relocating allocator, and then compares the
+runs with ``diff -r``, writes them through it (see the README's "Tests").
 
 On the numpy version and machine that made ``fingerprints.json`` each file's SHA-256
 must match, so a change of any output byte fails.  Elsewhere numpy may round in
-another order, so the parsed values are compared instead, within ``RTOL`` of their
-scale (see ``_differences``), and a warning says so and counts the files whose
-bytes differ.
+another order, so the files whose bytes differ are parsed and their values compared
+instead, within ``RTOL`` of their scale (see ``_differences``), and a warning says so
+and counts those files.
 
 After a deliberate change of outputs, regenerate the file with
 
@@ -19,13 +22,17 @@ import hashlib
 import io
 import json
 import math
+import os
 import platform
+import shutil
 import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from inhibopt.cli import run_cli
+from inhibopt.io import config_from_manifest
 from inhibopt.presets import PRESETS
 
 FINGERPRINTS = Path(__file__).with_name("fingerprints.json")
@@ -33,7 +40,8 @@ REGENERATE = "PYTHONPATH=src python tests/test_fingerprints.py"
 RTOL = 1e-6  # on another numpy or machine: relative to the column's (or entry's) scale
 ATOL = 1e-12
 
-# the rerun configs of .github/workflows/tests.yml: run directory -> (command, config)
+# the one copy of the rerun configs, which CI reruns through this file:
+# run directory -> (command, config)
 CONFIG_RUNS = {
     "fixed-point": (["optimize-pulse"],
                     "model: {kind: pde, sigma_star: 0.015}\ninitial: {mode: sine}\n"
@@ -157,23 +165,66 @@ def _differences(got: dict, want: dict) -> list[str]:
     return problems
 
 
-def test_outputs_match_their_fingerprints(tmp_path):
+def check(out: Path, here: dict) -> None:
+    """Assert that the files under ``out`` match ``fingerprints.json``: by their bytes if
+    ``here`` (a numpy version and a machine) made it, else by the parsed values of the
+    files whose bytes differ, with a warning that says so."""
     ref = json.loads(FINGERPRINTS.read_text())
-    out = generate(tmp_path)
     got = fingerprints(out, parsed=False)
     assert sorted(got) == sorted(ref["files"]), "the runs wrote other files"
     changed = [name for name, entry in ref["files"].items() if got[name]["sha256"] != entry["sha256"]]
-    here = {"numpy": np.__version__, "machine": machine()}
     if here == {"numpy": ref["numpy"], "machine": ref["machine"]}:
         assert not changed, (f"{len(changed)} of {len(got)} files differ from their fingerprints "
                              f"(the first: {changed[:5]}); after a deliberate change, "
                              f"regenerate with {REGENERATE}")
         return
-    problems = _differences(fingerprints(out), ref["files"])
+    # equal bytes have equal layout and values: only the files whose bytes differ are parsed
+    problems = _differences({name: _fingerprint(out / name, parsed=True) for name in changed},
+                            {name: ref["files"][name] for name in changed})
     assert not problems, "\n".join(problems[:20])
     warnings.warn(f"fingerprints made with numpy {ref['numpy']} on {ref['machine']}, run with "
                   f"numpy {here['numpy']} on {here['machine']}: parsed values compared within "
                   f"rtol {RTOL}, and they agree; {len(changed)} of {len(got)} files differ in bytes")
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory) -> Path:
+    """Every preset and rerun config, run once for all the tests of this file."""
+    return generate(tmp_path_factory.mktemp("outputs"))
+
+
+def test_outputs_match_their_fingerprints(outputs):
+    check(outputs, {"numpy": np.__version__, "machine": machine()})
+
+
+def test_elsewhere_the_files_whose_bytes_differ_are_compared_by_value(outputs, tmp_path):
+    ref = json.loads(FINGERPRINTS.read_text())
+    made = {"numpy": ref["numpy"], "machine": ref["machine"]}  # where the fingerprints were made
+    elsewhere = {**made, "machine": f"other than {made['machine']}"}
+    with pytest.warns(UserWarning, match="and they agree"):
+        check(outputs, elsewhere)
+    # one number of one file off by 1e-5 of itself (a copy of links, and a new file in its place)
+    copy = shutil.copytree(outputs, tmp_path / "out", copy_function=os.link)
+    manifest = copy / "line-search" / "manifest"
+    text, cost = manifest.read_text(), config_from_manifest(manifest)[1]["total_cost"]
+    off = text.replace(f"total_cost={cost!r}\n", f"total_cost={cost * (1 + 1e-5)!r}\n")
+    assert off != text
+    manifest.unlink()
+    manifest.write_text(off)
+    with pytest.raises(AssertionError, match="files differ from their fingerprints"):
+        check(copy, made)
+    with pytest.raises(AssertionError, match="line-search/manifest: total_cost="):
+        check(copy, elsewhere)
+
+
+def test_the_rerun_manifests_keep_their_counters(outputs):
+    # the field mixed run counts each CG solve once: 3 fixed points of 2 runs of 520 steps
+    field = config_from_manifest(outputs / "mixed-field" / "manifest")[1]
+    assert (field["cg_solves"], field["fixed_points"]) == (3120, 3)
+    # a threshold line search that tries no control twice reaches its step tolerance
+    search = config_from_manifest(outputs / "line-search" / "manifest")[1]
+    assert search["stop_reason"] != "line search failed"
+    assert search["fixed_points"] <= 147
 
 
 def test_elsewhere_values_are_compared_within_the_tolerance(tmp_path):
