@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from . import io as iomod
 from .adjoint import _propagator, gradient_continuous, gradient_pulse
 from .averaged import cost_averaged, simulate_averaged
+from .core import _walk
 from .model import ContinuousControl, ProblemError, PulseStrategy, SolverError, validate
 from .optimize import brute_force_pulse, fixed_point_pulse, projected_gradient_mixed
 from .pde import cost_pde, simulate_pde
@@ -54,9 +56,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None, help="seed override for random fields")
         if store_every:
             p.add_argument("--store-every", type=int, default=1, dest="store_every",
-                           help="keep and write every m-th field node (simulate-pde, "
-                                "optimize-pulse); the cost is unchanged; optimize-mixed stores "
-                                "every node, as its chemical gradient needs")
+                           help="keep and write every m-th field node, every candidate node "
+                                "and the final node; the cost is unchanged; optimize-mixed "
+                                "writes these nodes but keeps every node while it runs, as its "
+                                "chemical gradient needs")
         return p
 
     add("simulate-averaged", "forward run of the spatially averaged model")
@@ -117,8 +120,20 @@ def _task_optimize_pulse(bundle: iomod.Bundle, store_every: int) -> tuple[dict, 
     return {**entries, "store_every": result.forward.store_every}, files
 
 
-def _task_optimize_mixed(bundle: iomod.Bundle) -> tuple[dict, list]:
+def _stored(traj, rows: np.ndarray, store_every: int):
+    """A complete record's ``rows``, the nodes a run at ``store_every`` stores, for writing."""
+    return replace(traj, times=traj.times[rows], values=traj.values[rows], node_indices=rows,
+                   store_every=store_every)
+
+
+def _task_optimize_mixed(bundle: iomod.Bundle, store_every: int) -> tuple[dict, list]:
+    rows = _walk(bundle.problem.time_grid, store_every).rows  # a bad spacing fails before the run
     result = projected_gradient_mixed(bundle.problem, bundle.costs, u0=bundle.u)
+    stored = {}
+    if store_every != 1:  # the optimizer keeps complete records; only the writes are thinned
+        result = replace(result, forward=_stored(result.forward, rows, store_every),
+                         adjoint=_stored(result.adjoint, rows, store_every))
+        stored = {"store_every": store_every}
     entries, files = _export_result(bundle, result)
     files += [(iomod.write_control, "control.csv", bundle.problem.time_grid, result.control),
               (iomod.write_control_certificate, "control_certificate.csv",
@@ -129,6 +144,7 @@ def _task_optimize_mixed(bundle: iomod.Bundle) -> tuple[dict, list]:
         "stop_reason": result.diagnostics["stop_reason"],
         "line_search_halvings": result.diagnostics["line_search_halvings"],
         "fixed_points": result.diagnostics["fixed_points"],
+        **stored,
     }, files
 
 
@@ -162,7 +178,7 @@ def _task_gradient_check(bundle: iomod.Bundle) -> tuple[dict, list]:
 
     dims = problem.grid.dims if bundle.kind == "pde" else ()
     v_base = PulseStrategy(0.2 + 0.6 * rng.random((tg.n_candidates, *dims)))
-    u_base = ContinuousControl(np.full((tg.n_steps, *dims), 0.5))
+    u_base = ContinuousControl(np.broadcast_to(0.5, (tg.n_steps, *dims)))
 
     prop = _propagator(problem, u_base)
     forward = prop.forward(v_base)
@@ -227,7 +243,7 @@ def _run(task: str, config, seed: int | None, out: Path, where: str | None = Non
             "alpha-profile": lambda: emit_alpha_profile(bundle),
             "simulate": lambda: _task_simulate(bundle, store_every),
             "optimize-pulse": lambda: _task_optimize_pulse(bundle, store_every),
-            "optimize-mixed": lambda: _task_optimize_mixed(bundle),
+            "optimize-mixed": lambda: _task_optimize_mixed(bundle, store_every),
             "brute-force": lambda: _task_brute_force(bundle, **options),
             "gradient-check": lambda: _task_gradient_check(bundle),
         }[name]()

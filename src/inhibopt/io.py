@@ -363,7 +363,7 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
     def per_candidate(key: str) -> np.ndarray:
         """The values at ``key``, a number standing for one value per candidate pulse time."""
         values = num(key, _floats)
-        return np.full(tg.n_candidates, values) if values.ndim == 0 else values
+        return np.broadcast_to(values, (tg.n_candidates,)) if values.ndim == 0 else values
 
     if m["pulse_times"] is not None:
         tg = TimeGrid(num("model.t_end"), num("model.step"),
@@ -415,14 +415,14 @@ def resolve_bundle(cfg: dict, base_dir=".", seed_override: int | None = None) ->
     c = cfg["cost"]
     if isinstance(c["pulse_unit"], str):
         field = _field_from_spec("cost.pulse_unit", c["pulse_unit"], base_dir, grid)
-        pulse = np.broadcast_to(field.values, (tg.n_candidates, *grid.dims)).copy()
+        pulse = np.broadcast_to(field.values, (tg.n_candidates, *grid.dims))
     else:
         pulse = per_candidate("cost.pulse_unit")
     if isinstance(c["final"], str):
         final = _field_from_spec("cost.final", c["final"], base_dir, grid).values
     else:
         final = num("cost.final", _floats)
-    costs = CostSpec(pulse, np.full(tg.n_steps, num("cost.continuous_unit")), final)
+    costs = CostSpec(pulse, np.broadcast_to(num("cost.continuous_unit"), (tg.n_steps,)), final)
     return Bundle(m["kind"], problem, u, strategy, costs, cfg, seed)
 
 

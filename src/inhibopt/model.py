@@ -51,9 +51,18 @@ class LinearSolverError(SolverError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, order="C")  # preserves 0-d shapes
-    a.setflags(write=False)
-    return a
+    """A read-only float copy of the distinct data of ``a``.
+
+    Each axis of stride 0 (a broadcast) is copied at length 1 and broadcast back,
+    so a constant holds one value and a space-uniform profile one value per step;
+    any other array is copied C-contiguous.  Either way the copy is the stored
+    data, so writing later to ``a`` changes nothing stored.
+    """
+    a = np.asarray(a)
+    core = np.array(a[tuple(slice(None, 1) if s == 0 else slice(None) for s in a.strides)],
+                    dtype=float, order="C")  # preserves 0-d shapes
+    core.setflags(write=False)
+    return core if core.shape == a.shape else np.broadcast_to(core, a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +349,20 @@ class ContinuousControl:
     """Chemical control u, piecewise constant over integration steps.
 
     ``samples`` holds one entry per step: shape (n_steps,) for the averaged
-    model or (n_steps, d1, d2, d3) for the space-dependent model.
+    model or (n_steps, d1, d2, d3) for the space-dependent model.  It is a
+    read-only copy of the distinct values given (see ``_readonly``): a
+    constant control holds one value, a space-uniform profile one per step.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", _readonly(np.asarray(self.samples, dtype=float)))
+        object.__setattr__(self, "samples", _readonly(self.samples))
 
     @classmethod
     def constant(cls, time_grid: TimeGrid, value: float, grid: SpaceGrid | None = None):
         shape = (time_grid.n_steps,) if grid is None else (time_grid.n_steps, *grid.dims)
-        return cls(np.full(shape, float(value)))
+        return cls(np.broadcast_to(float(value), shape))
 
     @classmethod
     def from_profile(cls, time_grid: TimeGrid, fn: Callable, grid: SpaceGrid | None = None):
@@ -373,12 +384,12 @@ class PulseStrategy:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(np.asarray(self.values, dtype=float)))
+        object.__setattr__(self, "values", _readonly(self.values))
 
     @classmethod
     def no_intervention(cls, time_grid: TimeGrid, grid: SpaceGrid | None = None):
         shape = (time_grid.n_candidates,) if grid is None else (time_grid.n_candidates, *grid.dims)
-        return cls(np.ones(shape))
+        return cls(np.broadcast_to(1.0, shape))
 
     @classmethod
     def from_fields(cls, fields: Sequence[ScalarField]) -> "PulseStrategy":
@@ -397,7 +408,8 @@ class CostSpec:
     The running-state weight is fixed at 1.  ``pulse_unit`` holds c_i (one
     entry per candidate pulse time, scalar or field), ``continuous_unit``
     holds C per integration step, ``final`` holds C_f (scalar or field
-    values).
+    values).  Each is a read-only copy of the distinct values given (see
+    ``_readonly``), so a constant cost holds one value.
     """
 
     RUNNING_STATE_WEIGHT = 1.0
@@ -408,7 +420,7 @@ class CostSpec:
 
     def __post_init__(self):
         for name in ("pulse_unit", "continuous_unit", "final"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=float)))
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @classmethod
     def constant(
@@ -419,8 +431,8 @@ class CostSpec:
         final: float = 0.0,
     ) -> "CostSpec":
         return cls(
-            np.full(time_grid.n_candidates, float(pulse_unit)),
-            np.full(time_grid.n_steps, float(continuous_unit)),
+            np.broadcast_to(float(pulse_unit), (time_grid.n_candidates,)),
+            np.broadcast_to(float(continuous_unit), (time_grid.n_steps,)),
             np.asarray(float(final)),
         )
 

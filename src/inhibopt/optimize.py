@@ -189,9 +189,13 @@ def _pulse_loop(prop, u, costs, max_iterations: int = 50, store_every: int = 1):
         swept.append(realized)
         adjoint = None  # only the new costate and the last forward run are alive
         v, adjoint = _sweep(prop, costs, realized, store_every)
-        strategy = PulseStrategy(v)
-        if forward is not None and _repeats(v, forward):
-            rows = _rows(strategy.values)  # the run of v is ``forward``, with a fresh run's decisions
+        strategy, v = PulseStrategy(v), None  # records view the strategy's rows, so v goes
+        rows = _rows(strategy.values)
+        if prop.shape:  # a field costate record views its row of v (a scalar one holds a float)
+            adjoint = replace(adjoint, jumps=[aj._replace(applied=rows[aj.candidate_index])
+                                              for aj in adjoint.jumps])
+        if forward is not None and _repeats(strategy.values, forward):
+            # the strategy's run is ``forward``, with a fresh run's decisions
             forward = replace(forward, jumps=[j._replace(applied=rows[j.candidate_index])
                                               for j in forward.jumps])
         else:

@@ -407,7 +407,8 @@ class FieldPropagator(Propagator):
         self._aim(u)
 
     def _aim(self, u: ContinuousControl | None) -> None:
-        self.u_samples = u.samples if u is not None else np.zeros(self.time_grid.n_steps)
+        self.u_samples = (u.samples if u is not None
+                          else np.broadcast_to(0.0, (self.time_grid.n_steps,)))
         self._u = _rows(self.u_samples)
         self.unit_divisor = _unit_divisor(self.sigma, self.u_samples)
         rate = self.alpha if self.unit_divisor else self.rate

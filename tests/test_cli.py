@@ -196,6 +196,38 @@ class TestOptimizeCommands:
         _, extras = iomod.config_from_manifest(averaged / "manifest")
         assert not any(k.startswith("cg_") for k in extras)
 
+    def test_optimize_mixed_writes_the_stored_nodes(self, tmp_path):
+        # the optimizer keeps complete records; --store-every thins only what it writes
+        cfg = {"model": {"kind": "pde", "t_end": 0.25}, "grid": {"cells": [3, 3, 2]},
+               "cost": {"continuous_unit": 0.005}}
+        path = write_config(tmp_path / "f.yaml", cfg)
+        for m in ("1", "7"):
+            assert run_cli(["optimize-mixed", "--config", str(path), "--out", str(tmp_path / m),
+                            "--store-every", m]) == 0
+        bundle = iomod.resolve_bundle(iomod.normalize_config(cfg))
+        tg, points = bundle.problem.time_grid, bundle.problem.grid.npoints
+        nodes = sorted({*range(0, tg.n_steps + 1, 7), *tg.candidate_indices, tg.n_steps})
+        full, thin = tmp_path / "1", tmp_path / "7"
+        for name, per_node in (("adjoint.csv", points), ("summary.csv", 1)):
+            header, *lines = (full / name).read_text().splitlines()
+            assert len(lines) == (tg.n_steps + 1) * per_node
+            want = [header, *(line for n in nodes for line in lines[n * per_node:(n + 1) * per_node])]
+            assert (thin / name).read_text().splitlines() == want, name
+        for name in ("cost.csv", "strategy.csv", "certificate.csv", "control.csv",
+                     "control_certificate.csv"):
+            assert filecmp.cmp(full / name, thin / name, shallow=False), name
+        (_, complete), (_, thinned) = (iomod.config_from_manifest(d / "manifest") for d in (full, thin))
+        assert "store_every" not in complete  # the manifests of m = 1 are as before
+        assert thinned == {**complete, "store_every": 7}
+        # the averaged model writes every node, and its manifest records no spacing
+        averaged = tmp_path / "averaged"
+        path = write_config(tmp_path / "a.yaml", AVERAGED_CFG)
+        assert run_cli(["optimize-mixed", "--config", str(path), "--out", str(averaged),
+                        "--store-every", "7"]) == 0
+        n_nodes = len(iomod.resolve_bundle(AVERAGED_CFG).problem.time_grid.times)
+        assert len(read_rows(averaged / "adjoint.csv")) == n_nodes
+        assert "store_every" not in iomod.config_from_manifest(averaged / "manifest")[1]
+
     def test_manifests_record_realized_pulses_and_halvings(self, tmp_path):
         gated = {**AVERAGED_CFG, "model": {**AVERAGED_CFG["model"], "sigma_star": 0.45}}
         out = tmp_path / "pulse"
@@ -378,7 +410,7 @@ class TestPresets:
                 assert cli._run(run.task, run.config, None, tmp_path, f"{preset.name}/{run.label}", 50) == 0
                 task, kind, rest = calls.pop()
                 assert task == run.task
-                if task in ("simulate", "optimize-pulse"):  # the one store-every rule
+                if task in ("simulate", "optimize-pulse", "optimize-mixed"):  # one store-every rule
                     assert rest == ((50,) if kind == "pde" else (1,))
         assert not calls
 

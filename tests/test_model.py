@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,84 @@ def test_space_grid_quadrature_volume():
     grid = ib.SpaceGrid.from_cells(10, 10, 3, spacing=0.5)
     assert grid.npoints == 11 * 11 * 4
     assert grid.volume == pytest.approx(grid.npoints * 0.125)
+
+
+class TestStorage:
+    """A control, strategy or cost keeps one read-only copy of its distinct values."""
+
+    tg = ib.TimeGrid.regular(1.0, 1e-3, WEEK)
+    grid = ib.SpaceGrid.from_cells(40, 40, 12)
+
+    def _stored(self):
+        tg, grid = self.tg, self.grid
+        m_shape = (tg.n_candidates, *grid.dims)
+        field_costs = ib.CostSpec(np.broadcast_to(0.5, m_shape),
+                                  np.broadcast_to(0.005, (tg.n_steps,)), np.broadcast_to(0.1, grid.dims))
+        costs = ib.CostSpec.constant(tg, 0.5, 0.005, 0.1)
+        return {
+            "constant field control": ib.ContinuousControl.constant(tg, 0.3, grid).samples,
+            "constant control": ib.ContinuousControl.constant(tg, 0.3).samples,
+            "no field intervention": ib.PulseStrategy.no_intervention(tg, grid).values,
+            **{f"field {name}": getattr(field_costs, name)
+               for name in ("pulse_unit", "continuous_unit", "final")},
+            **{name: getattr(costs, name) for name in ("pulse_unit", "continuous_unit", "final")},
+        }
+
+    def test_constants_hold_one_value(self):
+        want = {"constant field control": (self.tg.n_steps, *self.grid.dims),
+                "no field intervention": (self.tg.n_candidates, *self.grid.dims),
+                "field pulse_unit": (self.tg.n_candidates, *self.grid.dims),
+                "field final": self.grid.dims}
+        for name, a in self._stored().items():
+            assert a.dtype == float and not a.flags.writeable, name
+            if name in want:
+                assert a.shape == want[name], name
+            data = a if a.base is None else a.base
+            assert data.nbytes == 8, name  # one float, whatever the shape
+
+    def test_a_field_profile_holds_one_value_per_step(self):
+        u = ib.ContinuousControl.from_profile(self.tg, lambda t: 0.5 * t, self.grid)
+        assert u.samples.shape == (self.tg.n_steps, *self.grid.dims)
+        assert u.samples.base.shape == (self.tg.n_steps, 1, 1, 1)
+        assert np.array_equal(u.samples[:, 3, 7, 2], 0.5 * self.tg.mid_times)
+
+    def test_writing_through_the_stored_arrays_raises(self):
+        for name, a in self._stored().items():
+            with pytest.raises(ValueError):
+                a[...] = 0.7
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.7
+
+    def test_the_caller_writing_to_its_source_changes_nothing(self):
+        source = np.array([0.2, 0.4, 0.6])[:, None]
+        writable = np.lib.stride_tricks.as_strided(source, (3, 5), (source.strides[0], 0))
+        assert writable.flags.writeable
+        full = np.full((3, 5), 0.25)
+        u_broadcast, u_full = ib.ContinuousControl(writable), ib.ContinuousControl(full)
+        source[:] = 0.9
+        full[:] = 0.9
+        assert np.array_equal(u_broadcast.samples, np.repeat([[0.2], [0.4], [0.6]], 5, axis=1))
+        assert u_broadcast.samples.base.shape == (3, 1)
+        assert np.array_equal(u_full.samples, np.full((3, 5), 0.25))
+
+    def test_other_inputs_are_copied_c_contiguous(self):
+        rng = np.random.default_rng(0)
+        for given in (np.asfortranarray(rng.random((6, 4, 3, 2))), rng.random((12, 4, 3, 2))[::2],
+                      rng.random((6, 4, 3, 2)), [[1, 2], [3, 4]]):
+            samples = ib.ContinuousControl(given).samples
+            assert samples.dtype == float and samples.flags.c_contiguous and samples.flags.owndata
+            assert not samples.flags.writeable
+            assert not np.shares_memory(samples, given)
+            assert np.array_equal(samples, given)
+
+    def test_batch_constants_allocate_under_one_megabyte(self):
+        # 600 scalar scenarios, each with a constant control and a constant cost
+        tracemalloc.start()
+        try:
+            kept = [(ib.ContinuousControl.constant(self.tg, 0.2),
+                     ib.CostSpec.constant(self.tg, 0.4, 0.0, 0.1)) for _ in range(600)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 600
+        assert peak < 2**20

@@ -432,14 +432,14 @@ def test_fixed_point_holds_no_discarded_costate():
 
 @pytest.mark.parametrize("case", ["field optimal_pulse", "field fixed_point_pulse"])
 def test_field_costate_records_view_their_decisions(case):
-    # a record's applied is the decision itself, a row of the deciding sweep's
-    # v; a copy per candidate would be one more array of the strategy's size
+    # a record's applied is a row of the result's strategy; a copy per
+    # candidate, or the deciding sweep's v kept beside the strategy, would be
+    # one more array of the strategy's size
     solve, prob, costs = _spacing_case(case)
     res = solve(prob, None, costs)
     jumps = res.adjoint.jumps
     assert jumps
-    owner = jumps[0].applied.base
-    assert owner is not None and owner.shape == res.strategy.values.shape
+    owner = res.strategy.values
     assert all(j.applied.base is owner for j in jumps)
 
 
