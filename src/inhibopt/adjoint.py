@@ -141,6 +141,12 @@ def _ubar(switching: np.ndarray, sigma: float, u_samples: np.ndarray, costs) -> 
             - switching / _per_point((1.0 - sigma * u_samples) ** 2, switching.ndim))
 
 
+def _chemical_gradient(prop: Propagator, forward, adjoint, u: ContinuousControl | None, costs):
+    """S = sigma*alpha*p*theta of a run and its costate, and ubar = C - S/(1 - sigma*u)^2."""
+    switching = prop.chemical_rate(forward, _span_midpoints(adjoint))
+    return switching, _ubar(switching, prop.sigma, np.zeros(1) if u is None else u.samples, costs)
+
+
 def gradient_continuous(
     problem: AveragedProblem | PdeProblem,
     forward: Trajectory,
@@ -156,10 +162,8 @@ def gradient_continuous(
     pulse into or out of that set, where J(u) is not differentiable.
     """
     tg = problem.time_grid
-    sigma = problem.chem.sigma
-    u_samples = u.samples if u is not None else np.zeros(tg.n_steps)
     prop = _propagator(problem, None)  # S needs no u: no propagator divides by 1 - sigma*u
-    ubar = _ubar(prop.chemical_rate(forward, _span_midpoints(adjoint)), sigma, u_samples, costs)
+    ubar = _chemical_gradient(prop, forward, adjoint, u, costs)[1]
 
     directional = None
     if direction is not None:

@@ -219,7 +219,7 @@ def _run(task: str, config, seed: int | None, out: Path, where: str | None = Non
     ``out``.  A task returns its manifest entries and ``(writer, file name, data...)``
     list.  An ``out`` that cannot be created or written exits 1 with
     ``where: cannot write <path>: reason``.  A field run keeps every
-    ``store_every``-th node, an averaged run every node.
+    ``store_every``-th node, an averaged run every node; below 1 either fails.
     """
     try:
         if isinstance(config, Path):
@@ -236,8 +236,9 @@ def _run(task: str, config, seed: int | None, out: Path, where: str | None = Non
             print(f"config describes {article} {bundle.kind} model; use simulate-{bundle.kind}",
                   file=sys.stderr)
             return 1
-        if bundle.kind == "averaged":
-            store_every = 1
+        if store_every < 1:  # checked before an averaged run, which stores every node, drops it
+            raise ProblemError("store_every must be >= 1")
+        store_every = 1 if bundle.kind == "averaged" else store_every
         name = "simulate" if task.startswith("simulate") else task
         entries, files = {
             "alpha-profile": lambda: emit_alpha_profile(bundle),

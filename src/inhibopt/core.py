@@ -149,8 +149,13 @@ def _space_integral(rows: np.ndarray, space_weight: float) -> np.ndarray:
 
 
 def _control_inner(a: np.ndarray, b: np.ndarray, space_weight: float, dt: np.ndarray) -> float:
-    """The dt- and ds^3-weighted inner product of two per-step arrays."""
-    return float(np.sum(_space_integral(a * b, space_weight) * dt))
+    """The dt- and ds^3-weighted inner product of two per-step arrays (either may broadcast over
+    space), each row's product summed in the blocks of :func:`_row_blocks`, as one pass would."""
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    rows = np.empty(shape[0])
+    for block in _row_blocks(shape[0], int(np.prod(shape[1:]))):
+        rows[block] = _space_integral(a[block] * b[block], space_weight)
+    return float(np.sum(rows * dt))
 
 
 def _node_integrals(traj: Trajectory, space_weight: float) -> np.ndarray:

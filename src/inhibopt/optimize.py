@@ -33,9 +33,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .adjoint import _propagator, _ubar
+from .adjoint import _chemical_gradient, _propagator, _ubar
 from .averaged import AveragedPropagator
-from .core import Trajectory, _control_inner, _per_point, _row_blocks, _rows, _span_midpoints
+from .core import Trajectory, _control_inner, _per_point, _row_blocks, _rows
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -455,9 +455,9 @@ def projected_gradient_mixed(
     had (a SHA-256 digest of each is kept) is halved without a fixed point:
     a fixed point depends on its control alone and J only decreases, so that
     control, rejected or since left behind, would be rejected now.
-    ubar = C - S/(1-sigma*u)^2, from the switching function
-    S = sigma*alpha*p*theta computed once for u0 and each accepted control, is
-    the exact gradient only while the realized pulse set stays fixed: J(u) is
+    ubar = C - S/(1-sigma*u)^2, formed with S = sigma*alpha*p*theta once for u0 and
+    each accepted control by the helper of gradient_continuous and read by every step,
+    is the exact gradient only while the realized pulse set stays fixed: J(u) is
     piecewise smooth under a threshold.  The first trial step is gamma0;
     accepting u_k sets the next to the spectral (Barzilai-Borwein) step, with
     s = u_k - u_{k-1} and y = ubar_k - ubar_{k-1} in the inner product of the
@@ -491,13 +491,9 @@ def projected_gradient_mixed(
     full_shape = (tg.n_steps, *prop.shape)
     if u.samples.shape != full_shape:
         u = ContinuousControl(np.broadcast_to(_per_point(u.samples, len(full_shape)), full_shape))
-
-    def ubar(switching, control):
-        return _ubar(switching, prop.sigma, control.samples, costs)
-
     current = _pulse_loop(prop.at(u), u, costs)
     fixed_points = 1
-    switching = prop.chemical_rate(current.forward, _span_midpoints(current.adjoint))
+    switching, ubar = _chemical_gradient(prop, current.forward, current.adjoint, u, costs)
     j_history = [current.cost.total]
     iterations = 0
     halvings = rejections = set_changes = 0
@@ -508,9 +504,9 @@ def projected_gradient_mixed(
     while iterations < max_iterations:
         iterations += 1
         accepted = stationary = False
-        gamma = min(gamma, 2.0 * _saturating_step(u.samples, ubar(switching, u)))
+        gamma = min(gamma, 2.0 * _saturating_step(u.samples, ubar))
         for _ in range(max_halvings + 1):
-            u_new = ContinuousControl(np.clip(u.samples - gamma * ubar(switching, u), 0.0, 1.0))
+            u_new = ContinuousControl(np.clip(u.samples - gamma * ubar, 0.0, 1.0))
             if np.array_equal(u_new.samples, u.samples):
                 stationary = True  # projection fixed point: no admissible descent
                 break
@@ -536,13 +532,11 @@ def projected_gradient_mixed(
             break
         if _realized(trial) != _realized(current):
             set_changes += 1
-        current, trial = trial, None  # of the iterate before, only u and ubar live on
-        ubar_before, switching = ubar(switching, u), None
-        switching = prop.chemical_rate(current.forward, _span_midpoints(current.adjoint))
-        s = u_new.samples - u.samples
-        u = u_new
+        current, trial, switching = trial, None, None  # of the iterate before, only u and ubar live on
+        s, u, ubar_before = u_new.samples - u.samples, u_new, ubar
+        switching, ubar = _chemical_gradient(prop, current.forward, current.adjoint, u, costs)
         du = _control_norm(prop, s)
-        gamma = _spectral_step(prop, s, ubar(switching, u) - ubar_before)
+        gamma = _spectral_step(prop, s, ubar - ubar_before)
         del s, ubar_before
         decrease = j_history[-1] - current.cost.total
         j_history.append(current.cost.total)

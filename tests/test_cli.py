@@ -364,6 +364,14 @@ class TestExitCodes:
         assert run_cli([command, "--out", str(tmp_path / "o"), "--store-every", "5"]) == 64
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, m", [("simulate-averaged", "0"), ("optimize-mixed", "-3")])
+    def test_store_every_below_one_fails_for_an_averaged_config_too(self, tmp_path, capsys,
+                                                                    command, m):
+        # an averaged run stores every node, but a bad spacing still fails as a field's does
+        assert run_cli([command, "--out", str(tmp_path / "o"), "--store-every", m]) == 1
+        assert not (tmp_path / "o").exists()
+        assert capsys.readouterr().err == "validation: store_every must be >= 1\n"
+
 
 class TestPresets:
     def test_fig1_alpha_profile(self, tmp_path):

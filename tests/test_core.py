@@ -6,6 +6,8 @@ test at every node.  The propagators walk whole pulse-free spans instead, so
 every record, jump, unstored grid sum and cost must agree with it bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ import inhibopt as ib
 from conftest import reference_alpha, reference_pde
 from inhibopt import core, optimize
 from inhibopt.adjoint import _propagator
-from inhibopt.core import AdjointJump, Jump, Trajectory, _cost, _row_blocks, _row_means, _rows
+from inhibopt.core import (AdjointJump, Jump, Trajectory, _control_inner, _cost, _per_point, _row_blocks,
+                          _row_means, _rows, _space_integral)
 
 
 def _state_step(prop, x, n):
@@ -283,3 +286,36 @@ def test_stacked_grid_reductions_equal_each_rows(rng, dims, spacing):
         assert type(field.l2_norm()) is float
     column = stack[:, 0, 0, 0].copy()
     assert _row_means(column) is column  # a 1-D row is its own mean
+
+
+def _one_pass_inner(a, b, space_weight, dt):
+    return float(np.sum(_space_integral(a * b, space_weight) * dt))
+
+
+@pytest.mark.parametrize("block", [core.BLOCK_VALUES, 7])
+@pytest.mark.parametrize("case", ["field by per-step factor", "two fields", "1-D rows"])
+def test_control_inner_in_blocks_is_the_one_pass_product(monkeypatch, rng, block, case):
+    monkeypatch.setattr(core, "BLOCK_VALUES", block)  # 7: one field row a block, 7 1-D rows
+    n, dims = 61, (5, 4, 3)
+    dt = rng.uniform(0.5e-3, 1.5e-3, n)
+    a, b = {
+        "field by per-step factor": (_per_point(rng.uniform(0.0, 0.01, n), 4),  # the cost's C * u
+                                     rng.uniform(0.0, 1.0, (n, *dims))),
+        "two fields": (rng.normal(size=(n, *dims)), rng.normal(size=(n, *dims))),
+        "1-D rows": (rng.normal(size=n), rng.normal(size=n)),
+    }[case]
+    for x, y, w in ((a, b, 0.125), (b, a, 0.125), (a, a, 1.0)):
+        assert _control_inner(x, y, w, dt) == _one_pass_inner(x, y, w, dt)
+
+
+def test_control_inner_holds_no_temporary_of_the_stack_size(rng):
+    a, b = rng.normal(size=(2, 200, 21, 21, 7))
+    dt = np.full(200, 1e-3)
+    tracemalloc.start()
+    try:
+        value = _control_inner(a, b, 0.25, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == _one_pass_inner(a, b, 0.25, dt)
+    assert peak < a.nbytes / 4

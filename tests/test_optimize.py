@@ -9,6 +9,7 @@ import pytest
 
 import inhibopt as ib
 from conftest import reference_alpha, reference_averaged, reference_pde
+from inhibopt import adjoint as adjoint_mod
 from inhibopt import core
 from inhibopt import io as iomod
 from inhibopt import optimize
@@ -98,6 +99,21 @@ class TestOptimalPulse:
                 assert cert.applied == 0.0
             else:
                 assert cert.applied == 1.0
+
+    def test_optimum_converges_at_second_order_as_the_step_halves(self):
+        # the README quick-start problem: J at five halved steps has observed
+        # orders log2((J_h - J_h/2) / (J_h/2 - J_h/4)) of about 2.00, 2.03 and
+        # 1.91, and the sweep picks the same pulses at every step
+        totals, pulse_sets = [], set()
+        for h in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4):
+            prob = reference_averaged(h=h)
+            res = ib.optimal_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.5))
+            totals.append(res.cost.total)
+            pulse_sets.add(intervention_set(res.strategy))
+        diffs = np.diff(totals)
+        orders = np.log2(diffs[:-1] / diffs[1:])
+        assert np.all((orders >= 1.8) & (orders <= 2.2)), orders
+        assert len(pulse_sets) == 1 and len(pulse_sets.pop()) == 25
 
 
 def test_endpoint_candidates_handled_consistently():
@@ -775,21 +791,30 @@ class TestProjectedGradientMixed:
         else:
             prob = reference_pde(cells=(2, 2, 1), t_end=0.25)
         costs = ib.CostSpec.constant(prob.time_grid, 0.5, continuous_unit=0.005)
-        real = core.Propagator.chemical_rate
-        calls = []
+        real, real_ubar = core.Propagator.chemical_rate, adjoint_mod._ubar
+        calls, ubars = [], []
 
         def counted(self, forward, factor):
             calls.append(factor.shape)
             return real(self, forward, factor)
 
+        def counted_ubar(*args):
+            ubars.append(args[0].shape)
+            return real_ubar(*args)
+
         monkeypatch.setattr(core.Propagator, "chemical_rate", counted)
+        for module in (adjoint_mod, optimize):  # the helper's name and the check's
+            monkeypatch.setattr(module, "_ubar", counted_ubar)
         res = ib.projected_gradient_mixed(prob, costs)
         accepted = len(res.diagnostics["cost_history"]) - 1
         assert accepted >= 2 and res.diagnostics["stop_reason"] == "stationary"
-        assert len(calls) == accepted + 1  # the start control and every accepted trial
-        del calls[:]
+        # S and ubar once each for the start control and every accepted trial: the
+        # saturating step, every trial and the spectral step read the stored ubar
+        assert len(calls) == len(ubars) == accepted + 1
+        del calls[:], ubars[:]
         assert ib.certificate_check(res, prob, costs) == []
         assert calls == []  # the check reads the certificate's switching function
+        assert len(ubars) == 1  # and forms its ubar once
 
     def test_a_field_run_builds_one_stencil(self, monkeypatch):
         built = []
