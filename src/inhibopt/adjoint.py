@@ -114,16 +114,11 @@ def gradient_pulse(
     """Adjoint pulse gradient; inner product against ``direction`` if given, in the
     space quadrature of ``forward``."""
     adj_by_node = {j.node_index: j for j in adjoint.jumps}
-    indices: list[int] = []
-    coeffs: list = []
-    for j in forward.jumps:
-        aj = adj_by_node.get(j.node_index)
-        if aj is None:
-            raise ProblemError("forward and adjoint pulse sets differ")
-        indices.append(j.candidate_index)
-        coeffs.append((aj.p_plus - costs.pulse_unit[j.candidate_index]) * j.pre)
-    if len(adj_by_node) != len(forward.jumps):
+    if adj_by_node.keys() != {j.node_index for j in forward.jumps}:
         raise ProblemError("forward and adjoint pulse sets differ")
+    indices = [j.candidate_index for j in forward.jumps]
+    coeffs = [(adj_by_node[j.node_index].p_plus - costs.pulse_unit[j.candidate_index]) * j.pre
+              for j in forward.jumps]
     space_weight = forward.space_weight
     directional = None
     if direction is not None:

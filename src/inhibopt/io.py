@@ -224,9 +224,10 @@ def write_certificate(path, strategy: PulseStrategy, certificate) -> None:
 
 
 def write_control_certificate(path, cert) -> None:
-    """Per-step chemical certificate; field entries are written as their grid means."""
-    table = np.stack([_row_means(a) for a in (cert.unit_cost, cert.switch_level, cert.control,
-                                              cert.margin, cert.consistent.astype(float))], axis=-1)
+    """Per-step chemical certificate; field entries are written as their grid means, block by block."""
+    table = np.concatenate([np.stack([_row_means(a) for a in (
+        part.unit_cost, part.switch_level, part.control, part.margin, part.consistent.astype(float))],
+        axis=-1) for part in cert.blocks()])
     _write_table(path, "t,unit_cost,switch_level,u,margin,consistent",
                  [_key(t) for t in cert.mid_times], table, columns=5)
 

@@ -102,11 +102,19 @@ class ContinuousCertificate:
         return np.where(self.unit_cost > self.switch_level,
                         self.control <= 1e-12, self.control >= 1.0 - 1e-12)
 
+    def blocks(self):
+        """The certificate of each block of :func:`inhibopt.core._row_blocks`: no S-sized temporary."""
+        for rows in _row_blocks(len(self.switching), self.switching.size // len(self.switching)):
+            yield replace(self, mid_times=self.mid_times[rows], unit_cost=self.unit_cost[rows],
+                          switching=self.switching[rows], control=self.control[rows])
+
     def agreement_fraction(self, margin_floor: float = 1e-6) -> float:
-        decisive = self.margin > margin_floor
-        if not decisive.any():
-            return 1.0
-        return float(np.count_nonzero(self.consistent & decisive) / np.count_nonzero(decisive))
+        agree = decisive = 0
+        for part in self.blocks():
+            d = part.margin > margin_floor
+            decisive += np.count_nonzero(d)
+            agree += np.count_nonzero(part.consistent & d)
+        return float(agree / decisive) if decisive else 1.0
 
 
 @dataclass
@@ -466,11 +474,11 @@ def projected_gradient_mixed(
     bang-bang control that the sign of ubar selects.  Only a strict decrease
     is accepted, so the cost history strictly decreases.  Stops when the
     control update norm <= tol_control or the cost decrease <= tol_cost.
-    ``diagnostics["stop_reason"]`` names the stop: stationary, step tolerance,
-    cost tolerance, line search failed or iteration cap;
+    ``diagnostics["stop_reason"]`` names the stop, and ``converged`` is true iff it is
+    stationary, step tolerance or cost tolerance, not line search failed or iteration cap;
     ``diagnostics["line_search_halvings"]`` counts the step halvings over all
-    iterations, ``"fixed_points"`` the fixed points run (the one at u0 and
-    every trial's, rejected ones included), ``"fixed_point_rejections"`` those
+    iterations, ``"fixed_points"`` the fixed points run (the one at u0 and one per
+    trial digest, rejected ones included), ``"fixed_point_rejections"`` those
     that cycled or stopped at their cap and ``"realized_set_changes"`` the
     accepted iterations whose fixed point realized another pulse set than the
     iterate before.  For fields ``diagnostics["cg"]`` counts the CG solves of
@@ -492,29 +500,24 @@ def projected_gradient_mixed(
     if u.samples.shape != full_shape:
         u = ContinuousControl(np.broadcast_to(_per_point(u.samples, len(full_shape)), full_shape))
     current = _pulse_loop(prop.at(u), u, costs)
-    fixed_points = 1
     switching, ubar = _chemical_gradient(prop, current.forward, current.adjoint, u, costs)
     j_history = [current.cost.total]
-    iterations = 0
-    halvings = rejections = set_changes = 0
+    iterations = halvings = rejections = set_changes = 0
     tried: set[bytes] = set()  # SHA-256 digests of the bytes of every trial control so far
-    converged = False
-    stop_reason = "iteration cap"
+    stop_reason = None
     gamma = gamma0
     while iterations < max_iterations:
         iterations += 1
-        accepted = stationary = False
         gamma = min(gamma, 2.0 * _saturating_step(u.samples, ubar))
         for _ in range(max_halvings + 1):
             u_new = ContinuousControl(np.clip(u.samples - gamma * ubar, 0.0, 1.0))
             if np.array_equal(u_new.samples, u.samples):
-                stationary = True  # projection fixed point: no admissible descent
+                stop_reason = "stationary"  # projection fixed point: no admissible descent
                 break
             digest = hashlib.sha256(u_new.samples).digest()
             if digest not in tried:  # a control tried before would be rejected now
                 tried.add(digest)
                 trial = None  # a rejected trial's records go before the next trial runs
-                fixed_points += 1
                 try:
                     trial = _pulse_loop(prop.at(u_new), u_new, costs)
                 except PulseCycleError:
@@ -522,13 +525,12 @@ def projected_gradient_mixed(
                 if trial is None or not trial.converged:
                     rejections += 1
                 elif trial.cost.total < j_history[-1]:
-                    accepted = True
                     break
             gamma *= shrink
             halvings += 1
-        if not accepted:
-            converged = stationary
-            stop_reason = "stationary" if stationary else "line search failed"
+        else:
+            stop_reason = "line search failed"
+        if stop_reason:  # stationary, or the line search failed
             break
         if _realized(trial) != _realized(current):
             set_changes += 1
@@ -541,16 +543,17 @@ def projected_gradient_mixed(
         decrease = j_history[-1] - current.cost.total
         j_history.append(current.cost.total)
         if du <= tol_control or decrease <= tol_cost:
-            converged = True
             stop_reason = "step tolerance" if du <= tol_control else "cost tolerance"
             break
+    else:
+        stop_reason = "iteration cap"
 
-    cu, u_s = (np.broadcast_to(_per_point(a, switching.ndim), switching.shape)
-               for a in (costs.continuous_unit, u.samples))
-    cont_cert = ContinuousCertificate(tg.mid_times.copy(), cu, switching, prop.sigma, u_s)
+    cu = np.broadcast_to(_per_point(costs.continuous_unit, switching.ndim), switching.shape)
+    cont_cert = ContinuousCertificate(tg.mid_times.copy(), cu, switching, prop.sigma, u.samples)
     diag = {"cost_history": j_history, "stop_reason": stop_reason, "line_search_halvings": halvings,
-            "fixed_points": fixed_points, "fixed_point_rejections": rejections,
+            "fixed_points": 1 + len(tried), "fixed_point_rejections": rejections,
             "realized_set_changes": set_changes, **prop.diagnostics()}
+    converged = stop_reason not in ("line search failed", "iteration cap")
     return replace(current, iterations=iterations, converged=converged,
                    continuous_certificate=cont_cert, diagnostics=diag)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,20 @@ class TestGradientPulse:
               - cost_of_averaged(prob, costs, u, ib.PulseStrategy(v.values - FD_EPS * d))) / (2 * FD_EPS)
         assert rel_err(adj_val, fd) < 1e-4
 
+    @pytest.mark.parametrize("pulses", ["missing", "extra"])
+    def test_unpaired_pulse_sets_are_refused(self, rng, pulses):
+        _, _, costs, _, _, forward, adjoint = averaged_setup(rng)
+        jumps = adjoint.jumps[1:] if pulses == "missing" else [
+            *adjoint.jumps, adjoint.jumps[0]._replace(node_index=len(adjoint.times) - 1)]
+        with pytest.raises(ib.ProblemError, match="forward and adjoint pulse sets differ"):
+            ib.gradient_pulse(forward, replace(adjoint, jumps=jumps), costs)
+
+    def test_strategy_direction_is_its_values(self, rng):
+        _, tg, costs, _, _, forward, adjoint = averaged_setup(rng)
+        d = rng.random(tg.n_candidates) - 0.5
+        assert (ib.gradient_pulse(forward, adjoint, costs, direction=ib.PulseStrategy(d)).directional_value
+                == ib.gradient_pulse(forward, adjoint, costs, direction=d).directional_value)
+
     def test_duality_with_forward_sensitivity(self, rng):
         prob, tg, costs, v, u, forward, adjoint = averaged_setup(rng)
         d = rng.random(tg.n_candidates) - 0.5
@@ -183,6 +199,13 @@ class TestGradientContinuous:
         fd = (cost_of_averaged(prob, costs, ib.ContinuousControl(np.clip(u.samples + FD_EPS * d, 0, 1)), v)
               - cost_of_averaged(prob, costs, ib.ContinuousControl(np.clip(u.samples - FD_EPS * d, 0, 1)), v)) / (2 * FD_EPS)
         assert rel_err(adj_val, fd) < 1e-4
+
+    def test_control_direction_is_its_samples(self, rng):
+        prob, tg, costs, _, u, forward, adjoint = averaged_setup(rng)
+        d = rng.random(tg.n_steps) - 0.5
+        assert (ib.gradient_continuous(prob, forward, adjoint, u, costs,
+                                       direction=ib.ContinuousControl(d)).directional_value
+                == ib.gradient_continuous(prob, forward, adjoint, u, costs, direction=d).directional_value)
 
     def test_duality_with_forward_sensitivity(self, rng):
         prob, tg, costs, v, u, forward, adjoint = averaged_setup(rng)

@@ -301,6 +301,18 @@ class TestExitCodes:
         # an --out below a regular file
         ("simulate-averaged", (AVERAGED_CFG, "validation: cannot write <out>: Not a directory",
                                "afile/x")),
+        # YAML that is not a mapping, and modes, kinds and field specs the config does not know
+        ("simulate-averaged", (b"- 1\n- 2\n", "validation: <path>: config must be a mapping")),
+        ("simulate-averaged", ({"alpha": {"amplitude": "random"}},
+                               "validation: random amplitude requires the space-dependent model")),
+        ("simulate-pde", ({**PDE_CFG, "alpha": {"amplitude": "gauss"}},
+                          "validation: unknown amplitude mode 'gauss'")),
+        ("simulate-pde", ({**PDE_CFG, "initial": {"mode": "ramp"}}, "validation: unknown initial mode 'ramp'")),
+        ("simulate-averaged", ({"model": {"kind": "lattice"}}, "validation: unknown model kind 'lattice'")),
+        ("simulate-pde", ({**PDE_CFG, "cost": {"final": "rho.csv"}},
+                          "validation: field spec must be 'csv:<path>', got 'rho.csv'")),
+        ("simulate-averaged", ({"cost": {"final": "csv:rho.csv"}},
+                               "validation: csv fields require the space-dependent model")),
     ])
     def test_a_failed_run_makes_no_output_directory(self, tmp_path, capsys, command, cfg):
         (cfg, message, *out), path = cfg, tmp_path / "cfg.yaml"
@@ -315,7 +327,7 @@ class TestExitCodes:
         assert run_cli([command, "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists()
         err = capsys.readouterr().err
-        message = message.replace("<path>", str(path)).replace("<out>", str(out))
+        message = message.replace("<path>:", f"{path}:").replace("<out>", str(out))
         assert err.startswith(message) and err.count("\n") == 1
 
     @pytest.mark.parametrize("error, code", [(1e-4, 0), (math.nextafter(1e-4, 1.0), 2), (math.nan, 2)])
@@ -472,6 +484,9 @@ def test_field_csv_round_trip(tmp_path):
     iomod.write_field_csv(path, field)
     back = iomod.read_field_csv(path, grid)
     assert np.array_equal(back.values, field.values)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([*lines[:3], "\n", *lines[3:], "\n"]))  # blank lines are skipped
+    assert np.array_equal(iomod.read_field_csv(path, grid).values, field.values)
 
 
 def test_csv_initial_condition_config(tmp_path):
@@ -525,12 +540,13 @@ def test_alpha_profile_of_a_field_model_is_the_averaged_one(tmp_path):
     ({5: "0,1,1,0.3"}, "line 7: point (0, 1, 1) given twice"),
     ({17: None}, "1 missing grid point(s), the first (2, 2, 1)"),
     ({3: "0,1,1,0.\udcff"}, "'utf-8' codec can't decode byte 0xff"),  # the byte 0xff: not UTF-8
+    ({"header": "i,j,value"}, "expected header i,j,k,value, got ['i', 'j', 'value']"),
 ])
 def test_field_csv_mistakes_are_validation_failures(tmp_path, capsys, edit, message):
     # one row per point of the 3x3x2 points of cells [2, 2, 1], then one row replaced or dropped
     rows = [f"{i},{j},{k},0.{i + j + k + 1}" for i in range(3) for j in range(3) for k in range(2)]
     rows = [edit.get(n, row) for n, row in enumerate(rows)]
-    (tmp_path / "rho.csv").write_text("\n".join(["i,j,k,value", *filter(None, rows)]) + "\n",
+    (tmp_path / "rho.csv").write_text("\n".join([edit.get("header", "i,j,k,value"), *filter(None, rows)]) + "\n",
                                       encoding="utf-8", errors="surrogateescape")
     cfg = write_config(tmp_path / "cfg.yaml", {**PDE_CFG, "initial": {"mode": "csv", "path": "rho.csv"}})
     assert run_cli(["simulate-pde", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import inhibopt as ib
-from conftest import reference_alpha, reference_pde
+from conftest import reference_alpha, reference_averaged, reference_pde
 from inhibopt import core, optimize
 from inhibopt.adjoint import _propagator
 from inhibopt.core import (AdjointJump, Jump, Trajectory, _control_inner, _cost, _per_point, _row_blocks,
@@ -205,6 +205,21 @@ def test_span_loops_match_the_per_step_loop(model, grid_name, store_every):
         assert_same_record(prop.linear(forward, rule_u, sources),
                            reference_linear(prop, want, rule_u, sources),
                            ("pre", "post", "applied"))
+
+
+def test_records_the_loops_cannot_use_are_refused():
+    prob = reference_averaged(t_end=0.25)
+    tg = prob.time_grid
+    m = tg.n_candidates
+    prop = _propagator(prob, None)
+    with pytest.raises(ib.ProblemError, match="store_every must be >= 1"):
+        ib.optimal_pulse(prob, None, ib.CostSpec.constant(tg, 0.4), store_every=0)
+    forward = prop.forward(ib.PulseStrategy(np.full(m, 0.5)))  # every candidate realized
+    short = ib.CostSpec(np.full(m - 1, 0.4), np.zeros(tg.n_steps), np.asarray(0.0))
+    with pytest.raises(ib.ProblemError, match="jumps refer to candidates beyond the strategy length"):
+        _cost(forward, ib.PulseStrategy(np.full(m - 1, 0.5)), None, short, tg.dt)
+    with pytest.raises(ib.ProblemError, match="sensitivity needs a fully stored trajectory"):
+        prop.linear(prop.forward(None, 7), lambda j, z: j.applied * z)
 
 
 @pytest.mark.parametrize("store_every", [1, 50])

@@ -263,12 +263,35 @@ def test_scalar_row_writers_match_the_reference_loops(tmp_path, rng):
 
 
 @pytest.mark.parametrize("kind", ["averaged", "pde"])
-def test_control_certificate_matches_the_reference_loop(tmp_path, kind):
+def test_control_certificate_matches_the_reference_loop(tmp_path, monkeypatch, kind):
     prob = reference_averaged(t_end=0.25) if kind == "averaged" else reference_pde(cells=(2, 2, 1), t_end=0.1)
     costs = ib.CostSpec.constant(prob.time_grid, 0.4, continuous_unit=0.05)
     res = ib.projected_gradient_mixed(prob, costs, max_iterations=3)
-    assert_same_bytes(tmp_path, iomod.write_control_certificate, ref_control_certificate,
-                      res.continuous_certificate)
+    for values_per_pass in (core.BLOCK_VALUES, 100):  # 5 field or 100 scalar rows a pass at 100
+        monkeypatch.setattr(core, "BLOCK_VALUES", values_per_pass)
+        assert_same_bytes(tmp_path, iomod.write_control_certificate, ref_control_certificate,
+                          res.continuous_certificate)
+
+
+def test_control_certificate_passes_hold_no_copy_of_its_switching_function(tmp_path, rng):
+    # the field-large certificate at 20 x 20 x 6 cells: 1,040 steps of 21 x 21 x 7 points
+    shape = (1040, 21, 21, 7)
+    switching = rng.uniform(0.0, 0.01, shape)
+    control = np.clip(rng.uniform(-1.0, 2.0, shape), 0.0, 1.0)
+    cert = ib.ContinuousCertificate(np.linspace(0.0, 1.0, shape[0]), np.broadcast_to(0.005, shape),
+                                    switching, 0.3, control)
+    decisive = cert.margin > 1e-6
+    want = np.count_nonzero(cert.consistent & decisive) / np.count_nonzero(decisive)
+    for name, call in (("writer", lambda: iomod.write_control_certificate(tmp_path / "cert.csv", cert)),
+                       ("agreement", cert.agreement_fraction)):
+        tracemalloc.start()
+        try:
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < switching.nbytes / 2, name
+    assert type(got) is float and got == want
 
 
 def _trap_rows(n_rows, shape):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,6 +176,52 @@ class TestValidate:
         )
         report = ib.validate(prob, costs=costs)
         assert any("pulse_unit" in m for m in report)
+
+    @staticmethod
+    def _violation(name):
+        """A problem and the data given with it that break one assumption, and its message."""
+        avg = reference_averaged(t_end=0.25)
+        field = lambda **kw: reference_pde(cells=(2, 2, 1), t_end=0.25, **kw)  # noqa: E731
+        tg = avg.time_grid
+        n, m = tg.n_steps, tg.n_candidates
+
+        def unevaluable(t):
+            raise ValueError("no arrays here")
+
+        return {
+            "sigma_star": (reference_averaged(t_end=0.25, sigma_star=-0.1), {}, "sigma_star must be >= 0: -0.1"),
+            "theta0": (reference_averaged(t_end=0.25, theta0=1.5), {}, "initial state out of [0,1]: 1.5"),
+            "alpha-nan": (replace(avg, alpha=lambda t: np.full_like(t, np.nan)), {},
+                          "alpha profile is non-finite on the integration grid"),
+            "alpha-negative": (replace(avg, alpha=lambda t: -np.ones_like(t)), {},
+                               "alpha profile is negative on the integration grid"),
+            "alpha-raises": (replace(avg, alpha=unevaluable), {},
+                             "alpha profile not evaluable on arrays: no arrays here"),
+            "field-initial": (field(initial=1.2), {}, "initial condition out of [0,1] somewhere"),
+            "pressure": (field(amplitude=ib.ScalarField.uniform(ib.SpaceGrid.from_cells(2, 2, 1), -1.0)), {},
+                         "pressure amplitude negative somewhere"),
+            "diffusion": (field(diffusion=-1.0), {}, "diffusion coefficients a1 negative somewhere"),
+            "control-steps": (avg, {"u": ib.ContinuousControl(np.zeros(n + 1))},
+                              f"control has {n + 1} step samples, grid has {n} steps"),
+            "control-shape": (field(), {"u": ib.ContinuousControl(np.zeros((n, 1, 1, 1)))},
+                              "control sample shape (1, 1, 1) does not match problem"),
+            "strategy-length": (avg, {"v": ib.PulseStrategy(np.ones(m - 1))},
+                                f"pulse strategy has {m - 1} values, grid has {m} candidates"),
+            "pulse-shape": (field(), {"v": ib.PulseStrategy(np.ones((m, 1, 1, 1)))},
+                            "pulse value shape (1, 1, 1) does not match problem"),
+            "pulse-costs": (avg, {"costs": ib.CostSpec(np.full(m + 1, 0.4), np.zeros(n), np.asarray(0.0))},
+                            f"{m + 1} pulse unit costs for {m} candidates"),
+            "continuous-costs": (avg, {"costs": ib.CostSpec(np.full(m, 0.4), np.zeros(n - 1), np.asarray(0.0))},
+                                 f"{n - 1} continuous cost samples for {n} steps"),
+        }[name]
+
+    @pytest.mark.parametrize("name", [
+        "sigma_star", "theta0", "alpha-nan", "alpha-negative", "alpha-raises", "field-initial",
+        "pressure", "diffusion", "control-steps", "control-shape", "strategy-length", "pulse-shape",
+        "pulse-costs", "continuous-costs"])
+    def test_each_violated_assumption_is_named(self, name):
+        prob, data, message = self._violation(name)
+        assert message in ib.validate(prob, **data).messages
 
     def test_boundary_diffusion_flagged(self):
         prob = reference_pde(cells=(2, 2, 2))
