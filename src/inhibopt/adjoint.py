@@ -128,18 +128,19 @@ def gradient_pulse(
     return GradientReport(indices, coeffs, None, directional, space_weight)
 
 
-def _ubar(switching: np.ndarray, sigma: float, u_samples: np.ndarray, costs) -> np.ndarray:
-    """C - S/(1 - sigma*u)^2 from the switching function S = sigma*alpha*p*theta at midpoints."""
+def _ubar(switching: np.ndarray, sigma: float, u_samples: np.ndarray, unit: np.ndarray) -> np.ndarray:
+    """C - S/(1 - sigma*u)^2 from the per-step unit cost C and S = sigma*alpha*p*theta at midpoints."""
     if np.any(sigma * u_samples > 1.0 - SIGMA_U_GUARD):
         raise ProblemError("sigma*u too close to 1 (division guard)")
-    return (_per_point(costs.continuous_unit, switching.ndim)
+    return (_per_point(unit, switching.ndim)
             - switching / _per_point((1.0 - sigma * u_samples) ** 2, switching.ndim))
 
 
 def _chemical_gradient(prop: Propagator, forward, adjoint, u: ContinuousControl | None, costs):
     """S = sigma*alpha*p*theta of a run and its costate, and ubar = C - S/(1 - sigma*u)^2."""
     switching = prop.chemical_rate(forward, _span_midpoints(adjoint))
-    return switching, _ubar(switching, prop.sigma, np.zeros(1) if u is None else u.samples, costs)
+    return switching, _ubar(switching, prop.sigma, np.zeros(1) if u is None else u.samples,
+                            costs.continuous_unit)
 
 
 def gradient_continuous(
@@ -186,7 +187,7 @@ def sensitivity_continuous(
     prop = _propagator(problem, u_base)
     ndim = 1 + len(prop.shape)
     d = _per_point(_as_direction_array(direction), ndim)
-    attr = 1.0 - prop.sigma * _per_point(prop.u_samples, ndim)
+    attr = 1.0 - prop.sigma * _per_point(np.zeros(1) if u_base is None else u_base.samples, ndim)
     forcing = -prop.chemical_rate(forward, d) / attr**2
     return prop.linear(forward, lambda j, z: j.applied * z, forcing)
 

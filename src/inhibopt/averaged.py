@@ -74,7 +74,7 @@ def _source_weights(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
 
 class AveragedPropagator(Propagator):
-    """Exact exponential steps of the scalar model for one chemical control (``at(u)``
+    """Exact exponential steps of the scalar model for one chemical control (``aim(u)``
     keeps the alpha samples and recomputes each step's attractor, decay and weight)."""
 
     shape = ()
@@ -86,14 +86,12 @@ class AveragedPropagator(Propagator):
         self.time_grid, self.sigma = tg, problem.chem.sigma
         self.initial = float(problem.theta0)
         self.threshold = problem.chem.sigma_star
-        self._aim(u)
+        self.aim(u)
 
     def _aim(self, u: ContinuousControl | None) -> None:
         tg = self.time_grid
-        if u is None:
-            u = ContinuousControl.constant(tg, 0.0)
-        self.u_samples = u.samples
-        attr, rate, decay = _exponential_coefficients(self._alpha_mid, u.samples, self.sigma, tg.dt)
+        u_samples = np.zeros(tg.n_steps) if u is None else u.samples
+        attr, rate, decay = _exponential_coefficients(self._alpha_mid, u_samples, self.sigma, tg.dt)
         self.attr, self.decay = attr.tolist(), decay.tolist()
         self.w = _source_weights(rate, tg.dt).tolist()
 

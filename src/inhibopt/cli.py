@@ -114,7 +114,6 @@ def _export_result(bundle: iomod.Bundle, result) -> tuple[dict, list]:
 
 
 def _task_optimize_pulse(bundle: iomod.Bundle, store_every: int) -> tuple[dict, list]:
-    # optimal_pulse at sigma_star = 0
     result = fixed_point_pulse(bundle.problem, bundle.u, bundle.costs, store_every=store_every)
     entries, files = _export_result(bundle, result)
     return {**entries, "store_every": result.forward.store_every}, files
@@ -185,8 +184,8 @@ def _task_gradient_check(bundle: iomod.Bundle) -> tuple[dict, list]:
     adj = prop.adjoint(v_base, costs, forward)
 
     def j_of(u, v):
-        p = prop.at(u)
-        return p.cost(p.forward(v), v, u, costs).total
+        prop.aim(u)
+        return prop.cost(prop.forward(v), v, costs).total
 
     d_v = rng.random(v_base.values.shape) - 0.5
     adjoint_v = gradient_pulse(forward, adj, costs, direction=d_v).directional_value

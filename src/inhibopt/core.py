@@ -31,7 +31,6 @@ arrays.
 
 from __future__ import annotations
 
-import copy
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -284,20 +283,19 @@ class Propagator(_OnGrid):
     """Model-independent algorithms over a model's span flow, gate and pressure.
 
     Subclasses set ``time_grid``, ``sigma``, ``shape``, ``threshold``,
-    ``initial`` and ``zero`` and implement ``state``, ``flow``, ``gate``,
-    ``alpha_mid`` and ``_aim(u)``, which sets ``u_samples`` and all else that
-    the chemical control u changes, so ``at(u)`` re-aims a propagator without
-    building another; field propagators also set ``grid``, from which
-    ``space_weight`` is read, and report their solver counters through
-    ``diagnostics``.
+    ``initial`` and ``zero``, call ``aim(u)`` from their constructor and
+    implement ``state``, ``flow``, ``gate``, ``alpha_mid`` and ``_aim(u)``,
+    which sets all that the chemical control u changes, so ``aim(u)`` re-aims
+    a propagator in place at the ``control`` that ``cost`` reads; field
+    propagators also set ``grid``, from which ``space_weight`` is read, and
+    report their solver counters through ``diagnostics``.
     """
 
-    def at(self, u: ContinuousControl | None) -> Propagator:
-        """A shallow copy aimed at ``u`` by ``_aim``, sharing all else (work arrays and
-        counters too): the two must not step at once."""
-        prop = copy.copy(self)
-        prop._aim(u)
-        return prop
+    def aim(self, u: ContinuousControl | None) -> Propagator:
+        """Aim this propagator, in place, at ``u``: its ``control`` from now on.  Returns it."""
+        self.control = u
+        self._aim(u)
+        return self
 
     def record(self, n: int):
         """Storage for n rows, written by index and slice and read back by ``np.asarray``."""
@@ -405,8 +403,8 @@ class Propagator(_OnGrid):
         realized = [j.candidate_index for j in forward.jumps]
         return self.backward(costs, realized, lambda k, p_plus: v[k], store_every)
 
-    def cost(self, traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec):
-        return _cost(traj, v, u, costs, self.time_grid.dt)
+    def cost(self, traj, v: PulseStrategy, costs: CostSpec):
+        return _cost(traj, v, self.control, costs, self.time_grid.dt)
 
     def chemical_rate(self, forward, factor: np.ndarray) -> np.ndarray:
         """sigma * alpha * factor * theta at every step midpoint, shaped (n_steps, *shape)."""

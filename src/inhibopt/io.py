@@ -17,6 +17,7 @@ suffices to re-run an experiment.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -129,6 +130,13 @@ def _formatted(values: np.ndarray) -> list:
     return strings[np.searchsorted(distinct, bits)].tolist()
 
 
+@functools.lru_cache(maxsize=8)
+def _row_template(shape: tuple, columns: int) -> str:
+    """The ``%``-template of one row's lines, built once per shape and column count."""
+    values = ",".join(["%s"] * columns)
+    return "".join("%s" + "".join(f"{i}," for i in idx) + values + "\n" for idx in np.ndindex(shape))
+
+
 def _write_points(fh, keys: list[str], table: np.ndarray, columns: int = 1) -> None:
     """Write one line per grid point of each row of ``table``: key, ``i,j,k,``, values.
 
@@ -143,10 +151,7 @@ def _write_points(fh, keys: list[str], table: np.ndarray, columns: int = 1) -> N
     or small grid as fit, so the writer never holds a history-sized copy.
     """
     shape = table.shape[1:table.ndim - (columns > 1)]
-    values = ",".join(["%s"] * columns)
-    row_template = "".join(
-        "%s" + "".join(f"{i}," for i in idx) + values + "\n" for idx in np.ndindex(shape)
-    )
+    row_template = _row_template(shape, columns)
     points = math.prod(shape)
     step = columns + 1
     for rows in _row_blocks(len(table), points, _LINES_PER_WRITE):
@@ -214,13 +219,15 @@ def write_strategy(path, time_grid: TimeGrid, strategy: PulseStrategy) -> None:
 
 
 def write_certificate(path, strategy: PulseStrategy, certificate) -> None:
-    """One row per realized candidate at each point of the strategy's shape; a run
-    with none writes the header alone, for a field with the point columns."""
+    """One row per realized candidate at each point of the strategy's shape, stacked one block
+    at a time; a run with none writes the header alone, for a field with the point columns."""
     shape = strategy.values.shape[1:]
-    table = np.stack([np.stack(np.broadcast_arrays(c.p_plus, c.unit_cost, c.applied, c.margin), axis=-1)
-                      for c in certificate]) if certificate else np.empty((0, *shape, 4))
-    header = "tau_i,i,j,k,p_plus,c_i,v_i,margin" if shape else "tau_i,p_plus,c_i,v_i,margin"
-    _write_table(path, header, [_key(c.time) for c in certificate], table, columns=4)
+    with open(path, "w", newline="") as fh:
+        fh.write("tau_i,i,j,k,p_plus,c_i,v_i,margin\n" if shape else "tau_i,p_plus,c_i,v_i,margin\n")
+        for rows in _row_blocks(len(certificate), math.prod(shape), _LINES_PER_WRITE):
+            part = certificate[rows]
+            _write_points(fh, [_key(c.time) for c in part], np.stack([np.stack(np.broadcast_arrays(
+                c.p_plus, c.unit_cost, c.applied, c.margin), axis=-1) for c in part]), columns=4)
 
 
 def write_control_certificate(path, cert) -> None:

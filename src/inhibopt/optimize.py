@@ -23,8 +23,8 @@ Every optimizer builds one propagator with
 :func:`inhibopt.adjoint._propagator` and runs the shared loops of
 :mod:`inhibopt.core` on it: the sweep is the costate sweep with the
 bang-bang rule as its decision.  The mixed optimizer runs the one fixed-point
-loop, :func:`_pulse_loop`, on that propagator re-aimed at each control it
-tries (``Propagator.at``), so its counters count every solve of the run.
+loop, :func:`_pulse_loop`, on that propagator re-aimed in place at each control
+it tries (``Propagator.aim``), so its counters count every solve of the run.
 """
 
 from __future__ import annotations
@@ -162,18 +162,18 @@ def _certificate(forward, adjoint, costs) -> list[PulseCertificate]:
             for aj in adjoint.jumps if aj.node_index in realized]
 
 
-def _result(prop, strategy, u, costs, forward=None, adjoint=None, store_every=1,
+def _result(prop, strategy, costs, forward=None, adjoint=None, store_every=1,
             **extra) -> StrategyResult:
-    """Forward run, cost, costate and certificate of a decided strategy, with the
-    propagator's counters (``diagnostics["cg"]`` for fields) over the whole optimization.
-    Runs made here store the nodes of ``store_every``."""
+    """Forward run, cost, costate and certificate of a decided strategy under the
+    propagator's control, with its counters (``diagnostics["cg"]`` for fields) over the
+    whole optimization.  Runs made here store the nodes of ``store_every``."""
     if forward is None:
         forward = prop.forward(strategy, store_every)
     if adjoint is None:
         adjoint = prop.adjoint(strategy, costs, forward, store_every)
-    cost = prop.cost(forward, strategy, u, costs)
+    cost = prop.cost(forward, strategy, costs)
     certificate = _certificate(forward, adjoint, costs)
-    result = StrategyResult(strategy, u, cost, certificate, forward, adjoint, **extra)
+    result = StrategyResult(strategy, prop.control, cost, certificate, forward, adjoint, **extra)
     result.diagnostics.update(prop.diagnostics())
     return result
 
@@ -185,15 +185,16 @@ def _repeats(v: np.ndarray, forward) -> bool:
     return bool((v[[j.candidate_index for j in forward.jumps]] == applied).all())
 
 
-def _pulse_loop(prop, u, costs, max_iterations: int = 50, store_every: int = 1):
-    """The loop of fixed_point_pulse (see there) on ``prop``, aimed at ``u``: from the set
-    the run without intervention realizes under a threshold, else from every candidate."""
+def _pulse_loop(prop, costs, max_iterations: int = 50, store_every: int = 1):
+    """The loop of fixed_point_pulse (see there) on ``prop``, under its control: from the
+    set the run without intervention realizes under a threshold, else from every candidate."""
+    if max_iterations < 1:
+        raise ProblemError("max_iterations must be >= 1")
     forward = prop.forward(None, store_every) if prop.threshold > 0 else None
     realized = frozenset(range(prop.time_grid.n_candidates) if forward is None
                          else (j.candidate_index for j in forward.jumps))
     swept: list[frozenset] = []
-    converged = False
-    while not converged and len(swept) < max_iterations:
+    for _ in range(max_iterations):
         swept.append(realized)
         adjoint = None  # only the new costate and the last forward run are alive
         v, adjoint = _sweep(prop, costs, realized, store_every)
@@ -210,13 +211,14 @@ def _pulse_loop(prop, u, costs, max_iterations: int = 50, store_every: int = 1):
             forward = None  # the run before goes before the new one is built
             forward = prop.forward(strategy, store_every)
         realized = frozenset(j.candidate_index for j in forward.jumps)
-        converged = realized == swept[-1]
-        if not converged and realized in swept:
+        if realized == swept[-1]:
+            break
+        if realized in swept:
             raise PulseCycleError(realized, swept[-1])
-    if not converged:
+    else:
         adjoint = None  # it swept on the set before the last one
-    return _result(prop, strategy, u, costs, forward, adjoint, store_every,
-                   iterations=len(swept), converged=converged)
+    return _result(prop, strategy, costs, forward, adjoint, store_every,
+                   iterations=len(swept), converged=realized == swept[-1])
 
 
 def optimal_pulse(
@@ -237,7 +239,7 @@ def optimal_pulse(
     """
     if problem.chem.sigma_star > 0:
         raise ProblemError("optimal_pulse requires sigma_star = 0; use fixed_point_pulse")
-    return _pulse_loop(_propagator(problem, u), u, costs, 1, store_every)
+    return _pulse_loop(_propagator(problem, u), costs, 1, store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +362,7 @@ def brute_force_pulse(
                 interior_best = c[i]
 
     return _result(
-        prop, PulseStrategy(np.array(best_v)), u, costs,
+        prop, PulseStrategy(np.array(best_v)), costs,
         iterations=2**m,
         diagnostics={"interior_best": interior_best, "enumeration_best": best_cost},
     )
@@ -379,25 +381,21 @@ def fixed_point_pulse(
 ) -> StrategyResult:
     """Alternate backward sweep and forward run until the realized pulse set repeats.
 
-    With sigma_star = 0 this is exactly optimal_pulse.  Otherwise R starts as
-    the set the run without intervention realizes; each iteration sweeps on R
-    and runs the decided v forward, which realizes R'.  The costate between
-    pulses does not depend on the state, so v is a function of R alone: R' = R
-    converges, and that sweep's costate is the result's.  A run reads v only
-    at the pulses it realizes, so when v equals, bit for bit on R, what the
-    run that realized R applied there, that run is the run of v: R' = R
+    With sigma_star = 0 this is exactly optimal_pulse: R is every candidate,
+    and no pulse is gated off, so the first sweep converges.  Otherwise R
+    starts as the set the run without intervention realizes; each iteration
+    sweeps on R and runs the decided v forward, which realizes R'.  The costate
+    between pulses does not depend on the state, so v is a function of R alone:
+    R' = R converges, and that sweep's costate is the result's.  A run reads v
+    only at the pulses it realizes, so when v equals, bit for bit on R, what
+    the run that realized R applied there, that run is the run of v: R' = R
     without another forward run, and the result keeps that run with v's rows
     as its decisions.  An R' swept on before raises PulseCycleError(R', R); at
     the cap the last iterate is returned unconverged, its costate computed on
-    the final set.  ``iterations`` counts the sweeps; every run keeps the
-    nodes of ``store_every`` (see optimal_pulse), and the result is the same
-    for any.
+    the final set.  ``iterations`` counts the sweeps; every run keeps the nodes
+    of ``store_every`` (see optimal_pulse), and the result is the same for any.
     """
-    if max_iterations < 1:
-        raise ProblemError("max_iterations must be >= 1")
-    if problem.chem.sigma_star == 0:
-        return optimal_pulse(problem, u, costs, store_every)
-    return _pulse_loop(_propagator(problem, u), u, costs, max_iterations, store_every)
+    return _pulse_loop(_propagator(problem, u), costs, max_iterations, store_every)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +405,6 @@ def fixed_point_pulse(
 def _realized(result: StrategyResult) -> list[int]:
     """The candidates whose pulses the result's forward run realized."""
     return [j.candidate_index for j in result.forward.jumps]
-
-
-def _control_norm(prop, du: np.ndarray) -> float:
-    return float(np.sqrt(_control_inner(du, du, prop.space_weight, prop.time_grid.dt)))
 
 
 def _spectral_step(prop, s: np.ndarray, y: np.ndarray) -> float:
@@ -499,7 +493,7 @@ def projected_gradient_mixed(
     full_shape = (tg.n_steps, *prop.shape)
     if u.samples.shape != full_shape:
         u = ContinuousControl(np.broadcast_to(_per_point(u.samples, len(full_shape)), full_shape))
-    current = _pulse_loop(prop.at(u), u, costs)
+    current = _pulse_loop(prop.aim(u), costs)
     switching, ubar = _chemical_gradient(prop, current.forward, current.adjoint, u, costs)
     j_history = [current.cost.total]
     iterations = halvings = rejections = set_changes = 0
@@ -519,7 +513,7 @@ def projected_gradient_mixed(
                 tried.add(digest)
                 trial = None  # a rejected trial's records go before the next trial runs
                 try:
-                    trial = _pulse_loop(prop.at(u_new), u_new, costs)
+                    trial = _pulse_loop(prop.aim(u_new), costs)
                 except PulseCycleError:
                     pass
                 if trial is None or not trial.converged:
@@ -537,7 +531,7 @@ def projected_gradient_mixed(
         current, trial, switching = trial, None, None  # of the iterate before, only u and ubar live on
         s, u, ubar_before = u_new.samples - u.samples, u_new, ubar
         switching, ubar = _chemical_gradient(prop, current.forward, current.adjoint, u, costs)
-        du = _control_norm(prop, s)
+        du = float(np.sqrt(_control_inner(s, s, prop.space_weight, tg.dt)))
         gamma = _spectral_step(prop, s, ubar - ubar_before)
         del s, ubar_before
         decrease = j_history[-1] - current.cost.total
@@ -587,8 +581,8 @@ def certificate_check(
     v_i = 1 requires g_i <= tol, interior v_i requires |g_i| <= tol.  When the
     chemical control was optimized (``continuous_certificate`` is set), its
     boundary samples are checked against the sign of the steepest-ascent
-    density, formed from the certificate's S at ``result.control``; a control
-    that was only given is not judged.
+    density, formed from the certificate's S at ``result.control`` in the blocks
+    of :func:`inhibopt.core._row_blocks`; a control that was only given is not judged.
     """
     violations: list[str] = []
     certs = result.certificate
@@ -599,9 +593,11 @@ def certificate_check(
         violations += [f"pulse at t={c.time:.6f}: {n} point(s) violate the sign condition"
                        for c, n in zip(rows, n_bad) if n]
     if (cert := result.continuous_certificate) is not None:
-        ubar = _ubar(cert.switching, cert.sigma, result.control.samples, costs)
-        u_s = _per_point(result.control.samples, ubar.ndim)
-        bad = np.count_nonzero(((u_s <= 1e-12) & (ubar < -tol)) | ((u_s >= 1 - 1e-12) & (ubar > tol)))
+        s, u, bad = cert.switching, result.control.samples, 0
+        for rows in _row_blocks(len(s), s.size // len(s)):
+            ubar = _ubar(s[rows], cert.sigma, u[rows], costs.continuous_unit[rows])
+            u_s = _per_point(u[rows], ubar.ndim)
+            bad += np.count_nonzero(((u_s <= 1e-12) & (ubar < -tol)) | ((u_s >= 1 - 1e-12) & (ubar > tol)))
         if bad:
             violations.append(f"chemical control: {bad} boundary sample(s) with ascent direction")
     return violations

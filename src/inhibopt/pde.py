@@ -386,8 +386,8 @@ class FieldPropagator(Propagator):
     span overwrite in place, and one operator on the rate buffer serve every
     step.  The propagator owns the step's pressure and rate, so one propagator
     must not step from two threads at once, and a step inside a span allocates
-    nothing; ``cg`` counts the CG solves of all its steps and of every copy
-    ``at(u)`` makes, which shares all but the u rows, unit divisor and operator.
+    nothing; ``cg`` counts the CG solves of all its steps under every control
+    ``aim(u)`` sets, which changes only the u rows, unit divisor and operator.
     """
 
     def __init__(self, problem: PdeProblem, u: ContinuousControl | None = None):
@@ -404,13 +404,13 @@ class FieldPropagator(Propagator):
         # the array every step's pressure lands in: this buffer, or a constant
         # pressure's own field, which field_at returns whatever out is
         self.alpha = problem.pressure.field_at(0.0, out=_aligned_empty(self.shape))
-        self._aim(u)
+        self.aim(u)
 
     def _aim(self, u: ContinuousControl | None) -> None:
-        self.u_samples = (u.samples if u is not None
-                          else np.broadcast_to(0.0, (self.time_grid.n_steps,)))
-        self._u = _rows(self.u_samples)
-        self.unit_divisor = _unit_divisor(self.sigma, self.u_samples)
+        u_samples = (u.samples if u is not None
+                     else np.broadcast_to(0.0, (self.time_grid.n_steps,)))
+        self._u = _rows(u_samples)
+        self.unit_divisor = _unit_divisor(self.sigma, u_samples)
         rate = self.alpha if self.unit_divisor else self.rate
         self.op = DiscreteOperator(self.problem.diffusion, rate, self.grid.spacing, self.stencil)
 

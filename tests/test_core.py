@@ -169,7 +169,7 @@ def test_span_loops_match_the_per_step_loop(model, grid_name, store_every):
     forward = prop.forward(v, store_every)
     want = reference_forward(prop, v, store_every)
     assert_same_record(forward, want, ("pre", "post", "applied"))
-    assert prop.cost(forward, v, u, costs) == prop.cost(want, v, u, costs)
+    assert prop.cost(forward, v, costs) == prop.cost(want, v, costs)
     if grid_name == "gated":
         assert 0 < len(forward.jumps) < m
     elif m:
@@ -252,10 +252,11 @@ def test_a_reaimed_propagator_runs_as_a_new_one(model):
     base = aimed = _propagator(prob, None)
     fresh_solves = 0
     for u in controls:
-        aimed, fresh = aimed.at(u), _propagator(prob, u)
+        aimed, fresh = aimed.aim(u), _propagator(prob, u)
+        assert aimed is base and aimed.control is u and fresh.control is u
         forward, want = aimed.forward(v), fresh.forward(v)
         assert_same_record(forward, want, ("pre", "post", "applied"))
-        assert aimed.cost(forward, v, u, costs) == fresh.cost(want, v, u, costs)
+        assert aimed.cost(forward, v, costs) == fresh.cost(want, v, costs)
         realized = [j.candidate_index for j in forward.jumps]
         (v_got, got), (v_want, sweep) = (optimize._sweep(p, costs, realized) for p in (aimed, fresh))
         assert v_got.tobytes() == v_want.tobytes()

@@ -294,6 +294,28 @@ def test_control_certificate_passes_hold_no_copy_of_its_switching_function(tmp_p
     assert type(got) is float and got == want
 
 
+def test_certificate_writer_holds_no_copy_of_its_table(tmp_path, rng):
+    # 51 weekly pulses of the field-large problem at 20 x 20 x 6 cells: 21 x 21 x 7 points
+    dims = (21, 21, 7)
+    strategy = ib.PulseStrategy(rng.random((51, *dims)))
+    certificate = [ib.PulseCertificate(k / 52, k, rng.random(dims), 0.55, strategy.values[k])
+                   for k in range(51)]
+    table_bytes = 51 * math.prod(dims) * 4 * 8
+    tracemalloc.start()
+    try:
+        iomod.write_certificate(tmp_path / "certificate.csv", strategy, certificate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 2
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate, strategy, certificate)
+    # scalar certificates, more than one write takes, ending in a partial block
+    scalar = [ib.PulseCertificate(k / 1100, k, x, 0.4, float(x > 0.5))
+              for k, x in enumerate(rng.random(1100).tolist())]
+    assert_same_bytes(tmp_path, iomod.write_certificate, ref_certificate,
+                      ib.PulseStrategy(np.ones(len(scalar))), scalar)
+
+
 def _trap_rows(n_rows, shape):
     """Rows that each repeat TRAP's values in their own order, so a block holds each many times."""
     size = math.prod(shape)

@@ -322,12 +322,30 @@ def test_one_interior_draw_is_the_stream_of_single_draws():
 
 class TestFixedPointPulse:
     def test_zero_threshold_passthrough(self):
-        prob = reference_averaged(sigma_star=0.0)
-        costs = ib.CostSpec.constant(prob.time_grid, 0.4)
-        fp = ib.fixed_point_pulse(prob, None, costs)
-        op = ib.optimal_pulse(prob, None, costs)
-        assert np.array_equal(fp.strategy.values, op.strategy.values)
-        assert fp.cost.total == op.cost.total
+        # at sigma* = 0 the loop starts from every candidate and its first sweep
+        # converges, so the fixed point is optimal_pulse bit for bit, on both models
+        # and at every spacing
+        averaged, field = reference_averaged(sigma_star=0.0), reference_pde(cells=(2, 2, 1), t_end=0.3)
+        for prob, store_every in itertools.product((averaged, field), (1, 7)):
+            costs = ib.CostSpec.constant(prob.time_grid, 0.4)
+            fp = ib.fixed_point_pulse(prob, None, costs, store_every=store_every)
+            op = ib.optimal_pulse(prob, None, costs, store_every=store_every)
+            assert fp.strategy.values.tobytes() == op.strategy.values.tobytes()
+            assert fp.cost == op.cost and fp.diagnostics == op.diagnostics
+            assert (fp.iterations, fp.converged) == (op.iterations, op.converged) == (1, True)
+            for got, want, names in ((fp.forward, op.forward, ("pre", "post", "applied")),
+                                     (fp.adjoint, op.adjoint, ("p_plus", "p_minus", "applied"))):
+                assert got.jumps and got.store_every == want.store_every == store_every
+                for name in ("times", "values", "node_indices", "skipped_sums"):
+                    assert (np.asarray(getattr(got, name)).tobytes()
+                            == np.asarray(getattr(want, name)).tobytes()), name
+                assert len(got.jumps) == len(want.jumps)
+                for a, b in zip(got.jumps, want.jumps):
+                    assert (a.time, a.node_index, a.candidate_index) == (b.time, b.node_index,
+                                                                          b.candidate_index)
+                    for name in names:
+                        assert (np.asarray(getattr(a, name)).tobytes()
+                                == np.asarray(getattr(b, name)).tobytes()), name
 
     def test_unreachable_threshold(self):
         prob = reference_averaged(sigma_star=2.0)
@@ -483,7 +501,7 @@ def _oracle_fixed_point(problem, u, costs, max_iterations=50, store_every=1):
             raise ib.PulseCycleError(new_realized, realized)
         seen.add(state)
         strategy, forward = new_strategy, new_forward
-    return optimize._result(prop, strategy, u, costs, forward=forward, store_every=store_every,
+    return optimize._result(prop, strategy, costs, forward=forward, store_every=store_every,
                             iterations=iterations, converged=converged)
 
 
@@ -607,11 +625,29 @@ def test_field_first_sweep_that_keeps_the_unforced_run_ends_the_loop():
 
 @pytest.mark.parametrize("sigma_star", [0.0, 0.42])
 def test_fixed_point_refuses_a_cap_below_one(sigma_star):
-    # at sigma* = 0 too, where the loop is that of optimal_pulse, capped at one sweep
+    # at sigma* = 0 too, where the loop is that of optimal_pulse, capped at one sweep;
+    # the loop itself refuses, before it runs
     prob = reference_averaged(t_end=0.5, sigma_star=sigma_star)
+    costs = ib.CostSpec.constant(prob.time_grid, 0.1)
     with pytest.raises(ib.ProblemError, match="max_iterations must be >= 1"):
-        ib.fixed_point_pulse(prob, None, ib.CostSpec.constant(prob.time_grid, 0.1),
-                             max_iterations=0)
+        ib.fixed_point_pulse(prob, None, costs, max_iterations=0)
+    with pytest.raises(ib.ProblemError, match="max_iterations must be >= 1"):
+        optimize._pulse_loop(optimize._propagator(prob, None), costs, 0)
+
+
+@pytest.mark.parametrize("sigma_star", [0.0, 0.42])
+def test_the_loop_runs_under_the_control_its_propagator_holds(sigma_star):
+    # one propagator re-aimed in place gives each control's fixed point, and the
+    # result holds the very control the propagator was aimed at, None included
+    prob = reference_averaged(t_end=0.5, sigma_star=sigma_star)
+    costs = ib.CostSpec.constant(prob.time_grid, 0.1, continuous_unit=0.05)
+    prop = optimize._propagator(prob, None)
+    for u in (None, ib.ContinuousControl.constant(prob.time_grid, 0.3), None):
+        res = optimize._pulse_loop(prop.aim(u), costs)
+        fresh = ib.fixed_point_pulse(prob, u, costs)
+        assert prop.control is u and res.control is u and fresh.control is u
+        assert res.strategy.values.tobytes() == fresh.strategy.values.tobytes()
+        assert res.cost == fresh.cost and res.iterations == fresh.iterations
 
 
 def test_iteration_cap_returns_a_consistent_unconverged_iterate():
@@ -701,8 +737,9 @@ class TestProjectedGradientMixed:
         real = optimize._pulse_loop
         trials = []
 
-        def worse_trials(prop, u, costs):
-            res = real(prop, u, costs)
+        def worse_trials(prop, costs):
+            res = real(prop, costs)
+            u = prop.control
             if u is not None and np.any(u.samples) and (rejected is None or len(trials) < rejected):
                 trials.append(u)
                 c = res.cost
@@ -721,10 +758,10 @@ class TestProjectedGradientMixed:
         real = optimize._pulse_loop
         failed = []
 
-        def failing_trials(prop, u, costs):
-            res = real(prop, u, costs)
-            if np.any(u.samples) and len(failed) < 2:
-                failed.append(u)
+        def failing_trials(prop, costs):
+            res = real(prop, costs)
+            if np.any(prop.control.samples) and len(failed) < 2:
+                failed.append(prop.control)
                 if failure == "cycle":
                     raise ib.PulseCycleError({0}, {1})
                 res.converged = False
@@ -737,7 +774,7 @@ class TestProjectedGradientMixed:
         # the third trial, a quarter of the first step, is accepted
         assert diag["stop_reason"] == "iteration cap"
         u0 = ib.ContinuousControl.constant(prob.time_grid, 0.0)
-        start = real(optimize._propagator(prob, u0), u0, costs)
+        start = real(optimize._propagator(prob, u0), costs)
         ubar0 = ib.gradient_continuous(prob, start.forward, start.adjoint, u0, costs).continuous_gradient
         assert np.array_equal(res.control.samples, np.clip(-0.25 * ubar0, 0.0, 1.0))
 
@@ -929,10 +966,10 @@ class TestProjectedGradientMixed:
         real_forward, real_backward = core.Propagator.forward, core.Propagator.backward
         searches, runs = [], []
 
-        def recording(prop, u, costs):
+        def recording(prop, costs):
             if searches:  # not the fixed point at u0
-                searches[-1].append(u.samples.tobytes())
-            return real_fixed_point(prop, u, costs)
+                searches[-1].append(prop.control.samples.tobytes())
+            return real_fixed_point(prop, costs)
 
         def search_starts(u, ubar):
             searches.append([])
@@ -998,8 +1035,8 @@ class TestProjectedGradientMixed:
         real = optimize._pulse_loop
         calls = []
 
-        def recorded(prop, u, costs):
-            res = real(prop, u, costs)
+        def recorded(prop, costs):
+            res = real(prop, costs)
             calls.append((res.cost.total, [j.candidate_index for j in res.forward.jumps],
                           res.diagnostics.get("cg")))
             if cycle_first_trial and len(calls) == 2:
@@ -1136,6 +1173,33 @@ class TestCertificateCheck:
             dataclasses.replace(c, applied=flip(k, c.applied)) for k, c in enumerate(res.certificate)])
         assert ib.certificate_check(bad, prob, costs) == [
             f"pulse at t={t:.6f}: {n} point(s) violate the sign condition" for t, n in want]
+
+    def test_the_chemical_check_forms_no_history_sized_ubar(self, rng):
+        # the field-large certificate at 20 x 20 x 6 cells: 1,040 steps of 21 x 21 x 7 points
+        tg = ib.TimeGrid.regular(1.0, 1e-3, 1.0 / 52)
+        shape = (tg.n_steps, 21, 21, 7)
+        assert shape[0] == 1040
+        costs = ib.CostSpec.constant(tg, 0.4, continuous_unit=0.005)
+        switching = rng.uniform(0.0, 0.01, shape)
+        u = ib.ContinuousControl(np.clip(rng.uniform(-1.0, 2.0, shape), 0.0, 1.0))
+        cert = ib.ContinuousCertificate(tg.mid_times, np.broadcast_to(0.005, shape), switching, 0.3,
+                                        u.samples)
+        res = ib.StrategyResult(ib.PulseStrategy(np.ones(tg.n_candidates)), u,
+                                ib.CostBreakdown.assemble(0.0, 0.0, 0.0, 0.0), [],
+                                SimpleNamespace(jumps=[]), None, continuous_certificate=cert)
+        ubar = 0.005 - switching / (1.0 - 0.3 * u.samples) ** 2  # the whole-history formula
+        bad = np.count_nonzero(((u.samples <= 1e-12) & (ubar < -1e-8))
+                               | ((u.samples >= 1 - 1e-12) & (ubar > 1e-8)))
+        del ubar
+        assert bad > 0
+        tracemalloc.start()
+        try:
+            messages = ib.certificate_check(res, None, costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert messages == [f"chemical control: {bad} boundary sample(s) with ascent direction"]
+        assert peak < switching.nbytes / 2
 
     def test_degenerate_ties_pass_with_any_value(self):
         # c_i = p(tau_i^+) exactly: zero coefficients, no violations
