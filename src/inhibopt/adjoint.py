@@ -38,6 +38,7 @@ from .core import (  # noqa: F401  (AdjointJump and AdjointTrajectory are re-exp
     _control_inner,
     _cost,
     _per_point,
+    _realized,
     _rows,
     _span_midpoints,
 )
@@ -113,12 +114,12 @@ def gradient_pulse(
 ) -> GradientReport:
     """Adjoint pulse gradient; inner product against ``direction`` if given, in the
     space quadrature of ``forward``."""
-    adj_by_node = {j.node_index: j for j in adjoint.jumps}
-    if adj_by_node.keys() != {j.node_index for j in forward.jumps}:
+    # a duplicated costate jump leaves the set as it is but not the count
+    if _realized(adjoint) != _realized(forward) or len(adjoint.jumps) != len(forward.jumps):
         raise ProblemError("forward and adjoint pulse sets differ")
+    p_plus = {j.candidate_index: j.p_plus for j in adjoint.jumps}
     indices = [j.candidate_index for j in forward.jumps]
-    coeffs = [(adj_by_node[j.node_index].p_plus - costs.pulse_unit[j.candidate_index]) * j.pre
-              for j in forward.jumps]
+    coeffs = [(p_plus[k] - costs.pulse_unit[k]) * j.pre for k, j in zip(indices, forward.jumps)]
     space_weight = forward.space_weight
     directional = None
     if direction is not None:
@@ -187,7 +188,7 @@ def sensitivity_continuous(
     prop = _propagator(problem, u_base)
     ndim = 1 + len(prop.shape)
     d = _per_point(_as_direction_array(direction), ndim)
-    attr = 1.0 - prop.sigma * _per_point(np.zeros(1) if u_base is None else u_base.samples, ndim)
+    attr = 1.0 - prop.sigma * _per_point(prop.u_samples, ndim)
     forcing = -prop.chemical_rate(forward, d) / attr**2
     return prop.linear(forward, lambda j, z: j.applied * z, forcing)
 

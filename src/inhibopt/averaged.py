@@ -88,12 +88,11 @@ class AveragedPropagator(Propagator):
         self.threshold = problem.chem.sigma_star
         self.aim(u)
 
-    def _aim(self, u: ContinuousControl | None) -> None:
-        tg = self.time_grid
-        u_samples = np.zeros(tg.n_steps) if u is None else u.samples
-        attr, rate, decay = _exponential_coefficients(self._alpha_mid, u_samples, self.sigma, tg.dt)
+    def _aim(self) -> None:
+        dt = self.time_grid.dt
+        attr, rate, decay = _exponential_coefficients(self._alpha_mid, self.u_samples, self.sigma, dt)
         self.attr, self.decay = attr.tolist(), decay.tolist()
-        self.w = _source_weights(rate, tg.dt).tolist()
+        self.w = _source_weights(rate, dt).tolist()
 
     def state(self, a) -> float:
         return float(a)

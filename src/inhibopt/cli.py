@@ -175,12 +175,11 @@ def _task_gradient_check(bundle: iomod.Bundle) -> tuple[dict, list]:
     rng = np.random.default_rng(bundle.seed)
     eps = 1e-5
 
-    dims = problem.grid.dims if bundle.kind == "pde" else ()
-    v_base = PulseStrategy(0.2 + 0.6 * rng.random((tg.n_candidates, *dims)))
-    u_base = ContinuousControl(np.broadcast_to(0.5, (tg.n_steps, *dims)))
+    prop = _propagator(problem, None)  # aimed at u_base once its point shape is read
+    v_base = PulseStrategy(0.2 + 0.6 * rng.random((tg.n_candidates, *prop.shape)))
+    u_base = ContinuousControl(np.broadcast_to(0.5, (tg.n_steps, *prop.shape)))
 
-    prop = _propagator(problem, u_base)
-    forward = prop.forward(v_base)
+    forward = prop.aim(u_base).forward(v_base)
     adj = prop.adjoint(v_base, costs, forward)
 
     def j_of(u, v):

@@ -234,6 +234,11 @@ def _walk(time_grid, store_every: int) -> _Walk:
     return _Walk(rows, events, at, forward, backward)
 
 
+def _realized(record) -> frozenset:
+    """The candidates whose jumps ``record`` holds: the realized pulse set of a run or costate."""
+    return frozenset(j.candidate_index for j in record.jumps)
+
+
 def _as_direction_array(direction) -> np.ndarray:
     if isinstance(direction, PulseStrategy):
         return direction.values
@@ -284,17 +289,20 @@ class Propagator(_OnGrid):
 
     Subclasses set ``time_grid``, ``sigma``, ``shape``, ``threshold``,
     ``initial`` and ``zero``, call ``aim(u)`` from their constructor and
-    implement ``state``, ``flow``, ``gate``, ``alpha_mid`` and ``_aim(u)``,
-    which sets all that the chemical control u changes, so ``aim(u)`` re-aims
-    a propagator in place at the ``control`` that ``cost`` reads; field
-    propagators also set ``grid``, from which ``space_weight`` is read, and
-    report their solver counters through ``diagnostics``.
+    implement ``state``, ``flow``, ``gate``, ``alpha_mid`` and ``_aim()``,
+    which sets from ``u_samples`` all that the chemical control u changes, so
+    ``aim(u)`` re-aims a propagator in place at the ``control`` that ``cost``
+    reads; field propagators also set ``grid``, from which ``space_weight`` is
+    read, and report their solver counters through ``diagnostics``.
     """
 
     def aim(self, u: ContinuousControl | None) -> Propagator:
-        """Aim this propagator, in place, at ``u``: its ``control`` from now on.  Returns it."""
+        """Aim this propagator, in place, at ``u``: its ``control`` from now on, and
+        ``u_samples`` its per-step samples, a stride-0 row of zeros for None (the one
+        place where a missing control becomes zero).  Returns it."""
         self.control = u
-        self._aim(u)
+        self.u_samples = np.broadcast_to(0.0, (self.time_grid.n_steps,)) if u is None else u.samples
+        self._aim()
         return self
 
     def record(self, n: int):
@@ -400,8 +408,7 @@ class Propagator(_OnGrid):
                 store_every: int = 1) -> Trajectory:
         """Costate sweep with the decisions fixed to ``strategy`` on forward's realized pulses."""
         v = _rows(strategy.values)
-        realized = [j.candidate_index for j in forward.jumps]
-        return self.backward(costs, realized, lambda k, p_plus: v[k], store_every)
+        return self.backward(costs, _realized(forward), lambda k, p_plus: v[k], store_every)
 
     def cost(self, traj, v: PulseStrategy, costs: CostSpec):
         return _cost(traj, v, self.control, costs, self.time_grid.dt)

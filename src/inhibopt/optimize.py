@@ -35,7 +35,7 @@ import numpy as np
 
 from .adjoint import _chemical_gradient, _propagator, _ubar
 from .averaged import AveragedPropagator
-from .core import Trajectory, _control_inner, _per_point, _row_blocks, _rows
+from .core import Trajectory, _control_inner, _per_point, _realized, _row_blocks, _rows
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -155,11 +155,11 @@ def _sweep(prop, costs, realized_candidates, store_every=1):
     return v, prop.backward(costs, realized_candidates, decide, store_every)
 
 
-def _certificate(forward, adjoint, costs) -> list[PulseCertificate]:
-    realized = {j.node_index for j in forward.jumps}
+def _certificate(adjoint, costs) -> list[PulseCertificate]:
+    """One entry per costate jump: a result's costate jumps where its forward run pulses."""
     c = costs.pulse_unit
     return [PulseCertificate(aj.time, aj.candidate_index, aj.p_plus, c[aj.candidate_index], aj.applied)
-            for aj in adjoint.jumps if aj.node_index in realized]
+            for aj in adjoint.jumps]
 
 
 def _result(prop, strategy, costs, forward=None, adjoint=None, store_every=1,
@@ -172,7 +172,7 @@ def _result(prop, strategy, costs, forward=None, adjoint=None, store_every=1,
     if adjoint is None:
         adjoint = prop.adjoint(strategy, costs, forward, store_every)
     cost = prop.cost(forward, strategy, costs)
-    certificate = _certificate(forward, adjoint, costs)
+    certificate = _certificate(adjoint, costs)
     result = StrategyResult(strategy, prop.control, cost, certificate, forward, adjoint, **extra)
     result.diagnostics.update(prop.diagnostics())
     return result
@@ -191,8 +191,7 @@ def _pulse_loop(prop, costs, max_iterations: int = 50, store_every: int = 1):
     if max_iterations < 1:
         raise ProblemError("max_iterations must be >= 1")
     forward = prop.forward(None, store_every) if prop.threshold > 0 else None
-    realized = frozenset(range(prop.time_grid.n_candidates) if forward is None
-                         else (j.candidate_index for j in forward.jumps))
+    realized = frozenset(range(prop.time_grid.n_candidates)) if forward is None else _realized(forward)
     swept: list[frozenset] = []
     for _ in range(max_iterations):
         swept.append(realized)
@@ -210,7 +209,7 @@ def _pulse_loop(prop, costs, max_iterations: int = 50, store_every: int = 1):
         else:
             forward = None  # the run before goes before the new one is built
             forward = prop.forward(strategy, store_every)
-        realized = frozenset(j.candidate_index for j in forward.jumps)
+        realized = _realized(forward)
         if realized == swept[-1]:
             break
         if realized in swept:
@@ -326,10 +325,9 @@ def brute_force_pulse(
         raise ProblemError(f"{m} candidate pulses exceed max_pulses={max_pulses}")
     prop = AveragedPropagator(problem, u)
     segments = _segment_aggregates(prop)
-    tg = problem.time_grid
-    control_cost = 0.0
-    if u is not None:
-        control_cost = float(np.sum(costs.continuous_unit * u.samples * tg.dt))
+    # a control that is zero throughout costs nothing, even at an infinite unit cost
+    control_cost = float(np.sum(costs.continuous_unit * prop.u_samples * problem.time_grid.dt)
+                         if prop.u_samples.any() else 0.0)
     final_cost = float(costs.final)
 
     def evaluate(columns, n):
@@ -402,19 +400,12 @@ def fixed_point_pulse(
 # mixed strategy by projected gradient
 
 
-def _realized(result: StrategyResult) -> list[int]:
-    """The candidates whose pulses the result's forward run realized."""
-    return [j.candidate_index for j in result.forward.jumps]
-
-
-def _spectral_step(prop, s: np.ndarray, y: np.ndarray) -> float:
-    """Barzilai-Borwein step <s, s> / <s, y> clipped to [GAMMA_MIN, GAMMA_MAX];
+def _spectral_step(ss: float, sy: float) -> float:
+    """Barzilai-Borwein step ss / sy = <s, s> / <s, y> clipped to [GAMMA_MIN, GAMMA_MAX];
     GAMMA_MAX when <s, y> <= 0, where the gradient gives no curvature to scale by."""
-    w, dt = prop.space_weight, prop.time_grid.dt
-    sy = _control_inner(s, y, w, dt)
     if not sy > 0:
         return GAMMA_MAX
-    return min(max(_control_inner(s, s, w, dt) / sy, GAMMA_MIN), GAMMA_MAX)
+    return min(max(ss / sy, GAMMA_MIN), GAMMA_MAX)
 
 
 def _saturating_step(u: np.ndarray, ubar: np.ndarray) -> float:
@@ -526,13 +517,14 @@ def projected_gradient_mixed(
             stop_reason = "line search failed"
         if stop_reason:  # stationary, or the line search failed
             break
-        if _realized(trial) != _realized(current):
+        if _realized(trial.forward) != _realized(current.forward):
             set_changes += 1
         current, trial, switching = trial, None, None  # of the iterate before, only u and ubar live on
         s, u, ubar_before = u_new.samples - u.samples, u_new, ubar
         switching, ubar = _chemical_gradient(prop, current.forward, current.adjoint, u, costs)
-        du = float(np.sqrt(_control_inner(s, s, prop.space_weight, tg.dt)))
-        gamma = _spectral_step(prop, s, ubar - ubar_before)
+        ss = _control_inner(s, s, prop.space_weight, tg.dt)  # for the step norm and the next step
+        du = float(np.sqrt(ss))
+        gamma = _spectral_step(ss, _control_inner(s, ubar - ubar_before, prop.space_weight, tg.dt))
         del s, ubar_before
         decrease = j_history[-1] - current.cost.total
         j_history.append(current.cost.total)
@@ -558,7 +550,7 @@ def projected_gradient_mixed(
 
 def _sign_violations(certs, theta_pre: list, tol: float) -> list[int]:
     """Points violating the sign condition, per pulse, judged in one array pass."""
-    g = np.array([c.p_plus - c.unit_cost for c in certs])
+    g = np.array([c.margin for c in certs])
     g *= np.array(theta_pre)
     low, high = g < -tol, g > tol  # and |g| > tol is low | high
     del g  # a field's stacked coefficients go before its decisions are stacked

@@ -406,11 +406,9 @@ class FieldPropagator(Propagator):
         self.alpha = problem.pressure.field_at(0.0, out=_aligned_empty(self.shape))
         self.aim(u)
 
-    def _aim(self, u: ContinuousControl | None) -> None:
-        u_samples = (u.samples if u is not None
-                     else np.broadcast_to(0.0, (self.time_grid.n_steps,)))
-        self._u = _rows(u_samples)
-        self.unit_divisor = _unit_divisor(self.sigma, u_samples)
+    def _aim(self) -> None:
+        self._u = _rows(self.u_samples)
+        self.unit_divisor = _unit_divisor(self.sigma, self.u_samples)
         rate = self.alpha if self.unit_divisor else self.rate
         self.op = DiscreteOperator(self.problem.diffusion, rate, self.grid.spacing, self.stencil)
 

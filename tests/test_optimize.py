@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import tracemalloc
@@ -196,6 +197,16 @@ class TestBruteForce:
         res = ib.brute_force_pulse(prob, None, costs, max_pulses=10)
         assert abs(res.diagnostics["enumeration_best"] - res.cost.total) < 1e-12
 
+    def test_no_control_costs_nothing_at_an_infinite_unit_cost(self):
+        prob = reference_averaged(t_end=10 / 52)
+        tg = prob.time_grid
+        free = ib.brute_force_pulse(prob, None, ib.CostSpec.constant(tg, 0.05, final=0.3),
+                                    max_pulses=10)
+        dear = ib.brute_force_pulse(prob, None, ib.CostSpec.constant(
+            tg, 0.05, continuous_unit=np.inf, final=0.3), max_pulses=10)
+        assert dear.strategy.values.tobytes() == free.strategy.values.tobytes()
+        assert dear.cost == free.cost
+
     def test_refuses_oversized_instances(self):
         prob = reference_averaged()  # 51 candidates
         costs = ib.CostSpec.constant(prob.time_grid, 0.5)
@@ -253,6 +264,75 @@ def _oracle_brute_force(problem, u, costs, interior_samples=0, seed=0):
         rng = np.random.default_rng(seed)
         interior_best = min(evaluate(rng.random(m)) for _ in range(interior_samples))
     return np.array(best_v), best_cost, interior_best
+
+
+def _oracle_bellman(problem, u, costs, points=2001):
+    """Global optimum of the averaged pulse problem under the given u, by backward value
+    iteration (Bellman 1957) on ``points`` uniform theta values in [0, 1] with linear
+    interpolation: each step is the propagator's exact one, and at each candidate whose
+    pre-jump state meets sigma*, v is the cheaper of 0 and 1.  The policy is rolled out on
+    the same steps and costed by the library, so its J is that of a real strategy."""
+    tg = problem.time_grid
+    assert tg.candidate_indices[-1] < tg.n_steps  # a pulse at T would need its own final cost
+    prop = optimize.AveragedPropagator(problem, u)
+    grid = np.linspace(0.0, 1.0, points)
+    star, c = problem.chem.sigma_star, costs.pulse_unit.tolist()
+    candidate_at = dict(zip(tg.candidate_indices, range(tg.n_candidates)))
+    after = {}  # the value just after each candidate's jump, as a function of the post-jump state
+    value = float(costs.final) * grid
+    for n in range(tg.n_steps, -1, -1):
+        k = candidate_at.get(n)
+        if k is not None:
+            after[k] = value
+            value = np.where(grid >= star, np.minimum(value, c[k] * grid + value[0]), value)
+        if n:
+            attr, decay = prop.attr[n - 1], prop.decay[n - 1]
+            y = attr + (grid - attr) * decay
+            value = tg.dt[n - 1] * (grid + y) / 2.0 + np.interp(y, grid, value)
+    v, x = np.ones(tg.n_candidates), float(problem.theta0)
+    for n in range(tg.n_steps):
+        k = candidate_at.get(n)
+        if k is not None and x >= star and c[k] * x + after[k][0] < np.interp(x, grid, after[k]):
+            v[k], x = 0.0, 0.0
+        x = prop.attr[n] + (x - prop.attr[n]) * prop.decay[n]
+    strategy = ib.PulseStrategy(v)
+    return strategy, prop.cost(prop.forward(strategy), strategy, costs).total
+
+
+@functools.cache
+def _bellman_set():
+    """64 seeded averaged threshold problems (sigma* in [0.05, 0.6], 4 to 16 candidates, every
+    other one under a constant u) with the oracle's J of each."""
+    rng = np.random.default_rng(18)
+    cases = []
+    for i in range(64):
+        m = int(rng.integers(4, 17))
+        tg = ib.TimeGrid.regular((m + 0.5) / 52, 1e-3, 1.0 / 52)
+        alpha = ib.seasonal_profile(0.5 * np.log(10.0) * rng.uniform(0.5, 2.0), 0.75, 0.2)
+        prob = ib.AveragedProblem(tg, alpha, ib.ChemicalParams(0.3, rng.uniform(0.05, 0.6)),
+                                  rng.uniform(0.1, 0.8))
+        u = ib.ContinuousControl.constant(tg, rng.uniform(0.0, 1.0)) if i % 2 else None
+        costs = ib.CostSpec.constant(tg, rng.uniform(0.05, 0.6), rng.uniform(0.0, 0.05),
+                                     rng.uniform(0.0, 0.5))
+        cases.append((prob, u, costs, _oracle_bellman(prob, u, costs)[1]))
+    return cases
+
+
+def test_bellman_oracle_is_the_enumerated_optimum():
+    for prob, u, costs, oracle in _bellman_set():
+        assert prob.time_grid.n_candidates <= 16 and 0.05 <= prob.chem.sigma_star <= 0.6
+        best = ib.brute_force_pulse(prob, u, costs).cost.total
+        assert abs(oracle - best) <= 1e-12 * abs(best)
+
+
+def test_fixed_points_above_the_bellman_optimum_are_pinned():
+    # the fixed point is a self-consistent realized set, not a minimum: an early pulse
+    # can gate off later candidates that the optimum uses
+    gaps = np.array([ib.fixed_point_pulse(prob, u, costs).cost.total / oracle - 1.0
+                     for prob, u, costs, oracle in _bellman_set()])
+    assert gaps.min() >= -1e-12
+    assert np.count_nonzero(gaps > 1e-12) == 4
+    assert gaps.max() == pytest.approx(0.198724, abs=1e-6)
 
 
 def _vertex_case(case):
@@ -661,6 +741,36 @@ def test_iteration_cap_returns_a_consistent_unconverged_iterate():
     assert res.cost == ib.cost_averaged(res.forward, res.strategy, None, costs)
 
 
+@pytest.mark.parametrize("model, optimizer", [
+    *itertools.product(("averaged", "field"), ("optimal_pulse", "fixed_point_pulse",
+                                               "capped fixed_point_pulse", "projected_gradient_mixed")),
+    ("averaged", "brute_force_pulse"),
+])
+def test_a_result_sweeps_on_the_set_its_run_realizes(model, optimizer):
+    # every result's costate jumps where its forward run pulses, converged or not, so the
+    # pulse certificate has one entry per realized pulse with no set to filter it by
+    capped = optimizer.startswith("capped")  # stopped at one sweep, unconverged
+    star = 0.0 if optimizer == "optimal_pulse" else 0.42 if model == "averaged" else 0.02
+    if model == "averaged":
+        prob = reference_averaged(t_end=10 / 52 if optimizer == "brute_force_pulse" else 0.5,
+                                  sigma_star=star)
+    else:
+        prob = reference_pde(cells=(2, 2, 1), t_end=0.3, sigma_star=star)
+    costs = ib.CostSpec.constant(prob.time_grid, 0.1, continuous_unit=0.005)
+    if optimizer == "optimal_pulse":
+        res = ib.optimal_pulse(prob, ib.ContinuousControl.constant(prob.time_grid, 0.3), costs)
+    elif optimizer == "projected_gradient_mixed":
+        res = ib.projected_gradient_mixed(prob, costs)
+    elif optimizer == "brute_force_pulse":
+        res = ib.brute_force_pulse(prob, None, costs, max_pulses=10)
+    else:
+        res = ib.fixed_point_pulse(prob, None, costs, max_iterations=1 if capped else 50)
+    assert res.forward.jumps and res.converged is not capped
+    assert core._realized(res.adjoint) == core._realized(res.forward)
+    assert ([c.candidate_index for c in res.certificate]
+            == [j.candidate_index for j in res.forward.jumps])
+
+
 class TestProjectedGradientMixed:
     def test_requires_chemical_efficacy(self):
         prob = reference_averaged(sigma=0.0)
@@ -816,8 +926,12 @@ class TestProjectedGradientMixed:
             it = ib.fixed_point_pulse(prob, u[k], costs)
             ubar.append(ib.gradient_continuous(prob, it.forward, it.adjoint, u[k], costs)
                         .continuous_gradient)
-            gamma = 1.0 if k == 0 else optimize._spectral_step(
-                optimize._propagator(prob, None), u[1].samples - u[0].samples, ubar[1] - ubar[0])
+            gamma = 1.0
+            if k:  # the quotient of the dt-weighted inner products of the control norm
+                s, y = u[1].samples - u[0].samples, ubar[1] - ubar[0]
+                dt = prob.time_grid.dt
+                gamma = optimize._spectral_step(core._control_inner(s, s, 1.0, dt),
+                                                core._control_inner(s, y, 1.0, dt))
             u.append(ib.ContinuousControl(np.clip(u[k].samples - gamma * ubar[k], 0.0, 1.0)))
         assert res.control.samples.tobytes() == u[2].samples.tobytes()
 
@@ -903,27 +1017,29 @@ class TestProjectedGradientMixed:
 
     @staticmethod
     def _uneven_step_case():
-        # candidates at 0.013 and 0.05 split [0, 0.1] into steps of 0.0065, 0.00925 and 0.01
+        # candidates at 0.013 and 0.05 split [0, 0.1] into steps of 0.0065, 0.00925 and 0.01;
+        # returns the grid, s and y, and the inner product of the mixed optimizer's control norm
         tg = ib.TimeGrid(0.1, 0.01, (0.013, 0.05))
         problem = ib.AveragedProblem(tg, reference_alpha(), ib.ChemicalParams(0.3), 0.4)
         prop = optimize._propagator(problem, None)
         s = np.linspace(-1.0, 1.0, tg.n_steps) ** 3
         y = np.arange(tg.n_steps, dtype=float) * s
-        return tg, prop, s, y
+        return tg, s, y, lambda a, b: core._control_inner(a, b, prop.space_weight, tg.dt)
 
     @pytest.mark.parametrize("sign", [-1.0, 0.0])
     def test_spectral_step_without_curvature_is_gamma_max(self, sign):
-        _, prop, s, y = self._uneven_step_case()
-        assert optimize._spectral_step(prop, s, sign * y) == optimize.GAMMA_MAX
+        _, s, y, inner = self._uneven_step_case()
+        assert optimize._spectral_step(inner(s, s), inner(s, sign * y)) == optimize.GAMMA_MAX
 
     def test_spectral_step_is_the_dt_weighted_quotient(self):
-        tg, prop, s, y = self._uneven_step_case()
+        tg, s, y, inner = self._uneven_step_case()
         assert tg.dt.min() < 0.007 and tg.dt.max() > 0.0099
         weighted = np.sum(s * s * tg.dt) / np.sum(s * y * tg.dt)
         assert abs(weighted / (np.sum(s * s) / np.sum(s * y)) - 1.0) > 1e-3  # the weights matter
-        assert optimize._spectral_step(prop, s, y) == pytest.approx(weighted, rel=1e-12)
-        assert optimize._spectral_step(prop, s, 1e12 * y) == optimize.GAMMA_MIN
-        assert optimize._spectral_step(prop, s, 1e-12 * y) == optimize.GAMMA_MAX
+        ss = inner(s, s)
+        assert optimize._spectral_step(ss, inner(s, y)) == pytest.approx(weighted, rel=1e-12)
+        assert optimize._spectral_step(ss, inner(s, 1e12 * y)) == optimize.GAMMA_MIN
+        assert optimize._spectral_step(ss, inner(s, 1e-12 * y)) == optimize.GAMMA_MAX
 
     @pytest.mark.parametrize("block", [core.BLOCK_VALUES, 7])
     def test_saturating_step_is_the_last_breakpoint(self, monkeypatch, block):
