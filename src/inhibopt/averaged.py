@@ -9,22 +9,28 @@ alpha/(1 - sigma*u); at each realized pulse time Theta jumps to v_i * Theta.
 Each integration step freezes alpha at the step midpoint and u at the step's
 stored sample and applies the exact exponential update
 
-    Theta <- attr + (Theta - attr) * exp(-rate * dt).
+    Theta <- attr + (Theta - attr) * exp(-rate * dt) = decay*Theta + w*alpha,
 
-This evaluates the semiflow's two integral terms in closed form for the
-frozen coefficients: it is exact for (step-aligned) piecewise-constant
-alpha and u, second-order for smooth alpha, and maps [0,1] into [0,1]
-unconditionally since the update is a convex combination.
+with w = (1 - e^{-rate*dt})/rate.  This evaluates the semiflow's two
+integral terms in closed form for the frozen coefficients: it is exact for
+(step-aligned) piecewise-constant alpha and u and second-order for smooth
+alpha.  The exact update is a convex combination, so it maps [0,1] into
+[0,1]; the maps below round otherwise, so that holds to rounding.
 
-:class:`AveragedPropagator` holds per-step attractor, decay and source weight
-w = (1 - e^{-rate*dt})/rate as Python lists.  Its ``flow`` runs one whole
-pulse-free span (see :mod:`inhibopt.core`) as one comprehension over slices
-of those lists with a local Python float: the state step
-``attr + (x - attr)*decay`` (the closed form of the linear step with source
-alpha), or the linear step ``decay*x + w*source`` of costate and tangent
-runs, through reversed slices for the costate.  Its record is a list of
-floats that the run converts to an array once.  The functions here are thin
-wrappers over the shared loops of :mod:`inhibopt.core`.
+The state, the costate (source 1) and a tangent (source s) all take the
+linear step ``x <- decay*x + w*source``, and affine maps of such a step
+compose.  :class:`AveragedPropagator` therefore cuts each pulse-free span
+(see :mod:`inhibopt.core`) into chunks of at most ``core.K_MAX`` steps and, when
+it is aimed at a control, takes the maps x -> S*x + O of every chunk after
+each of its steps in one numpy lockstep, one step of every chunk at once:
+S <- S*decay and O <- O*decay + w*source from (1, 0).  There is no division,
+so a decay that underflows to 0 is safe.  One lockstep serves the state
+(source alpha, forwards) and the costate (source 1, backwards); a tangent
+run with sources builds its own.  A run's ``flow`` then takes a span one
+multiply-add a chunk on a Python float, noting each chunk's start, and its
+``finish`` fills every node between as x = S*x_start + O in one pass.  The
+functions here are thin wrappers over the shared loops of
+:mod:`inhibopt.core`.
 
 Pulse thresholding: a candidate time t_k becomes a realized pulse time iff
 Theta(t_k) >= sigma_star (pre-jump value, ties trigger).  Stored trajectory
@@ -33,13 +39,13 @@ values are left limits; post-jump values live in the jump records.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import AveragedTrajectory, Jump  # noqa: F401  (re-exported)
-from .core import Propagator, Span, _as_direction_array, _cost, _rows
+from .core import (Propagator, Span, _as_direction_array, _chunks, _cost, _rows, _Side,
+                   _unstored)
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -73,9 +79,52 @@ def _source_weights(rate: np.ndarray, dt: np.ndarray) -> np.ndarray:
     return np.where(rate > 0.0, -np.expm1(-rate * dt) / safe, dt)
 
 
+def _step_table(decay: np.ndarray, *weighted: np.ndarray) -> np.ndarray:
+    """Rows of per-step data to gather into the chunk layout: the decay, then each weighted
+    source w*s, each ending in the pad at index n_steps (decay 1, source 0), which leaves a
+    map exactly as it is."""
+    table = np.zeros((1 + len(weighted), len(decay) + 1))
+    table[0, -1] = 1.0
+    for row, values in zip(table, (decay, *weighted)):
+        row[:-1] = values
+    return table
+
+
+def _lockstep(decay: np.ndarray, weighted: np.ndarray):
+    """The maps x -> S*x + O of every chunk after each of its steps, one step of every chunk
+    at once: S <- S*d and O <- O*d + w*s from (1, 0).  ``decay`` and ``weighted`` (w*s) are
+    laid out as :func:`inhibopt.core._chunks`' ``steps``; row j + 1 of S and O is taken after
+    step j, and row 0 is the identity.  A padded step (d = 1, w*s = 0) leaves both exactly."""
+    scale, offset = np.empty((2, len(decay) + 1, decay.shape[1]))
+    scale[0], offset[0] = 1.0, 0.0
+    np.multiply.accumulate(decay, axis=0, out=scale[1:])
+    rows = list(offset)
+    for before, after, d, ws in zip(rows, rows[1:], decay, weighted):
+        np.multiply(before, d, out=after)
+        np.add(after, ws, out=after)
+    return scale, offset
+
+
+class _Maps(NamedTuple):
+    """The chunk maps of one direction and source: S and O after each step of each chunk
+    (see :func:`_lockstep`), each chunk's end map as Python floats, and the direction."""
+
+    scale: np.ndarray
+    offset: np.ndarray
+    ends: tuple
+    side: _Side
+
+
+def _maps(scale: np.ndarray, offset: np.ndarray, side: _Side) -> _Maps:
+    """The maps of ``side``'s columns of a lockstep."""
+    scale, offset = np.ascontiguousarray(scale[:, side.cols]), np.ascontiguousarray(offset[:, side.cols])
+    return _Maps(scale, offset, (scale[-1].tolist(), offset[-1].tolist()), side)
+
+
 class AveragedPropagator(Propagator):
-    """Exact exponential steps of the scalar model for one chemical control (``aim(u)``
-    keeps the alpha samples and recomputes each step's attractor, decay and weight)."""
+    """Exact exponential steps of the scalar model for one chemical control, taken as chunk
+    maps (``aim(u)`` keeps the alpha samples and recomputes each step's attractor, decay and
+    weight, and the maps of the state and the costate in one lockstep)."""
 
     shape = ()
     zero = 0.0
@@ -86,38 +135,64 @@ class AveragedPropagator(Propagator):
         self.time_grid, self.sigma = tg, problem.chem.sigma
         self.initial = float(problem.theta0)
         self.threshold = problem.chem.sigma_star
+        self.chunks = chunks = _chunks(tg)
+        # where each place of the chunks reads its weighted source in the step table of
+        # _aim: the state's (w*alpha) forwards, the costate's (w) backwards
+        widths = [side.cols.stop - side.cols.start for side in (chunks.forward, chunks.backward)]
+        self._sourced = chunks.steps + (tg.n_steps + 1) * np.repeat([1, 2], widths)
         self.aim(u)
 
     def _aim(self) -> None:
         dt = self.time_grid.dt
         attr, rate, decay = _exponential_coefficients(self._alpha_mid, self.u_samples, self.sigma, dt)
-        self.attr, self.decay = attr.tolist(), decay.tolist()
-        self.w = _source_weights(rate, dt).tolist()
+        self.attr, self.decay, self.w = attr, decay, _source_weights(rate, dt)
+        table = _step_table(decay, self.w * self._alpha_mid, self.w)  # sources alpha and 1
+        scale, offset = _lockstep(table[0].take(self.chunks.steps), table.take(self._sourced))
+        self.state_maps = _maps(scale, offset, self.chunks.forward)
+        self.unit_maps = _maps(scale, offset, self.chunks.backward)
 
     def state(self, a) -> float:
         return float(a)
 
     def record(self, n: int) -> list:
+        """The n stored rows, of which the run writes the event rows; each span's flow
+        appends its chunk starts after them."""
         return [0.0] * n
 
-    def flow(self, x: float, span: Span, source: list | None, out: list,
+    def source(self, rows: np.ndarray | None) -> _Maps:
+        """The forward maps of a tangent run with source ``rows`` (zero where None)."""
+        side = self.chunks.forward
+        steps = self.chunks.steps[:, side.cols]
+        decay, weighted = _step_table(self.decay, self.w * (0.0 if rows is None else rows))
+        # the forward columns come first, so side.cols takes all of these
+        return _maps(*_lockstep(decay.take(steps), weighted.take(steps)), side)
+
+    def unit_source(self) -> _Maps:
+        return self.unit_maps
+
+    def flow(self, x: float, span: Span, source: _Maps | None, out: list,
              skipped: list | None) -> float:
-        """Walk one span, storing its kept nodes in ``out`` and the others in
-        ``skipped``; returns the end state (the interface is in :mod:`inhibopt.core`)."""
-        steps = span.steps
-        if source is None:  # attr + (x - attr)*decay: the closed form of the step with source alpha
-            xs = [x := at + (x - at) * d for at, d in zip(self.attr[steps], self.decay[steps])]
-        else:
-            xs = [x := d * x + w * s
-                  for d, w, s in zip(self.decay[steps], self.w[steps], source[steps])]
-        end = xs.pop()
-        if span.kept is None:
-            out[span.rows] = xs
-        else:
-            out[span.rows] = compress(xs, span.kept)
-            if skipped is not None:
-                skipped += [x for x, k in zip(xs, span.kept) if not k]
-        return end
+        """Take one span through its chunk maps (the state's when ``source`` is None), noting
+        each chunk's start in ``out``; :meth:`finish` fills the nodes between."""
+        maps = self.state_maps if source is None else source
+        scale, offset = maps.ends
+        for c in maps.side.spans[span.index]:
+            out.append(x)
+            x = scale[c] * x + offset[c]
+        return x
+
+    def finish(self, record: list, walk, source: _Maps | None, skipped: list | None):
+        """Every inner node x = S*x_start + O from its chunk's start, in one pass; the event
+        rows keep what the run stored (pre-jump states, the costate after its decision)."""
+        maps = self.state_maps if source is None else source
+        n = len(walk.rows)
+        nodes = np.empty(self.time_grid.n_steps + 1)
+        starts = np.array(record[n:])
+        nodes[self.chunks.inner] = (maps.scale * starts + maps.offset).take(maps.side.place)
+        nodes[self.chunks.events] = [record[r] for r in walk.at]
+        if n == nodes.size:
+            return nodes, None if skipped is None else np.empty(0)
+        return nodes[walk.rows], None if skipped is None else nodes[_unstored(walk.rows)]
 
     def gate(self, x: float) -> bool:
         return x >= self.threshold

@@ -24,7 +24,7 @@ import numpy as np
 from . import io as iomod
 from .adjoint import _propagator, gradient_continuous, gradient_pulse
 from .averaged import cost_averaged, simulate_averaged
-from .core import _walk
+from .core import _unstored, _walk
 from .model import ContinuousControl, ProblemError, PulseStrategy, SolverError, validate
 from .optimize import brute_force_pulse, fixed_point_pulse, projected_gradient_mixed
 from .pde import cost_pde, simulate_pde
@@ -120,9 +120,11 @@ def _task_optimize_pulse(bundle: iomod.Bundle, store_every: int) -> tuple[dict, 
 
 
 def _stored(traj, rows: np.ndarray, store_every: int):
-    """A complete record's ``rows``, the nodes a run at ``store_every`` stores, for writing."""
+    """A complete record's ``rows``, the nodes a run at ``store_every`` stores, for writing,
+    with the grid sum of each other node in node order, as such a run keeps them."""
     return replace(traj, times=traj.times[rows], values=traj.values[rows], node_indices=rows,
-                   store_every=store_every)
+                   store_every=store_every,
+                   skipped_sums=np.array([np.sum(traj.values[n]) for n in _unstored(rows)]))
 
 
 def _task_optimize_mixed(bundle: iomod.Bundle, store_every: int) -> tuple[dict, list]:

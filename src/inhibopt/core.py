@@ -6,17 +6,25 @@ a model's propagator is the pulse-free :class:`Span` between two event nodes
 (node 0, the candidate nodes and the final node): ``flow(x, span, source,
 out, skipped)`` takes every step of the span (backwards in time for a
 costate span), with the state's own pressure as source when ``source`` is
-None and ``source[n]`` at step n otherwise.  It writes the span's stored
-interior nodes into the record ``out``, appends the grid sum of each interior
-node it does not store to ``skipped`` (unless that is None, as for the
-costate) and returns the state at the span's end.  A propagator also
-supplies the record itself (``record(n)``: a list of floats for the averaged
-model, converted once when the run ends, or a preallocated array), the
-threshold ``gate(x)`` and ``alpha_mid()`` for every step.  A propagator and
-each record it writes carry their ``grid`` (None for the averaged model), and
-their ``space_weight``, the weight of a point in the space quadrature, is
-read from it by one rule: ds^3 on a grid, 1 where there is none.  So costs,
-gradients and inner products take the weight of what they integrate.
+None and the run's source otherwise, as the propagator's ``source(rows)``
+(a tangent's, ``rows[n]`` at step n) or ``unit_source()`` (the costate's 1)
+gives it.  It returns the state at the span's end and leaves in the record
+``out`` and the list ``skipped`` (None for the costate) what the
+propagator's ``finish(record, walk, source, skipped)`` turns into the run's
+stored values and the grid sums of its unstored nodes once the run ends.  A
+field's flow writes each stored interior node into its row and appends the
+grid sum of each other one, and its ``finish`` is ``np.asarray``.  The
+averaged flow takes a span through its chunk maps and notes each chunk's
+start after the stored rows of its list record, and its ``finish`` fills
+every interior node from those in one pass (see :mod:`inhibopt.averaged`;
+:func:`_chunks` lays the chunks out).  A propagator also supplies the
+record itself (``record(n)``: a list for the averaged model, a preallocated
+array for fields), the threshold ``gate(x)`` and ``alpha_mid()`` for every
+step.  A propagator and each record it writes carry their ``grid`` (None
+for the averaged model), and their ``space_weight``, the weight of a point
+in the space quadrature, is read from it by one rule: ds^3 on a grid, 1
+where there is none.  So costs, gradients and inner products take the
+weight of what they integrate.
 
 :class:`Propagator` writes each algorithm once over that interface: the gated
 forward run, the backward costate sweep with a per-candidate decision rule,
@@ -157,6 +165,12 @@ def _control_inner(a: np.ndarray, b: np.ndarray, space_weight: float, dt: np.nda
     return float(np.sum(rows * dt))
 
 
+def _unstored(rows: np.ndarray) -> np.ndarray:
+    """The nodes, in node order, that a record storing the nodes ``rows`` (the last of them
+    the final node) skips."""
+    return np.delete(np.arange(rows[-1] + 1), rows)
+
+
 def _node_integrals(traj: Trajectory, space_weight: float) -> np.ndarray:
     """Space integral of the left limit at every integration node, stored or not."""
     stored = _space_integral(traj.values, space_weight)
@@ -164,8 +178,7 @@ def _node_integrals(traj: Trajectory, space_weight: float) -> np.ndarray:
         return stored
     out = np.empty(traj.node_indices[-1] + 1)
     out[traj.node_indices] = stored
-    out[np.delete(np.arange(out.size), traj.node_indices)] = (
-        np.asarray(traj.skipped_sums) * space_weight)
+    out[_unstored(traj.node_indices)] = np.asarray(traj.skipped_sums) * space_weight
     return out
 
 
@@ -187,21 +200,24 @@ class Span(NamedTuple):
     ``steps`` slices the per-step data (forwards step n leads to node n+1,
     backwards to node n), ``rows`` the record rows of the interior nodes that
     are stored, and ``kept`` flags each interior node (None: all are stored).
+    ``index`` is the span's place in its direction's list in :class:`_Walk`.
     """
 
     steps: slice
     rows: slice
     kept: list | None
+    index: int
 
 
 class _Walk(NamedTuple):
-    """The stored nodes of a run, its event nodes with their rows, and the spans
-    between consecutive event nodes (``forward[i]`` from event i to event i+1,
-    ``backward[i]`` from event i+1 down to event i)."""
+    """The stored nodes of a run, its event nodes with their rows and times (Python
+    floats), and the spans between consecutive event nodes (``forward[i]`` from
+    event i to event i+1, ``backward[i]`` from event i+1 down to event i)."""
 
     rows: np.ndarray
     events: list
     at: list
+    times: list
     forward: list
     backward: list
 
@@ -227,11 +243,75 @@ def _walk(time_grid, store_every: int) -> _Walk:
     events = sorted({0, *time_grid.candidate_indices, last})
     at = np.searchsorted(rows, events).tolist()
     forward, backward = [], []
-    for a, b, ra, rb in zip(events, events[1:], at, at[1:]):
-        forward.append(Span(slice(a, b), slice(ra + 1, rb), keep and keep[a + 1:b]))
+    for i, (a, b, ra, rb) in enumerate(zip(events, events[1:], at, at[1:])):
+        forward.append(Span(slice(a, b), slice(ra + 1, rb), keep and keep[a + 1:b], i))
         backward.append(Span(slice(b - 1, a - 1 if a else None, -1), slice(rb - 1, ra, -1),
-                             keep and keep[b - 1:a:-1]))
-    return _Walk(rows, events, at, forward, backward)
+                             keep and keep[b - 1:a:-1], i))
+    return _Walk(rows, events, at, time_grid.times[events].tolist(), forward, backward)
+
+
+K_MAX = 32  # steps a chunk of :func:`_chunks` holds at most: the width of one lockstep
+
+
+class _Side(NamedTuple):
+    """One direction's chunks in :class:`_Chunks`: their columns there, the chunk numbers of
+    each span (by its ``index``), numbered in the order a run visits them, and, for each inner
+    node in node order, its place ``(j + 1) * n + c`` in an (width + 1, n) array of this
+    side's n chunks whose row j + 1 is taken after step j of chunk c."""
+
+    cols: slice
+    spans: list
+    place: np.ndarray
+
+
+class _Chunks(NamedTuple):
+    """Each span of a time grid's walk cut into chunks of at most ``K_MAX`` steps, forwards
+    and backwards: ``steps`` (width, chunks) holds the step at each place of a chunk, column
+    by column, ``n_steps`` where a shorter chunk is padded.  ``events`` are the walk's event
+    nodes and ``inner`` the others, each reached by one step of each direction."""
+
+    steps: np.ndarray
+    events: np.ndarray
+    inner: np.ndarray
+    forward: _Side
+    backward: _Side
+
+
+@functools.lru_cache(maxsize=32)
+def _chunks(time_grid) -> _Chunks:
+    """The chunks of every run on ``time_grid``, built once per grid as :func:`_walk` is.
+
+    A span of L steps is cut into ceil(L / K_MAX) chunks of near-equal length, so the
+    chunks of a weekly grid are its spans.  Forward chunks are numbered in time order and
+    backward ones in the order the costate sweep visits them, so a run's chunk starts,
+    noted in visiting order, line up with the chunk numbers.
+    """
+    walk = _walk(time_grid, 1)
+    last = time_grid.n_steps
+    chunks, sides = [], []
+    for spans, reach in ((walk.forward, 1), (walk.backward[::-1], 0)):
+        first, numbers = len(chunks), [None] * len(spans)
+        for span in spans:  # forward step n reaches node n + 1, backward step n node n
+            walked = range(last)[span.steps]
+            pieces = -(-len(walked) // K_MAX)
+            numbers[span.index] = range(len(chunks) - first, len(chunks) - first + pieces)
+            chunks += [walked[len(walked) * i // pieces:len(walked) * (i + 1) // pieces]
+                       for i in range(pieces)]
+        sides.append((slice(first, len(chunks)), numbers, reach))
+    steps = np.full((max(map(len, chunks)), len(chunks)), last)
+    for c, chunk in enumerate(chunks):
+        steps[:len(chunk), c] = chunk
+    events = np.array(walk.events)
+    inner = np.delete(np.arange(last + 1), events)
+    out = []
+    for cols, numbers, reach in sides:
+        j, c = np.nonzero(steps[:, cols] < last)
+        place = np.empty(last + 1, int)
+        place[steps[:, cols][j, c] + reach] = (j + 1) * (cols.stop - cols.start) + c
+        out.append(_Side(cols, numbers, place[inner]))
+    for a in (steps, events, inner, *(side.place for side in out)):
+        a.flags.writeable = False  # shared by every run on the grid
+    return _Chunks(steps, events, inner, *out)
 
 
 def _realized(record) -> frozenset:
@@ -245,6 +325,19 @@ def _as_direction_array(direction) -> np.ndarray:
     if isinstance(direction, ContinuousControl):
         return direction.samples
     return np.asarray(direction, dtype=float)
+
+
+def _control_cost(u: ContinuousControl | None, costs: CostSpec, dt: np.ndarray, points: int = 1,
+                  space_weight: float = 1.0) -> float:
+    """The running control cost C*u*dt over ``points`` points of ``space_weight`` each for a
+    control uniform in space, else the control inner product; a control that is missing or
+    zero throughout costs nothing, even at an infinite unit cost."""
+    if u is None or not u.samples.any():
+        return 0.0
+    unit = _per_point(costs.continuous_unit, u.samples.ndim)
+    if u.samples.ndim == 1:  # uniform in space
+        return float(np.sum(unit * u.samples * dt) * points * space_weight)
+    return _control_inner(unit, u.samples, space_weight, dt)
 
 
 def _cost(traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec,
@@ -266,13 +359,7 @@ def _cost(traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec,
         left[[j.node_index for j in traj.jumps]] = posts
     running_state = float(np.sum(dt * (left[:-1] + right[1:]) / 2.0))
 
-    running_control = 0.0
-    if u is not None and u.samples.size:
-        unit = _per_point(costs.continuous_unit, u.samples.ndim)
-        if u.samples.ndim == 1:  # uniform in space
-            running_control = float(np.sum(unit * u.samples * dt) * np.size(traj.values[0]) * w)
-        else:
-            running_control = _control_inner(unit, u.samples, w, dt)
+    running_control = _control_cost(u, costs, dt, np.size(traj.values[0]), w)
 
     pulse = 0.0
     for j in traj.jumps:
@@ -289,8 +376,10 @@ class Propagator(_OnGrid):
 
     Subclasses set ``time_grid``, ``sigma``, ``shape``, ``threshold``,
     ``initial`` and ``zero``, call ``aim(u)`` from their constructor and
-    implement ``state``, ``flow``, ``gate``, ``alpha_mid`` and ``_aim()``,
-    which sets from ``u_samples`` all that the chemical control u changes, so
+    implement ``state``, ``flow``, ``gate``, ``alpha_mid`` and ``_aim()``
+    (and, where ``flow`` reads its source or record otherwise than a field's,
+    ``record``, ``source``, ``unit_source`` and ``finish``); ``_aim()`` sets
+    from ``u_samples`` all that the chemical control u changes, so
     ``aim(u)`` re-aims a propagator in place at the ``control`` that ``cost``
     reads; field propagators also set ``grid``, from which ``space_weight`` is
     read, and report their solver counters through ``diagnostics``.
@@ -306,8 +395,22 @@ class Propagator(_OnGrid):
         return self
 
     def record(self, n: int):
-        """Storage for n rows, written by index and slice and read back by ``np.asarray``."""
+        """Storage for n rows, written by index and slice and read back by :meth:`finish`."""
         return np.empty((n, *self.shape))
+
+    def source(self, rows: np.ndarray | None):
+        """A tangent run's per-step source ``rows`` (zero where None) as ``flow`` reads it."""
+        return [0.0] * self.time_grid.n_steps if rows is None else _rows(rows)
+
+    def unit_source(self):
+        """The costate's source, 1 at every step, as ``flow`` reads it."""
+        return [1.0] * self.time_grid.n_steps
+
+    def finish(self, record, walk: _Walk, source, skipped: list | None):
+        """A finished run's stored values and, unless ``skipped`` is None (a costate),
+        the grid sums of its other nodes, as arrays: ``record`` and ``skipped`` as the
+        flow wrote them.  ``walk`` and the run's ``source`` serve a model that fills them here."""
+        return np.asarray(record), None if skipped is None else np.array(skipped)
 
     def diagnostics(self) -> dict:
         """Deterministic counters of the work done so far (none for the averaged model)."""
@@ -340,7 +443,7 @@ class Propagator(_OnGrid):
         between the realized pulses of ``forward``, z(tau^+) = rule(forward_jump, z(tau)) at them."""
         if not forward.complete:
             raise ProblemError("sensitivity needs a fully stored trajectory")
-        src = [0.0] * self.time_grid.n_steps if sources is None else _rows(sources)
+        src = self.source(sources)
         by_k = {j.candidate_index: j for j in forward.jumps}
         pulse_at = {j.node_index: j.candidate_index for j in forward.jumps}
         return self._run(self.zero, src, pulse_at,
@@ -352,20 +455,20 @@ class Propagator(_OnGrid):
         states = self.record(len(walk.rows))
         jumps: list[Jump] = []
         skipped = []  # stays empty when every node is stored
-        for n, r, span in zip(walk.events, walk.at, [*walk.forward, None]):
+        for n, r, t, span in zip(walk.events, walk.at, walk.times, [*walk.forward, None]):
             states[r] = x  # event nodes are always stored
             k = pulse_at.get(n)
             if k is not None:
                 realized = jump(k, x)
                 if realized is not None:
                     post, applied = realized
-                    jumps.append(Jump(tg.times[n], n, k, states[r], post, applied))
+                    jumps.append(Jump(t, n, k, states[r], post, applied))
                     x = post
             if span is not None:
                 x = self.flow(x, span, source, states, skipped)
+        values, skipped = self.finish(states, walk, source, skipped)
         rows = walk.rows.copy()
-        return Trajectory(tg.times[rows], np.asarray(states), jumps, rows, store_every,
-                          self.grid, np.array(skipped))
+        return Trajectory(tg.times[rows], values, jumps, rows, store_every, self.grid, skipped)
 
     def backward(self, costs: CostSpec, realized, decide, store_every: int = 1):
         """Costate sweep from p(T) = C_f with source +1 under the forward step operator.
@@ -383,11 +486,12 @@ class Propagator(_OnGrid):
         walk = _walk(tg, store_every)
         pulse_at = {tg.candidate_indices[k]: k for k in realized}
         c = _rows(costs.pulse_unit)
-        unit = [1.0] * last
+        unit = self.unit_source()
         values = self.record(len(walk.rows))
         jumps: list[AdjointJump] = []
         p = self.state(costs.final)
-        for n, r, span in zip(walk.events[::-1], walk.at[::-1], [*walk.backward[::-1], None]):
+        for n, r, t, span in zip(walk.events[::-1], walk.at[::-1], walk.times[::-1],
+                                 [*walk.backward[::-1], None]):
             k = pulse_at.get(n)
             if k is None:
                 values[r] = p
@@ -397,12 +501,13 @@ class Propagator(_OnGrid):
                 p_plus = self.zero if n == last else p
                 v = decide(k, p_plus)
                 values[r] = p = (p if n == last else v * p_plus) + c[k] * (1.0 - v)
-                jumps.append(AdjointJump(tg.times[n], n, k, p_plus, values[r], v))
+                jumps.append(AdjointJump(t, n, k, p_plus, values[r], v))
             if span is not None:
                 p = self.flow(p, span, unit, values, None)
         jumps.reverse()
         rows = walk.rows.copy()
-        return Trajectory(tg.times[rows], np.asarray(values), jumps, rows, store_every, self.grid)
+        return Trajectory(tg.times[rows], self.finish(values, walk, unit, None)[0], jumps, rows,
+                          store_every, self.grid)
 
     def adjoint(self, strategy: PulseStrategy, costs: CostSpec, forward,
                 store_every: int = 1) -> Trajectory:

@@ -35,7 +35,8 @@ import numpy as np
 
 from .adjoint import _chemical_gradient, _propagator, _ubar
 from .averaged import AveragedPropagator
-from .core import Trajectory, _control_inner, _per_point, _realized, _row_blocks, _rows
+from .core import (Trajectory, _control_cost, _control_inner, _per_point, _realized, _row_blocks,
+                   _rows)
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -252,20 +253,23 @@ def _segment_aggregates(prop: AveragedPropagator):
     integral are affine in the segment's start value x:
         end value   = offset + slope * x
         integral    = int_offset + int_slope * x
+    Each is composed, chunk by chunk, from the state's chunk maps x -> S*x + O
+    (see :class:`inhibopt.averaged.AveragedPropagator`): their end maps and the
+    trapezoids of S and of O over each chunk, taken for every chunk at once.
     """
-    tg = prop.time_grid
-    attr, decay, dt = prop.attr, prop.decay, tg.dt.tolist()
+    tg, maps = prop.time_grid, prop.state_maps
+    dt = np.append(tg.dt, 0.0).take(prop.chunks.steps[:, maps.side.cols])  # a pad adds nothing
+    t_s, t_o = (np.sum(dt * (a[:-1] + a[1:]) / 2.0, axis=0).tolist() for a in (maps.scale, maps.offset))
+    s_end, o_end = maps.ends
+    spans = iter(maps.side.spans)
     boundaries = [0, *tg.candidate_indices, len(tg.times) - 1]
     segments = []
     for a, b in zip(boundaries[:-1], boundaries[1:]):
-        off, slp = 0.0, 1.0
-        i_off, i_slp = 0.0, 0.0
-        for n in range(a, b):
-            off_next = attr[n] * (1.0 - decay[n]) + decay[n] * off
-            slp_next = decay[n] * slp
-            i_off += dt[n] * (off + off_next) / 2.0
-            i_slp += dt[n] * (slp + slp_next) / 2.0
-            off, slp = off_next, slp_next
+        off, slp, i_off, i_slp = 0.0, 1.0, 0.0, 0.0
+        for c in next(spans) if b > a else ():  # chunk c starts at slp*x + off
+            i_off += off * t_s[c] + t_o[c]
+            i_slp += slp * t_s[c]
+            off, slp = s_end[c] * off + o_end[c], s_end[c] * slp
         segments.append((off, slp, i_off, i_slp))
     return segments
 
@@ -325,9 +329,7 @@ def brute_force_pulse(
         raise ProblemError(f"{m} candidate pulses exceed max_pulses={max_pulses}")
     prop = AveragedPropagator(problem, u)
     segments = _segment_aggregates(prop)
-    # a control that is zero throughout costs nothing, even at an infinite unit cost
-    control_cost = float(np.sum(costs.continuous_unit * prop.u_samples * problem.time_grid.dt)
-                         if prop.u_samples.any() else 0.0)
+    control_cost = _control_cost(prop.control, costs, problem.time_grid.dt)
     final_cost = float(costs.final)
 
     def evaluate(columns, n):

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import inhibopt as ib
-from inhibopt import cli
+from inhibopt import cli, core
 from inhibopt import io as iomod
 from inhibopt.cli import run_cli
 from inhibopt.presets import PRESETS, ExperimentPreset, PresetRun
@@ -227,6 +227,20 @@ class TestOptimizeCommands:
         n_nodes = len(iomod.resolve_bundle(AVERAGED_CFG).problem.time_grid.times)
         assert len(read_rows(averaged / "adjoint.csv")) == n_nodes
         assert "store_every" not in iomod.config_from_manifest(averaged / "manifest")[1]
+
+    def test_a_thinned_mixed_record_costs_what_the_complete_one_costs(self):
+        # the thinned records that optimize-mixed --store-every writes keep the grid sum of
+        # each node they skip, as a run at that spacing does, so the cost is the whole run's
+        cfg = {"model": {"kind": "pde", "t_end": 0.25}, "grid": {"cells": [2, 2, 1]},
+               "cost": {"continuous_unit": 0.005}}
+        bundle = iomod.resolve_bundle(iomod.normalize_config(cfg))
+        prob, costs = bundle.problem, bundle.costs
+        res = ib.projected_gradient_mixed(prob, costs)
+        rows = core._walk(prob.time_grid, 7).rows
+        thin = cli._stored(res.forward, rows, 7)
+        assert len(thin.skipped_sums) == len(res.forward.times) - len(rows) > 0
+        assert (ib.cost_pde(thin, res.strategy, res.control, costs, prob)
+                == ib.cost_pde(res.forward, res.strategy, res.control, costs, prob))
 
     def test_manifests_record_realized_pulses_and_halvings(self, tmp_path):
         gated = {**AVERAGED_CFG, "model": {**AVERAGED_CFG["model"], "sigma_star": 0.45}}

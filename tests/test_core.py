@@ -2,8 +2,15 @@
 
 The reference below is the forward run, tangent run and costate sweep
 written one integration step at a time, with a pulse lookup and a storage
-test at every node.  The propagators walk whole pulse-free spans instead, so
-every record, jump, unstored grid sum and cost must agree with it bit for bit.
+test at every node.  A field step is one CN step.  An averaged step is the
+chunk-map arithmetic of :class:`inhibopt.averaged.AveragedPropagator` taken
+one step at a time: at the first step of each chunk (S, O) = (1, 0) and the
+state then is the chunk's start x_start; each step takes S <- S*d and
+O <- O*d + w*s and reaches x = S*x_start + O.  The propagators walk whole
+pulse-free spans instead (the averaged one through each chunk's end map,
+filling the nodes between in one pass), so every record, jump, unstored grid
+sum and cost must agree with the reference bit for bit.  A second oracle
+checks the averaged maps against the closed-form step to 1e-14.
 """
 
 import tracemalloc
@@ -19,16 +26,33 @@ from inhibopt.core import (AdjointJump, Jump, Trajectory, _control_inner, _cost,
                           _row_means, _rows, _space_integral)
 
 
-def _state_step(prop, x, n):
+def _stepper(prop, source=None, backward=False):
+    """``advance(x, n)``: one step n of ``prop`` with source ``source[n]`` (the state's
+    own pressure where None) in the direction the run walks."""
     if prop.shape:
-        return prop._step(x, n, None, np.empty(prop.shape))
-    return prop.attr[n] + (x - prop.attr[n]) * prop.decay[n]
+        return lambda x, n: prop._step(x, n, source, np.empty(prop.shape))
+    chunks = prop.chunks
+    first = set(chunks.steps[0, (chunks.backward if backward else chunks.forward).cols].tolist())
+    d, w = prop.decay.tolist(), prop.w.tolist()
+    s = prop.alpha_mid().tolist() if source is None else source
+    m = {}
+
+    def advance(x, n):
+        if n in first:  # a chunk starts here
+            m.update(start=x, S=1.0, O=0.0)
+        m["S"] = m["S"] * d[n]
+        m["O"] = m["O"] * d[n] + w[n] * s[n]
+        return m["S"] * m["start"] + m["O"]
+
+    return advance
 
 
-def _linear_step(prop, x, n, source):
-    if prop.shape:
-        return prop._step(x, n, {n: source}, np.empty(prop.shape))
-    return prop.decay[n] * x + prop.w[n] * source
+def _closed_form_stepper(prop, source=None, backward=False):
+    """``advance(x, n)``: the averaged closed-form step, attr + (x - attr)*decay for the
+    state and decay*x + w*s with source s otherwise."""
+    if source is None:
+        return lambda x, n: prop.attr[n] + (x - prop.attr[n]) * prop.decay[n]
+    return lambda x, n: prop.decay[n] * x + prop.w[n] * source[n]
 
 
 def _stored(tg, store_every):
@@ -63,26 +87,25 @@ def _reference_run(prop, x, advance, pulse_at, jump, store_every=1):
                       np.array(skipped))
 
 
-def reference_forward(prop, v, store_every=1):
+def reference_forward(prop, v, store_every=1, stepper=_stepper):
     values = _rows(v.values)
 
     def jump(k, x):
         return (values[k] * x, values[k]) if prop.gate(x) else None
 
     pulse_at = {node: k for k, node in enumerate(prop.time_grid.candidate_indices)}
-    return _reference_run(prop, prop.initial, lambda x, n: _state_step(prop, x, n), pulse_at,
-                          jump, store_every)
+    return _reference_run(prop, prop.initial, stepper(prop), pulse_at, jump, store_every)
 
 
-def reference_linear(prop, forward, rule, sources=None):
+def reference_linear(prop, forward, rule, sources=None, stepper=_stepper):
     src = [0.0] * prop.time_grid.n_steps if sources is None else _rows(sources)
     by_k = {j.candidate_index: j for j in forward.jumps}
     pulse_at = {j.node_index: j.candidate_index for j in forward.jumps}
-    return _reference_run(prop, prop.zero, lambda z, n: _linear_step(prop, z, n, src[n]),
+    return _reference_run(prop, prop.zero, stepper(prop, src),
                           pulse_at, lambda k, z: (rule(by_k[k], z), by_k[k].applied))
 
 
-def reference_backward(prop, costs, realized, decide, store_every=1):
+def reference_backward(prop, costs, realized, decide, store_every=1, stepper=_stepper):
     tg = prop.time_grid
     last = tg.n_steps
     rows, keep = _stored(tg, store_every)
@@ -91,10 +114,11 @@ def reference_backward(prop, costs, realized, decide, store_every=1):
     values = np.empty((len(rows), *prop.shape))
     r = len(rows)
     jumps = []
+    advance = stepper(prop, [1.0] * last, backward=True)
     p = prop.state(costs.final)
     for n in range(last, -1, -1):
         if n < last:
-            p = _linear_step(prop, p, n, 1.0)
+            p = advance(p, n)
         k = pulse_at.get(n)
         if k is not None:
             p_plus = prop.zero if n == last else p
@@ -122,6 +146,7 @@ def assert_same_record(got, want, names):
     assert len(got.jumps) == len(want.jumps)
     for a, b in zip(got.jumps, want.jumps):
         assert (a.time, a.node_index, a.candidate_index) == (b.time, b.node_index, b.candidate_index)
+        assert type(a.time) is float  # no numpy scalar in a jump record
         for name in names:
             assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
 
@@ -205,6 +230,70 @@ def test_span_loops_match_the_per_step_loop(model, grid_name, store_every):
         assert_same_record(prop.linear(forward, rule_u, sources),
                            reference_linear(prop, want, rule_u, sources),
                            ("pre", "post", "applied"))
+
+
+def _assert_close_record(got, want, names, atol=1e-14):
+    assert np.array_equal(got.node_indices, want.node_indices)
+    np.testing.assert_allclose(got.values, want.values, rtol=0.0, atol=atol)
+    np.testing.assert_allclose(np.asarray(got.skipped_sums, dtype=float),
+                               np.asarray(want.skipped_sums, dtype=float), rtol=0.0, atol=atol)
+    assert ([(j.node_index, j.candidate_index) for j in got.jumps]
+            == [(j.node_index, j.candidate_index) for j in want.jumps])
+    for a, b in zip(got.jumps, want.jumps):
+        for name in names:
+            assert abs(getattr(a, name) - getattr(b, name)) <= atol, name
+
+
+@pytest.mark.parametrize("store_every", [1, 7])
+@pytest.mark.parametrize("grid_name", list(GRIDS))
+def test_averaged_maps_are_the_closed_form_step(grid_name, store_every):
+    # the chunk maps round otherwise than attr + (x - attr)*decay and decay*x + w*s
+    # taken step by step, but by no more than 1e-14 on states, costates and tangents
+    prob, u, v, direction, costs = _case("averaged", grid_name)
+    prop = _propagator(prob, u)
+    forward = prop.forward(v, store_every)
+    _assert_close_record(forward, reference_forward(prop, v, store_every, _closed_form_stepper),
+                         ("pre", "post"))
+    realized = [j.candidate_index for j in forward.jumps]
+    fixed = _rows(v.values)
+    _assert_close_record(prop.adjoint(v, costs, forward, store_every),
+                         reference_backward(prop, costs, realized, lambda k, p: fixed[k],
+                                            store_every, _closed_form_stepper),
+                         ("p_plus", "p_minus"))
+    if store_every == 1:  # tangent runs need complete records
+        rule_v = lambda j, z: direction[j.candidate_index] * j.pre + j.applied * z  # noqa: E731
+        _assert_close_record(prop.linear(forward, rule_v),
+                             reference_linear(prop, forward, rule_v, None, _closed_form_stepper),
+                             ("pre", "post"))
+        sources = np.random.default_rng(5).uniform(-1.0, 1.0, prob.time_grid.n_steps)
+        rule_u = lambda j, z: j.applied * z  # noqa: E731
+        _assert_close_record(prop.linear(forward, rule_u, sources),
+                             reference_linear(prop, forward, rule_u, sources, _closed_form_stepper),
+                             ("pre", "post"))
+
+
+@pytest.mark.parametrize("t_end, interval, spans", [
+    (1.0, None, [1000]),  # no candidates: one span of 1,000 steps
+    (1.0, 1.0 / 52, None),  # weekly: spans of 19 and 20 steps
+])
+def test_chunks_cut_each_span_into_at_most_k_max_steps(t_end, interval, spans):
+    tg = ib.TimeGrid(t_end, 1e-3, ()) if interval is None else ib.TimeGrid.regular(t_end, 1e-3, interval)
+    chunks = core._chunks(tg)
+    last = tg.n_steps
+    walk = core._walk(tg, 1)
+    lengths = [s.steps.stop - s.steps.start for s in walk.forward]
+    assert spans is None or lengths == spans
+    pieces = [-(-n // core.K_MAX) for n in lengths]  # ceil(n / K_MAX) near-equal chunks a span
+    # the lockstep takes one step of every chunk at once, so its width is the longest chunk
+    assert len(chunks.steps) == max(-(-n // k) for n, k in zip(lengths, pieces)) <= core.K_MAX
+    prop = _propagator(ib.AveragedProblem(tg, reference_alpha(), ib.ChemicalParams(0.3, 0.0), 0.4), None)
+    assert prop.state_maps.scale.shape[0] == prop.unit_maps.scale.shape[0] == len(chunks.steps) + 1
+    for side in (chunks.forward, chunks.backward):
+        assert [len(side.spans[s.index]) for s in walk.forward] == pieces
+        steps = chunks.steps[:, side.cols]
+        assert sorted(steps[steps < last].tolist()) == list(range(last))  # each step once
+    if interval is not None:
+        assert all(len(numbers) == 1 for numbers in chunks.forward.spans)  # one chunk a span
 
 
 def test_records_the_loops_cannot_use_are_refused():

@@ -207,6 +207,19 @@ class TestBruteForce:
         assert dear.strategy.values.tobytes() == free.strategy.values.tobytes()
         assert dear.cost == free.cost
 
+    def test_a_zero_control_costs_nothing_at_an_infinite_unit_cost(self):
+        # a given control that is zero throughout is costed as no control, so no inf*0 arises
+        prob = reference_averaged(t_end=10 / 52)
+        tg = prob.time_grid
+        costs = ib.CostSpec.constant(tg, 0.05, continuous_unit=np.inf, final=0.3)
+        zero = ib.ContinuousControl.constant(tg, 0.0)
+        v = ib.PulseStrategy(np.full(tg.n_candidates, 0.5))
+        traj = ib.simulate_averaged(prob, zero, v)
+        assert ib.cost_averaged(traj, v, zero, costs) == ib.cost_averaged(traj, v, None, costs)
+        res = ib.brute_force_pulse(prob, zero, costs, max_pulses=10)
+        assert np.isfinite(res.cost.total)
+        assert res.cost.total == res.diagnostics["enumeration_best"]
+
     def test_refuses_oversized_instances(self):
         prob = reference_averaged()  # 51 candidates
         costs = ib.CostSpec.constant(prob.time_grid, 0.5)
