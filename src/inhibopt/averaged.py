@@ -20,17 +20,25 @@ alpha.  The exact update is a convex combination, so it maps [0,1] into
 The state, the costate (source 1) and a tangent (source s) all take the
 linear step ``x <- decay*x + w*source``, and affine maps of such a step
 compose.  :class:`AveragedPropagator` therefore cuts each pulse-free span
-(see :mod:`inhibopt.core`) into chunks of at most ``core.K_MAX`` steps and, when
-it is aimed at a control, takes the maps x -> S*x + O of every chunk after
-each of its steps in one numpy lockstep, one step of every chunk at once:
-S <- S*decay and O <- O*decay + w*source from (1, 0).  There is no division,
-so a decay that underflows to 0 is safe.  One lockstep serves the state
-(source alpha, forwards) and the costate (source 1, backwards); a tangent
-run with sources builds its own.  A run's ``flow`` then takes a span one
-multiply-add a chunk on a Python float, noting each chunk's start, and its
-``finish`` fills every node between as x = S*x_start + O in one pass.  The
-functions here are thin wrappers over the shared loops of
-:mod:`inhibopt.core`.
+(see :mod:`inhibopt.core`) into chunks of at most ``K_MAX`` steps, laid out
+once per time grid by :func:`_chunks`, and, when it is aimed at a control,
+takes the maps x -> S*x + O of every chunk after each of its steps in one
+numpy lockstep, one step of every chunk at once: S <- S*decay and
+O <- O*decay + w*source from (1, 0).  There is no division, so a decay that
+underflows to 0 is safe.  One lockstep serves the state (source alpha,
+forwards) and the costate (source 1, backwards); a tangent run with sources
+builds its own.  A run's ``flow`` then takes a span one multiply-add a chunk
+on a Python float, noting each chunk's start, and its ``finish`` fills every
+node, in the order the chunks reach them, as x = S*x_start + O in one pass.
+The brute-force oracle's segment maps, :meth:`AveragedPropagator.segments`,
+are composed from the same chunk maps; no other module knows the chunks.
+
+The functions here are thin wrappers over the shared loops of
+:mod:`inhibopt.core`, except :func:`semiflow_step`: it takes the closed form
+``attr + (Theta - attr)*decay`` one step at a time, which keeps the attractor
+1 - sigma*u fixed to rounding.  Through the chunk maps it would not: a span
+of 2,000 steps taken as one chunk reads 0.7599999999999821 at the
+equilibrium 0.76.
 
 Pulse thresholding: a candidate time t_k becomes a realized pulse time iff
 Theta(t_k) >= sigma_star (pre-jump value, ties trigger).  Stored trajectory
@@ -39,13 +47,13 @@ values are left limits; post-jump values live in the jump records.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .core import AveragedTrajectory, Jump  # noqa: F401  (re-exported)
-from .core import (Propagator, Span, _as_direction_array, _chunks, _cost, _rows, _Side,
-                   _unstored)
+from .core import Propagator, Span, _as_direction_array, _cost, _rows, _unstored, _walk
 from .model import (
     AveragedProblem,
     ContinuousControl,
@@ -55,6 +63,68 @@ from .model import (
     PulseStrategy,
     QuadratureError,
 )
+
+
+K_MAX = 32  # steps a chunk of :func:`_chunks` holds at most: the width of one lockstep
+
+
+class _Side(NamedTuple):
+    """One direction's chunks in :class:`_Chunks`: their columns there, the chunk numbers of
+    each span (by its ``index``), numbered in the order a run visits them, the mask
+    (chunks, width) of their real (unpadded) places, and the nodes those places reach, chunk
+    by chunk in that order: 1..T forwards, T-1..0 backwards."""
+
+    cols: slice
+    spans: list
+    real: np.ndarray
+    nodes: slice
+
+
+class _Chunks(NamedTuple):
+    """Each span of a time grid's walk cut into chunks of at most ``K_MAX`` steps, forwards
+    and backwards: ``steps`` (width, chunks) holds the step at each place of a chunk, column
+    by column, ``n_steps`` where a shorter chunk is padded, and ``sourced`` where each place
+    reads its weighted source in the rows of :func:`_step_table` (decay, w*alpha, w): the
+    state's w*alpha forwards, the costate's w backwards."""
+
+    steps: np.ndarray
+    sourced: np.ndarray
+    forward: _Side
+    backward: _Side
+
+
+@functools.lru_cache(maxsize=32)
+def _chunks(time_grid) -> _Chunks:
+    """The chunks of every run on ``time_grid``, built once per grid as :func:`_walk` is.
+
+    A span of L steps is cut into ceil(L / K_MAX) chunks of near-equal length, so the
+    chunks of a weekly grid are its spans.  Forward chunks are numbered in time order and
+    backward ones in the order the costate sweep visits them, so a run's chunk starts,
+    noted in visiting order, line up with the chunk numbers, and the chunks' steps reach
+    every node but the first of their direction once, in order.
+    """
+    walk = _walk(time_grid, 1)
+    last = time_grid.n_steps
+    chunks, sides = [], []
+    # forward step n reaches node n + 1 (1..T in order), backward step n node n (T-1..0)
+    for spans, nodes in ((walk.forward, np.s_[1:]), (walk.backward[::-1], np.s_[-2::-1])):
+        first, numbers = len(chunks), [None] * len(spans)
+        for span in spans:
+            walked = range(last)[span.steps]
+            pieces = -(-len(walked) // K_MAX)
+            numbers[span.index] = range(len(chunks) - first, len(chunks) - first + pieces)
+            chunks += [walked[len(walked) * i // pieces:len(walked) * (i + 1) // pieces]
+                       for i in range(pieces)]
+        sides.append((slice(first, len(chunks)), numbers, nodes))
+    steps = np.full((max(map(len, chunks)), len(chunks)), last)
+    for c, chunk in enumerate(chunks):
+        steps[:len(chunk), c] = chunk
+    forward, backward = (_Side(cols, numbers, steps[:, cols].T < last, nodes)
+                         for cols, numbers, nodes in sides)
+    sourced = steps + (last + 1) * np.repeat([1, 2], [len(s.real) for s in (forward, backward)])
+    for a in (steps, sourced, forward.real, backward.real):
+        a.flags.writeable = False  # shared by every run on the grid
+    return _Chunks(steps, sourced, forward, backward)
 
 
 def _alpha_samples(alpha: Callable, mids: np.ndarray) -> np.ndarray:
@@ -93,7 +163,7 @@ def _step_table(decay: np.ndarray, *weighted: np.ndarray) -> np.ndarray:
 def _lockstep(decay: np.ndarray, weighted: np.ndarray):
     """The maps x -> S*x + O of every chunk after each of its steps, one step of every chunk
     at once: S <- S*d and O <- O*d + w*s from (1, 0).  ``decay`` and ``weighted`` (w*s) are
-    laid out as :func:`inhibopt.core._chunks`' ``steps``; row j + 1 of S and O is taken after
+    laid out as :func:`_chunks`' ``steps``; row j + 1 of S and O is taken after
     step j, and row 0 is the identity.  A padded step (d = 1, w*s = 0) leaves both exactly."""
     scale, offset = np.empty((2, len(decay) + 1, decay.shape[1]))
     scale[0], offset[0] = 1.0, 0.0
@@ -135,19 +205,15 @@ class AveragedPropagator(Propagator):
         self.time_grid, self.sigma = tg, problem.chem.sigma
         self.initial = float(problem.theta0)
         self.threshold = problem.chem.sigma_star
-        self.chunks = chunks = _chunks(tg)
-        # where each place of the chunks reads its weighted source in the step table of
-        # _aim: the state's (w*alpha) forwards, the costate's (w) backwards
-        widths = [side.cols.stop - side.cols.start for side in (chunks.forward, chunks.backward)]
-        self._sourced = chunks.steps + (tg.n_steps + 1) * np.repeat([1, 2], widths)
+        self.chunks = _chunks(tg)
         self.aim(u)
 
     def _aim(self) -> None:
         dt = self.time_grid.dt
-        attr, rate, decay = _exponential_coefficients(self._alpha_mid, self.u_samples, self.sigma, dt)
-        self.attr, self.decay, self.w = attr, decay, _source_weights(rate, dt)
+        _, rate, decay = _exponential_coefficients(self._alpha_mid, self.u_samples, self.sigma, dt)
+        self.decay, self.w = decay, _source_weights(rate, dt)
         table = _step_table(decay, self.w * self._alpha_mid, self.w)  # sources alpha and 1
-        scale, offset = _lockstep(table[0].take(self.chunks.steps), table.take(self._sourced))
+        scale, offset = _lockstep(table[0].take(self.chunks.steps), table.take(self.chunks.sourced))
         self.state_maps = _maps(scale, offset, self.chunks.forward)
         self.unit_maps = _maps(scale, offset, self.chunks.backward)
 
@@ -182,17 +248,46 @@ class AveragedPropagator(Propagator):
         return x
 
     def finish(self, record: list, walk, source: _Maps | None, skipped: list | None):
-        """Every inner node x = S*x_start + O from its chunk's start, in one pass; the event
-        rows keep what the run stored (pre-jump states, the costate after its decision)."""
+        """Every node x = S*x_start + O from its chunk's start in one pass, in the order the chunks
+        reach them; then the event rows as the run stored them (pre-jump, the costate decided)."""
         maps = self.state_maps if source is None else source
         n = len(walk.rows)
         nodes = np.empty(self.time_grid.n_steps + 1)
         starts = np.array(record[n:])
-        nodes[self.chunks.inner] = (maps.scale * starts + maps.offset).take(maps.side.place)
-        nodes[self.chunks.events] = [record[r] for r in walk.at]
+        nodes[maps.side.nodes] = (maps.scale * starts + maps.offset)[1:].T[maps.side.real]
+        nodes[walk.events] = [record[r] for r in walk.at]
         if n == nodes.size:
             return nodes, None if skipped is None else np.empty(0)
         return nodes[walk.rows], None if skipped is None else nodes[_unstored(walk.rows)]
+
+    def segments(self) -> list:
+        """Affine maps of the state over each segment between consecutive candidate nodes
+        (node 0 and the final node close the first and the last), the brute-force oracle's.
+
+        Over a pulse-free segment the step recursion and its running trapezoid
+        integral are affine in the segment's start value x:
+            end value   = offset + slope * x
+            integral    = int_offset + int_slope * x
+        Each is composed, chunk by chunk, from the state's chunk maps x -> S*x + O:
+        their end maps and the trapezoids of S and of O over each chunk, taken for
+        every chunk at once.  Returns (offset, slope, int_offset, int_slope) a segment.
+        """
+        tg, maps = self.time_grid, self.state_maps
+        dt = np.append(tg.dt, 0.0).take(self.chunks.steps[:, maps.side.cols])  # a pad adds nothing
+        t_s, t_o = (np.sum(dt * (a[:-1] + a[1:]) / 2.0, axis=0).tolist()
+                    for a in (maps.scale, maps.offset))
+        s_end, o_end = maps.ends
+        spans = iter(maps.side.spans)
+        boundaries = [0, *tg.candidate_indices, len(tg.times) - 1]
+        segments = []
+        for a, b in zip(boundaries[:-1], boundaries[1:]):
+            off, slp, i_off, i_slp = 0.0, 1.0, 0.0, 0.0
+            for c in next(spans) if b > a else ():  # chunk c starts at slp*x + off
+                i_off += off * t_s[c] + t_o[c]
+                i_slp += slp * t_s[c]
+                off, slp = s_end[c] * off + o_end[c], s_end[c] * slp
+            segments.append((off, slp, i_off, i_slp))
+        return segments
 
     def gate(self, x: float) -> bool:
         return x >= self.threshold

@@ -13,18 +13,15 @@ gives it.  It returns the state at the span's end and leaves in the record
 propagator's ``finish(record, walk, source, skipped)`` turns into the run's
 stored values and the grid sums of its unstored nodes once the run ends.  A
 field's flow writes each stored interior node into its row and appends the
-grid sum of each other one, and its ``finish`` is ``np.asarray``.  The
-averaged flow takes a span through its chunk maps and notes each chunk's
-start after the stored rows of its list record, and its ``finish`` fills
-every interior node from those in one pass (see :mod:`inhibopt.averaged`;
-:func:`_chunks` lays the chunks out).  A propagator also supplies the
-record itself (``record(n)``: a list for the averaged model, a preallocated
-array for fields), the threshold ``gate(x)`` and ``alpha_mid()`` for every
-step.  A propagator and each record it writes carry their ``grid`` (None
-for the averaged model), and their ``space_weight``, the weight of a point
-in the space quadrature, is read from it by one rule: ds^3 on a grid, 1
-where there is none.  So costs, gradients and inner products take the
-weight of what they integrate.
+grid sum of each other one, and its ``finish`` is ``np.asarray``; the
+averaged model fills its nodes in ``finish`` (see :mod:`inhibopt.averaged`).
+A propagator also supplies the record itself (``record(n)``: a list for the
+averaged model, a preallocated array for fields), the threshold ``gate(x)``
+and ``alpha_mid()`` for every step.  A propagator and each record it
+writes carry their ``grid`` (None for the averaged model), and their
+``space_weight``, the weight of a point in the space quadrature, is read
+from it by one rule: ds^3 on a grid, 1 where there is none.  So costs,
+gradients and inner products take the weight of what they integrate.
 
 :class:`Propagator` writes each algorithm once over that interface: the gated
 forward run, the backward costate sweep with a per-candidate decision rule,
@@ -250,70 +247,6 @@ def _walk(time_grid, store_every: int) -> _Walk:
     return _Walk(rows, events, at, time_grid.times[events].tolist(), forward, backward)
 
 
-K_MAX = 32  # steps a chunk of :func:`_chunks` holds at most: the width of one lockstep
-
-
-class _Side(NamedTuple):
-    """One direction's chunks in :class:`_Chunks`: their columns there, the chunk numbers of
-    each span (by its ``index``), numbered in the order a run visits them, and, for each inner
-    node in node order, its place ``(j + 1) * n + c`` in an (width + 1, n) array of this
-    side's n chunks whose row j + 1 is taken after step j of chunk c."""
-
-    cols: slice
-    spans: list
-    place: np.ndarray
-
-
-class _Chunks(NamedTuple):
-    """Each span of a time grid's walk cut into chunks of at most ``K_MAX`` steps, forwards
-    and backwards: ``steps`` (width, chunks) holds the step at each place of a chunk, column
-    by column, ``n_steps`` where a shorter chunk is padded.  ``events`` are the walk's event
-    nodes and ``inner`` the others, each reached by one step of each direction."""
-
-    steps: np.ndarray
-    events: np.ndarray
-    inner: np.ndarray
-    forward: _Side
-    backward: _Side
-
-
-@functools.lru_cache(maxsize=32)
-def _chunks(time_grid) -> _Chunks:
-    """The chunks of every run on ``time_grid``, built once per grid as :func:`_walk` is.
-
-    A span of L steps is cut into ceil(L / K_MAX) chunks of near-equal length, so the
-    chunks of a weekly grid are its spans.  Forward chunks are numbered in time order and
-    backward ones in the order the costate sweep visits them, so a run's chunk starts,
-    noted in visiting order, line up with the chunk numbers.
-    """
-    walk = _walk(time_grid, 1)
-    last = time_grid.n_steps
-    chunks, sides = [], []
-    for spans, reach in ((walk.forward, 1), (walk.backward[::-1], 0)):
-        first, numbers = len(chunks), [None] * len(spans)
-        for span in spans:  # forward step n reaches node n + 1, backward step n node n
-            walked = range(last)[span.steps]
-            pieces = -(-len(walked) // K_MAX)
-            numbers[span.index] = range(len(chunks) - first, len(chunks) - first + pieces)
-            chunks += [walked[len(walked) * i // pieces:len(walked) * (i + 1) // pieces]
-                       for i in range(pieces)]
-        sides.append((slice(first, len(chunks)), numbers, reach))
-    steps = np.full((max(map(len, chunks)), len(chunks)), last)
-    for c, chunk in enumerate(chunks):
-        steps[:len(chunk), c] = chunk
-    events = np.array(walk.events)
-    inner = np.delete(np.arange(last + 1), events)
-    out = []
-    for cols, numbers, reach in sides:
-        j, c = np.nonzero(steps[:, cols] < last)
-        place = np.empty(last + 1, int)
-        place[steps[:, cols][j, c] + reach] = (j + 1) * (cols.stop - cols.start) + c
-        out.append(_Side(cols, numbers, place[inner]))
-    for a in (steps, events, inner, *(side.place for side in out)):
-        a.flags.writeable = False  # shared by every run on the grid
-    return _Chunks(steps, events, inner, *out)
-
-
 def _realized(record) -> frozenset:
     """The candidates whose jumps ``record`` holds: the realized pulse set of a run or costate."""
     return frozenset(j.candidate_index for j in record.jumps)
@@ -362,8 +295,9 @@ def _cost(traj, v: PulseStrategy, u: ContinuousControl | None, costs: CostSpec,
     running_control = _control_cost(u, costs, dt, np.size(traj.values[0]), w)
 
     pulse = 0.0
+    c = _rows(costs.pulse_unit)
     for j in traj.jumps:
-        term = costs.pulse_unit[j.candidate_index] * (1.0 - j.applied) * j.pre
+        term = c[j.candidate_index] * (1.0 - j.applied) * j.pre
         if isinstance(term, np.ndarray):  # a field: integrate over space
             term = np.sum(term)
         pulse += float(term * w)
@@ -424,13 +358,11 @@ class Propagator(_OnGrid):
         post-jump values live in the jump records.
         """
         tg = self.time_grid
-        if v is None:
-            v = PulseStrategy.no_intervention(tg)
-        if len(v) != tg.n_candidates:
+        if v is not None and len(v) != tg.n_candidates:
             raise ProblemError(
                 f"strategy has {len(v)} values for {tg.n_candidates} candidate pulse times"
             )
-        values = _rows(v.values)
+        values = [1.0] * tg.n_candidates if v is None else _rows(v.values)  # None: no intervention
 
         def jump(k, x):
             return (values[k] * x, values[k]) if self.gate(x) else None

@@ -246,34 +246,6 @@ def optimal_pulse(
 # exhaustive oracle (averaged model)
 
 
-def _segment_aggregates(prop: AveragedPropagator):
-    """Affine per-segment maps between consecutive candidate nodes.
-
-    Over a pulse-free segment the step recursion and its running trapezoid
-    integral are affine in the segment's start value x:
-        end value   = offset + slope * x
-        integral    = int_offset + int_slope * x
-    Each is composed, chunk by chunk, from the state's chunk maps x -> S*x + O
-    (see :class:`inhibopt.averaged.AveragedPropagator`): their end maps and the
-    trapezoids of S and of O over each chunk, taken for every chunk at once.
-    """
-    tg, maps = prop.time_grid, prop.state_maps
-    dt = np.append(tg.dt, 0.0).take(prop.chunks.steps[:, maps.side.cols])  # a pad adds nothing
-    t_s, t_o = (np.sum(dt * (a[:-1] + a[1:]) / 2.0, axis=0).tolist() for a in (maps.scale, maps.offset))
-    s_end, o_end = maps.ends
-    spans = iter(maps.side.spans)
-    boundaries = [0, *tg.candidate_indices, len(tg.times) - 1]
-    segments = []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        off, slp, i_off, i_slp = 0.0, 1.0, 0.0, 0.0
-        for c in next(spans) if b > a else ():  # chunk c starts at slp*x + off
-            i_off += off * t_s[c] + t_o[c]
-            i_slp += slp * t_s[c]
-            off, slp = s_end[c] * off + o_end[c], s_end[c] * slp
-        segments.append((off, slp, i_off, i_slp))
-    return segments
-
-
 def _strategy_costs(theta0, segments, columns, n, costs, sigma_star, control_cost, final_cost):
     """Exact costs of n strategies at once through the affine segment maps.
 
@@ -328,7 +300,7 @@ def brute_force_pulse(
     if m > max_pulses:
         raise ProblemError(f"{m} candidate pulses exceed max_pulses={max_pulses}")
     prop = AveragedPropagator(problem, u)
-    segments = _segment_aggregates(prop)
+    segments = prop.segments()
     control_cost = _control_cost(prop.control, costs, problem.time_grid.dt)
     final_cost = float(costs.final)
 

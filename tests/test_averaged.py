@@ -25,6 +25,17 @@ class TestSemiflowStep:
                                lambda t: np.full_like(np.asarray(t, dtype=float), uval), sigma)
         assert out == pytest.approx(1.0 - sigma * uval, abs=1e-14)
 
+    @pytest.mark.parametrize("uval", [0.0, 0.8])
+    def test_agrees_with_the_simulated_run(self, uval):
+        # the closed form and the chunk maps of simulate_averaged on one uniform grid
+        tg = ib.TimeGrid(0.031, 1e-3, ())
+        alpha = reference_alpha()
+        prob = ib.AveragedProblem(tg, alpha, ib.ChemicalParams(0.3, 0.0), 0.4)
+        traj = ib.simulate_averaged(prob, ib.ContinuousControl.constant(tg, uval))
+        out = ib.semiflow_step(0.4, 0.0, 0.031, alpha,
+                               lambda t: np.full_like(np.asarray(t, dtype=float), uval), 0.3)
+        assert out == pytest.approx(traj.values[-1], abs=1e-14)
+
     def test_composition_consistency(self):
         alpha = reference_alpha()
         # spans aligned with the sub-step grid compose exactly

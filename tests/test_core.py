@@ -20,7 +20,7 @@ import pytest
 
 import inhibopt as ib
 from conftest import reference_alpha, reference_averaged, reference_pde
-from inhibopt import core, optimize
+from inhibopt import averaged, core, optimize
 from inhibopt.adjoint import _propagator
 from inhibopt.core import (AdjointJump, Jump, Trajectory, _control_inner, _cost, _per_point, _row_blocks,
                           _row_means, _rows, _space_integral)
@@ -51,7 +51,8 @@ def _closed_form_stepper(prop, source=None, backward=False):
     """``advance(x, n)``: the averaged closed-form step, attr + (x - attr)*decay for the
     state and decay*x + w*s with source s otherwise."""
     if source is None:
-        return lambda x, n: prop.attr[n] + (x - prop.attr[n]) * prop.decay[n]
+        attr = 1.0 - prop.sigma * prop.u_samples
+        return lambda x, n: attr[n] + (x - attr[n]) * prop.decay[n]
     return lambda x, n: prop.decay[n] * x + prop.w[n] * source[n]
 
 
@@ -278,14 +279,14 @@ def test_averaged_maps_are_the_closed_form_step(grid_name, store_every):
 ])
 def test_chunks_cut_each_span_into_at_most_k_max_steps(t_end, interval, spans):
     tg = ib.TimeGrid(t_end, 1e-3, ()) if interval is None else ib.TimeGrid.regular(t_end, 1e-3, interval)
-    chunks = core._chunks(tg)
+    chunks = averaged._chunks(tg)
     last = tg.n_steps
     walk = core._walk(tg, 1)
     lengths = [s.steps.stop - s.steps.start for s in walk.forward]
     assert spans is None or lengths == spans
-    pieces = [-(-n // core.K_MAX) for n in lengths]  # ceil(n / K_MAX) near-equal chunks a span
+    pieces = [-(-n // averaged.K_MAX) for n in lengths]  # ceil(n / K_MAX) near-equal chunks a span
     # the lockstep takes one step of every chunk at once, so its width is the longest chunk
-    assert len(chunks.steps) == max(-(-n // k) for n, k in zip(lengths, pieces)) <= core.K_MAX
+    assert len(chunks.steps) == max(-(-n // k) for n, k in zip(lengths, pieces)) <= averaged.K_MAX
     prop = _propagator(ib.AveragedProblem(tg, reference_alpha(), ib.ChemicalParams(0.3, 0.0), 0.4), None)
     assert prop.state_maps.scale.shape[0] == prop.unit_maps.scale.shape[0] == len(chunks.steps) + 1
     for side in (chunks.forward, chunks.backward):
@@ -356,6 +357,31 @@ def test_a_reaimed_propagator_runs_as_a_new_one(model):
             fresh_solves += fresh.cg.solves
     if model == "field":
         assert base.cg.solves == fresh_solves > 0
+
+
+@pytest.mark.parametrize("model", ["averaged", "field"])
+def test_a_run_without_a_strategy_builds_none(model, monkeypatch):
+    # forward(None) reads v = 1 without building a no-intervention strategy; the run and a
+    # sigma* > 0 fixed point, which starts from such a run, are those of an explicit one
+    if model == "averaged":
+        prob, simulate = reference_averaged(t_end=0.3, sigma_star=0.45), ib.simulate_averaged
+    else:
+        prob, simulate = reference_pde(cells=(2, 2, 1), t_end=0.3, sigma_star=0.02), ib.simulate_pde
+    costs = ib.CostSpec.constant(prob.time_grid, 0.1)
+    want = simulate(prob, None, ib.PulseStrategy.no_intervention(prob.time_grid))
+    want_fp = ib.fixed_point_pulse(prob, None, costs)
+    assert want.jumps and want_fp.forward.jumps
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("no strategy is built for a run without one")
+
+    monkeypatch.setattr(ib.PulseStrategy, "no_intervention", classmethod(refuse))
+    assert_same_record(simulate(prob), want, ("pre", "post", "applied"))
+    got_fp = ib.fixed_point_pulse(prob, None, costs)
+    assert got_fp.strategy.values.tobytes() == want_fp.strategy.values.tobytes()
+    assert got_fp.cost == want_fp.cost and got_fp.iterations == want_fp.iterations
+    assert_same_record(got_fp.forward, want_fp.forward, ("pre", "post", "applied"))
+    assert_same_record(got_fp.adjoint, want_fp.adjoint, ("p_plus", "p_minus", "applied"))
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def _oracle_vertex_cost(theta0, segments, v, costs, sigma_star, control_cost, fi
 def _oracle_brute_force(problem, u, costs, interior_samples=0, seed=0):
     """The vertex loop in lexicographic order, strict improvement only, and the interior samples."""
     m = problem.time_grid.n_candidates
-    segments = optimize._segment_aggregates(optimize.AveragedPropagator(problem, u))
+    segments = optimize.AveragedPropagator(problem, u).segments()
     control_cost = 0.0
     if u is not None:
         control_cost = float(np.sum(costs.continuous_unit * u.samples * problem.time_grid.dt))
@@ -290,6 +290,7 @@ def _oracle_bellman(problem, u, costs, points=2001):
     prop = optimize.AveragedPropagator(problem, u)
     grid = np.linspace(0.0, 1.0, points)
     star, c = problem.chem.sigma_star, costs.pulse_unit.tolist()
+    attrs = 1.0 - prop.sigma * prop.u_samples  # the attractor 1 - sigma*u of each step
     candidate_at = dict(zip(tg.candidate_indices, range(tg.n_candidates)))
     after = {}  # the value just after each candidate's jump, as a function of the post-jump state
     value = float(costs.final) * grid
@@ -299,7 +300,7 @@ def _oracle_bellman(problem, u, costs, points=2001):
             after[k] = value
             value = np.where(grid >= star, np.minimum(value, c[k] * grid + value[0]), value)
         if n:
-            attr, decay = prop.attr[n - 1], prop.decay[n - 1]
+            attr, decay = attrs[n - 1], prop.decay[n - 1]
             y = attr + (grid - attr) * decay
             value = tg.dt[n - 1] * (grid + y) / 2.0 + np.interp(y, grid, value)
     v, x = np.ones(tg.n_candidates), float(problem.theta0)
@@ -307,7 +308,7 @@ def _oracle_bellman(problem, u, costs, points=2001):
         k = candidate_at.get(n)
         if k is not None and x >= star and c[k] * x + after[k][0] < np.interp(x, grid, after[k]):
             v[k], x = 0.0, 0.0
-        x = prop.attr[n] + (x - prop.attr[n]) * prop.decay[n]
+        x = attrs[n] + (x - attrs[n]) * prop.decay[n]
     strategy = ib.PulseStrategy(v)
     return strategy, prop.cost(prop.forward(strategy), strategy, costs).total
 
@@ -395,7 +396,7 @@ def test_enumeration_matches_the_vertex_loop(case, chunk, monkeypatch):
     if case == "ties":
         assert best_v.tolist() == [1.0] + [0.0] * 11
     elif case == "nan":
-        segments = optimize._segment_aggregates(optimize.AveragedPropagator(prob, u))
+        segments = optimize.AveragedPropagator(prob, u).segments()
         costs_all = [_oracle_vertex_cost(prob.theta0, segments, bits, costs, 0.3, 0.0, 0.3)
                      for bits in itertools.product((0.0, 1.0), repeat=12)]
         assert np.isnan(costs_all).any() and np.isfinite(best_cost)
